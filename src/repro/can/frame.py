@@ -175,7 +175,7 @@ class CanFrame:
     def __deepcopy__(self, memo: dict) -> "CanFrame":
         return self
 
-    # The snapshot replayer's prefix tree and verdict memo hash frames
+    # The snapshot replayer's prefix tree and ddmin's verdict memo hash frames
     # on every probe step; the generated dataclass hash walks all six
     # fields each call.  Frames are immutable, so hash once and keep it.
     def __hash__(self) -> int:

@@ -89,42 +89,53 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     return 0
 
 
-def _minimize_finding(finding, *, check_mode: str, seed: int) -> dict:
-    """Minimise one finding's window with the snapshot replayer.
+def _minimize_record(replayer, finding, window, encode) -> dict:
+    """Minimise one finding's recorded window with a snapshot replayer.
 
-    Returns a JSON-ready record: the minimised frames, the ddmin probe
-    counts, and the replayer's checkpoint counters.  A window that does
+    Returns a JSON-ready record: the minimised steps (each passed
+    through ``encode``), the ddmin probe counts, and the replayer's
+    checkpoint counters.  Keys name the replayer's step unit
+    (``window_frames``/``minimized_frames`` or
+    ``window_requests``/``minimized_requests``).  A window that does
     not reproduce on the replay grid is reported as such rather than
     aborting the run (replay is best-effort forensics).
     """
-    from repro.fuzz import MinimizeStats, SnapshotReplayer
+    from repro.fuzz import MinimizeStats
+
+    unit = replayer.unit
+    record = {
+        "oracle": finding.oracle,
+        "time": finding.time,
+        f"window_{unit}": len(window),
+        "reproduced": False,
+    }
+    stats = MinimizeStats()
+    try:
+        minimal = replayer.minimize(list(window), stats=stats)
+    except ValueError:
+        return record
+    record.update({
+        "reproduced": True,
+        f"minimized_{unit}": [encode(step) for step in minimal],
+        "probes": stats.tests_used,
+        "probe_cache_hits": stats.cache_hits,
+        "exhausted": stats.exhausted,
+        "replayer": replayer.stats(),
+    })
+    return record
+
+
+def _minimize_finding(finding, *, check_mode: str, seed: int) -> dict:
+    """Minimise one unlock-bench finding's frame window."""
+    from repro.fuzz import SnapshotReplayer
     from repro.fuzz.session import frame_to_dict
     from repro.testbench import UnlockReplayFactory
 
     replayer = SnapshotReplayer(
         UnlockReplayFactory(check_mode=check_mode, seed=seed,
                             monitor_limit=64))
-    record = {
-        "oracle": finding.oracle,
-        "time": finding.time,
-        "window_frames": len(finding.recent_frames),
-        "reproduced": False,
-    }
-    stats = MinimizeStats()
-    try:
-        minimal = replayer.minimize(list(finding.recent_frames),
-                                    stats=stats)
-    except ValueError:
-        return record
-    record.update(
-        reproduced=True,
-        minimized_frames=[frame_to_dict(frame) for frame in minimal],
-        probes=stats.tests_used,
-        probe_cache_hits=stats.cache_hits,
-        exhausted=stats.exhausted,
-        replayer=replayer.stats(),
-    )
-    return record
+    return _minimize_record(replayer, finding, finding.recent_frames,
+                            frame_to_dict)
 
 
 def _print_minimized(minimized: list[dict]) -> None:
@@ -378,43 +389,11 @@ def _run_sharded_bench(args: argparse.Namespace, channel_config) -> int:
     return 0 if merged.ok and findings_with_seeds else 1
 
 
-def _minimize_uds_finding(finding, *, seed: int,
-                          key_algorithm: int | None) -> dict:
-    """Minimise one UDS finding's request record by snapshot replay."""
-    from repro.fuzz import MinimizeStats
-    from repro.testbench import UdsReplayFactory
-    from repro.uds.replay import UdsSnapshotReplayer
-
-    replayer = UdsSnapshotReplayer(UdsReplayFactory(seed=seed),
-                                   key_algorithm=key_algorithm)
-    record = {
-        "oracle": finding.oracle,
-        "time": finding.time,
-        "window_requests": len(finding.recent_requests),
-        "reproduced": False,
-    }
-    stats = MinimizeStats()
-    try:
-        minimal = replayer.minimize(list(finding.recent_requests),
-                                    stats=stats)
-    except ValueError:
-        return record
-    record.update(
-        reproduced=True,
-        minimized_requests=[request.hex() for request in minimal],
-        probes=stats.tests_used,
-        probe_cache_hits=stats.cache_hits,
-        exhausted=stats.exhausted,
-        replayer=replayer.stats(),
-    )
-    return record
-
-
 def _cmd_fuzz_uds(args: argparse.Namespace) -> int:
     from repro.fuzz import CampaignLimits, ShardSpec
     from repro.fuzz.uds_campaign import UdsFuzzCampaign
     from repro.testbench import UdsBenchFactory, UdsReplayFactory
-    from repro.uds.replay import confirm_uds_findings
+    from repro.uds.replay import UdsSnapshotReplayer, confirm_uds_findings
 
     if args.resume and not args.journal:
         print("--resume requires --journal DIR", file=sys.stderr)
@@ -471,9 +450,11 @@ def _cmd_fuzz_uds(args: argparse.Namespace) -> int:
         findings = confirmation.confirmed
     minimized = None
     if args.minimize:
-        minimized = [_minimize_uds_finding(finding, seed=args.seed,
-                                           key_algorithm=key_algorithm)
-                     for finding in findings]
+        minimized = [_minimize_record(
+            UdsSnapshotReplayer(UdsReplayFactory(seed=args.seed),
+                                key_algorithm=key_algorithm),
+            finding, finding.recent_requests, bytes.hex)
+            for finding in findings]
         for record in minimized:
             if not record["reproduced"]:
                 print(f"finding[{record['oracle']}]: window of "

@@ -35,7 +35,7 @@ from repro.can.bus import CanBus
 from repro.can.errors import BUS_OFF_RECOVERY_BITS
 from repro.can.frame import CanFrame, TimestampedFrame
 from repro.fuzz.oracle import Finding, Oracle
-from repro.fuzz.replay import Replayer, TargetFactory
+from repro.fuzz.replay import ConfirmationReport, Replayer, TargetFactory
 from repro.sim.clock import MS, SECOND
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicProcess
@@ -344,25 +344,6 @@ class CampaignSupervisor(Oracle):
         return self._degraded
 
 
-@dataclass
-class ConfirmationReport:
-    """Outcome of clean-channel replay confirmation."""
-
-    confirmed: list[Finding]
-    rejected: list[Finding]
-
-    @property
-    def noise_filtered(self) -> int:
-        return len(self.rejected)
-
-    def to_dict(self) -> dict:
-        return {
-            "confirmed": len(self.confirmed),
-            "noise_filtered": self.noise_filtered,
-            "rejected_oracles": sorted({f.oracle for f in self.rejected}),
-        }
-
-
 def confirm_findings(findings: list[Finding], factory: TargetFactory, *,
                      interval: int = 1 * MS,
                      settle: int = 50 * MS) -> ConfirmationReport:
@@ -374,12 +355,5 @@ def confirm_findings(findings: list[Finding], factory: TargetFactory, *,
     window still trips the failure probe on the clean build is
     confirmed; the rest are noise artefacts, filtered and counted.
     """
-    replayer = Replayer(factory, interval=interval, settle=settle)
-    confirmed: list[Finding] = []
-    rejected: list[Finding] = []
-    for finding in findings:
-        if replayer.probe_finding(finding):
-            confirmed.append(finding)
-        else:
-            rejected.append(finding)
-    return ConfirmationReport(confirmed=confirmed, rejected=rejected)
+    return Replayer(factory, interval=interval,
+                    settle=settle).confirm(findings)

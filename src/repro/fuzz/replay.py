@@ -10,31 +10,38 @@ per-frame timestamps (:attr:`~repro.fuzz.oracle.Finding.recent_times`)
 the recorded inter-frame gaps are reproduced; otherwise the replay
 falls back to a fixed ``interval`` grid.
 
-``Replayer`` is also the bridge into
-:mod:`repro.fuzz.minimize`: its :meth:`probe` method is a ready-made
-``still_fails`` predicate for ``minimize_trace``.
+This module is the one replay engine for every track.
+:class:`StepReplayer` replays a trace step by step on a freshly built
+target and provides probing, ddmin minimisation and confirmation;
+:class:`PrefixCache` layers the checkpoint prefix tree on top.  A
+track supplies only how its ``probe`` turns a trace into hashable
+steps, how ``_step`` runs one step on a built world, and which
+recorded trace ``probe_finding`` replays.  The frame track lives here
+(:class:`Replayer`, :class:`SnapshotReplayer`: ``(frame, gap)``
+steps); the UDS request track lives in :mod:`repro.uds.replay`.
 
 :class:`SnapshotReplayer` is the fast path: instead of rebuilding the
 target and re-simulating the whole candidate for every ddmin probe, it
 keeps a prefix tree of :class:`~repro.sim.snapshot.Snapshot`
-checkpoints keyed by ``(frame, gap)`` transmission steps.  A probe
-restores the deepest cached ancestor of its candidate and only
-simulates the suffix.  Verdict parity with the fresh-build
-:class:`Replayer` is structural: a checkpoint is the exact world a
-fresh replay of that prefix would have produced (same frames, same
-gaps, same powered-on start state), and the simulator is
-deterministic, so continuing from the restored checkpoint and
-continuing from a fresh rebuild are bit-identical.
+checkpoints keyed by transmission steps.  A probe restores the deepest
+cached ancestor of its candidate and only simulates the suffix.
+Verdict parity with the fresh-build :class:`Replayer` is structural: a
+checkpoint is the exact world a fresh replay of that prefix would have
+produced (same steps, same pacing, same powered-on start state), and
+the simulator is deterministic, so continuing from the restored
+checkpoint and continuing from a fresh rebuild are bit-identical.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Hashable, Sequence
 
 from repro.can.adapter import PcanStyleAdapter
 from repro.can.frame import CanFrame
-from repro.fuzz.minimize import MinimizeStats
+from repro.fuzz.minimize import (MinimizeStats, minimize_frame_bytes,
+                                 minimize_trace)
 from repro.fuzz.oracle import Finding
 from repro.sim.clock import MS
 from repro.sim.kernel import Simulator
@@ -47,29 +54,103 @@ TargetFactory = Callable[[], tuple[Simulator, PcanStyleAdapter,
                                    Callable[[], bool]]]
 
 
-class Replayer:
-    """Replays frame sequences against freshly built targets.
+@dataclass
+class ConfirmationReport:
+    """Outcome of clean-target replay confirmation."""
+
+    confirmed: list[Finding]
+    rejected: list[Finding]
+
+    @property
+    def noise_filtered(self) -> int:
+        return len(self.rejected)
+
+    def to_dict(self) -> dict:
+        return {
+            "confirmed": len(self.confirmed),
+            "noise_filtered": self.noise_filtered,
+            "rejected_oracles": sorted({f.oracle for f in self.rejected}),
+        }
+
+
+class StepReplayer:
+    """Replays step sequences against freshly built targets.
+
+    The factory returns a ``(simulator, endpoint, failure probe)``
+    world; a track subclass defines ``probe`` (trace to hashable
+    steps, then :meth:`_run`), ``_step`` (one step on the endpoint)
+    and ``probe_finding`` (the recorded trace a finding replays).
 
     Args:
         target_factory: builds an isolated target per replay; replays
             must not share state or the verdicts are meaningless.
-        interval: pacing between replayed frames when no recorded
-            timestamps are given (defaults to the fuzzer's 1 ms grid).
-        settle: extra simulated time after the last frame before the
+        interval: the track's pacing between replayed steps.
+        settle: extra simulated time after the last step before the
             failure probe is evaluated (lets acks, resets and
             watchdogs land).
     """
 
-    def __init__(self, target_factory: TargetFactory, *,
-                 interval: int = 1 * MS, settle: int = 50 * MS) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+    #: What one step is called in reports ("frames", "requests").
+    unit = "steps"
+
+    def __init__(self, target_factory: Callable, *, interval: int,
+                 settle: int) -> None:
         if settle < 0:
             raise ValueError("settle must be >= 0")
         self._target_factory = target_factory
         self.interval = interval
         self.settle = settle
         self.replays = 0
+
+    def _run(self, path: Sequence[Hashable]) -> bool:
+        """Replay ``path`` on a fresh target; True if it fails."""
+        sim, endpoint, failed = self._target_factory()
+        self.replays += 1
+        for step in path:
+            self._step(sim, endpoint, step)
+        sim.run_for(self.settle)
+        return bool(failed())
+
+    def minimize(self, trace: Sequence, *, max_tests: int = 10_000,
+                 stats: MinimizeStats | None = None) -> list:
+        """Shrink ``trace`` to a 1-minimal failing subsequence."""
+        return minimize_trace(trace, self.probe, max_tests=max_tests,
+                              stats=stats)
+
+    def confirm(self, findings: list[Finding]) -> ConfirmationReport:
+        """Replay each finding's record; the ones that still fail are
+        confirmed, the rest are filtered as noise."""
+        confirmed: list[Finding] = []
+        rejected: list[Finding] = []
+        for finding in findings:
+            if self.probe_finding(finding):
+                confirmed.append(finding)
+            else:
+                rejected.append(finding)
+        return ConfirmationReport(confirmed=confirmed, rejected=rejected)
+
+
+class Replayer(StepReplayer):
+    """Replays frame sequences against freshly built targets.
+
+    ``probe`` is a ready-made ``still_fails`` predicate for
+    :func:`~repro.fuzz.minimize.minimize_trace`.
+
+    Args:
+        target_factory: builds an isolated target per replay.
+        interval: pacing between replayed frames when no recorded
+            timestamps are given (defaults to the fuzzer's 1 ms grid).
+        settle: extra simulated time after the last frame before the
+            failure probe is evaluated.
+    """
+
+    unit = "frames"
+
+    def __init__(self, target_factory: TargetFactory, *,
+                 interval: int = 1 * MS, settle: int = 50 * MS) -> None:
+        if interval <= 0:
+            raise ValueError("interval must be positive")
+        super().__init__(target_factory, interval=interval, settle=settle)
 
     def _gaps(self, frames: Sequence[CanFrame],
               times: Sequence[int] | None) -> list[int]:
@@ -95,43 +176,32 @@ class Replayer:
         gaps.append(interval)
         return gaps
 
+    def _step(self, sim: Simulator, adapter: PcanStyleAdapter,
+              step: tuple[CanFrame, int]) -> None:
+        frame, gap = step
+        adapter.write(frame)
+        sim.run_for(gap)
+
     def probe(self, frames: Sequence[CanFrame],
               times: Sequence[int] | None = None) -> bool:
-        """Replay ``frames`` on a fresh target; True if it fails.
+        """Replay ``frames``; True if the target fails.
 
-        Usable directly as ``minimize_trace``'s ``still_fails``.
         ``times`` optionally carries the recorded transmit timestamps
-        (see :meth:`probe_finding`).
+        (see :meth:`probe_finding`).  A step is the frame plus the
+        simulated duration run after writing it, so two probes whose
+        pacing differs never share a checkpoint.
         """
-        sim, adapter, failed = self._target_factory()
-        self.replays += 1
-        gaps = self._gaps(frames, times)
-        for frame, gap in zip(frames, gaps):
-            adapter.write(frame)
-            sim.run_for(gap)
-        sim.run_for(self.settle)
-        return bool(failed())
+        return self._run(tuple(zip(frames, self._gaps(frames, times))))
 
     def probe_finding(self, finding: Finding) -> bool:
         """Replay a finding's recorded window with its recorded pacing."""
         return self.probe(finding.recent_frames,
                           times=finding.recent_times or None)
 
-    def minimize(self, frames: Sequence[CanFrame], *,
-                 max_tests: int = 10_000,
-                 stats: MinimizeStats | None = None) -> list[CanFrame]:
-        """Shrink ``frames`` to a 1-minimal failing subsequence."""
-        from repro.fuzz.minimize import minimize_trace
-
-        return minimize_trace(frames, self.probe, max_tests=max_tests,
-                              stats=stats)
-
     def minimize_frame(self, frame: CanFrame, *,
                        filler: int = 0, max_tests: int = 10_000,
                        stats: MinimizeStats | None = None) -> CanFrame:
         """Shrink a single frame's payload to the parsed bytes."""
-        from repro.fuzz.minimize import minimize_frame_bytes
-
         return minimize_frame_bytes(
             frame, lambda candidate: self.probe([candidate]),
             filler=filler, max_tests=max_tests, stats=stats)
@@ -140,25 +210,23 @@ class Replayer:
 class _PrefixNode:
     """One step of the checkpoint prefix tree.
 
-    Children are keyed by ``(frame, gap)`` -- the transmitted frame
-    plus the simulated duration run after writing it; two probes whose
-    pacing differs must not share a checkpoint.  ``snapshot`` is
+    Children are keyed by a track's hashable step.  ``snapshot`` is
     ``None`` for pass-through nodes (no checkpoint stored, or evicted).
     """
 
     __slots__ = ("children", "snapshot")
 
     def __init__(self) -> None:
-        self.children: dict[tuple[CanFrame, int], "_PrefixNode"] = {}
+        self.children: dict[Hashable, "_PrefixNode"] = {}
         self.snapshot: Snapshot | None = None
 
-    def walk(self, key: "tuple[CanFrame, int]") -> "tuple[_PrefixNode, bool]":
+    def walk(self, key: Hashable) -> "tuple[_PrefixNode, bool]":
         """Child for ``key``, creating it if absent; True when it existed.
 
         A node that already existed marks a *shared* prefix -- some
-        earlier probe walked the same transmission step -- which is
-        what makes it worth checkpointing (see the second-touch policy
-        in :meth:`SnapshotReplayer.probe`).
+        earlier probe walked the same step -- which is what makes it
+        worth checkpointing (see the second-touch policy in
+        :class:`PrefixCache`).
         """
         child = self.children.get(key)
         if child is not None:
@@ -168,80 +236,67 @@ class _PrefixNode:
         return child, False
 
 
-class SnapshotReplayer(Replayer):
-    """A :class:`Replayer` that resumes probes from cached checkpoints.
+class PrefixCache:
+    """Resumes a :class:`StepReplayer` track's probes from checkpoints.
 
-    The target is built **once** (the root checkpoint); every probe
-    restores the deepest cached ancestor of its candidate's
-    ``(frame, gap)`` path and simulates only the remaining suffix.
+    Mixed in ahead of a track class.  The target is built **once** (the
+    root checkpoint); every probe restores the deepest cached ancestor
+    of its candidate's step path and simulates only the remaining
+    suffix.
 
     Checkpoints follow a *second-touch* policy: a capture costs tens
-    of simulated frames' worth of wall clock, so it is only worth
+    of simulated steps' worth of wall clock, so it is only worth
     paying on a prefix that is actually shared between probes.  The
     first probe through a path merely indexes it in the tree; a later
     probe that walks the same step again (proving the prefix shared)
     drops a checkpoint there, at most one per ``checkpoint_stride``
     simulated steps.  One-off suffixes -- the parts of rejected ddmin
     candidates no other probe revisits -- therefore cost no captures
-    at all.
+    at all.  A checkpoint is captured before the settle window runs,
+    so the stored world is exactly "prefix replayed, nothing settled
+    yet".
 
     Args:
-        target_factory: as for :class:`Replayer`; called exactly once.
         checkpoint_stride: minimum simulated steps between stored
             checkpoints along one probe's path.  Smaller = denser
             checkpoints = shorter suffixes to re-simulate, but more
             capture time and snapshot memory.
         max_snapshots: bound on cached checkpoints (root excluded);
             least-recently-used checkpoints are dropped first.
-        memoize_verdicts: serve duplicate candidates from a verdict
-            table without touching the simulator at all.
 
-    Counters (all cumulative):
-        ``replays`` -- probes answered, memoised or simulated;
-        ``cache_hits`` -- probes answered from the verdict memo;
+    Counters (all cumulative; ``<unit>`` is the track's step noun):
+        ``replays`` -- probes answered;
         ``restores`` -- checkpoint restorations performed;
-        ``frames_restored`` -- frames skipped by restoring mid-trace;
-        ``frames_simulated`` -- frames actually written and simulated;
+        ``<unit>_restored`` -- steps skipped by restoring mid-trace;
+        ``<unit>_simulated`` -- steps actually replayed;
         ``snapshots_taken`` -- checkpoints captured.
     """
 
-    def __init__(self, target_factory: TargetFactory, *,
-                 interval: int = 1 * MS, settle: int = 50 * MS,
-                 checkpoint_stride: int = 64, max_snapshots: int = 256,
-                 memoize_verdicts: bool = True) -> None:
-        super().__init__(target_factory, interval=interval, settle=settle)
+    def __init__(self, target_factory: Callable, *, checkpoint_stride: int,
+                 max_snapshots: int, **options) -> None:
+        super().__init__(target_factory, **options)
         if checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be at least 1")
         if max_snapshots < 1:
             raise ValueError("max_snapshots must be at least 1")
         self._stride = checkpoint_stride
         self._max_snapshots = max_snapshots
-        self._memoize = memoize_verdicts
         self._root = _PrefixNode()
-        self._verdicts: dict[tuple[tuple[CanFrame, int], ...], bool] = {}
         self._lru: "OrderedDict[int, _PrefixNode]" = OrderedDict()
-        self.cache_hits = 0
         self.restores = 0
-        self.frames_restored = 0
-        self.frames_simulated = 0
+        self.steps_restored = 0
+        self.steps_simulated = 0
         self.snapshots_taken = 0
 
-    def probe(self, frames: Sequence[CanFrame],
-              times: Sequence[int] | None = None) -> bool:
-        frames = list(frames)
-        gaps = self._gaps(frames, times)
-        path = tuple(zip(frames, gaps))
-        if self._memoize:
-            cached = self._verdicts.get(path)
-            if cached is not None:
-                self.replays += 1
-                self.cache_hits += 1
-                return cached
-        root = self._ensure_root()
+    def _run(self, path: Sequence[Hashable]) -> bool:
+        root = self._root
+        if root.snapshot is None:
+            root.snapshot = capture(self._target_factory(), label="root")
+            self.snapshots_taken += 1
         # Deepest ancestor of the candidate that still holds a
         # checkpoint (pass-through/evicted nodes are skipped over).
-        node = root
-        best_node, best_depth = root, 0
+        node = best_node = root
+        best_depth = 0
         for depth, key in enumerate(path, start=1):
             node = node.children.get(key)
             if node is None:
@@ -250,41 +305,25 @@ class SnapshotReplayer(Replayer):
                 best_node, best_depth = node, depth
         if best_node is not root:
             self._lru.move_to_end(id(best_node))
-        sim, adapter, failed = best_node.snapshot.restore()
+        world = best_node.snapshot.restore()
+        sim, endpoint, failed = world
         self.replays += 1
         self.restores += 1
-        self.frames_restored += best_depth
+        self.steps_restored += best_depth
+        self.steps_simulated += len(path) - best_depth
         # Simulate (and index) the suffix.
         node = best_node
         since_checkpoint = 0
-        for i in range(best_depth, len(frames)):
-            child, shared = node.walk(path[i])
-            node = child
-            adapter.write(frames[i])
-            sim.run_for(gaps[i])
-            self.frames_simulated += 1
+        for key in path[best_depth:]:
+            node, shared = node.walk(key)
+            self._step(sim, endpoint, key)
             since_checkpoint += 1
-            # Second-touch: checkpoint only steps some earlier probe
-            # already walked.  The capture happens *before* the settle
-            # window runs, so the stored world is exactly "prefix
-            # transmitted, nothing settled yet".
-            if (shared and child.snapshot is None
+            if (shared and node.snapshot is None
                     and since_checkpoint >= self._stride):
-                self._store(child, capture((sim, adapter, failed)))
+                self._store(node, capture(world))
                 since_checkpoint = 0
         sim.run_for(self.settle)
-        verdict = bool(failed())
-        if self._memoize:
-            self._verdicts[path] = verdict
-        return verdict
-
-    def _ensure_root(self) -> _PrefixNode:
-        """Build the target once and checkpoint its start state."""
-        if self._root.snapshot is None:
-            self._root.snapshot = capture(self._target_factory(),
-                                          label="root")
-            self.snapshots_taken += 1
-        return self._root
+        return bool(failed())
 
     def _store(self, node: _PrefixNode, snap: Snapshot) -> None:
         node.snapshot = snap
@@ -305,10 +344,37 @@ class SnapshotReplayer(Replayer):
         """Counter snapshot for reports (JSON-ready)."""
         return {
             "replays": self.replays,
-            "cache_hits": self.cache_hits,
             "restores": self.restores,
-            "frames_restored": self.frames_restored,
-            "frames_simulated": self.frames_simulated,
+            f"{self.unit}_restored": self.steps_restored,
+            f"{self.unit}_simulated": self.steps_simulated,
             "snapshots_taken": self.snapshots_taken,
             "cached_snapshots": self.cached_snapshots,
         }
+
+
+class SnapshotReplayer(PrefixCache, Replayer):
+    """A :class:`Replayer` that resumes probes from cached checkpoints.
+
+    Steps are ``(frame, gap)`` pairs; see :class:`PrefixCache` for the
+    checkpoint policy and counters.
+
+    Args:
+        target_factory: as for :class:`Replayer`; called exactly once.
+        checkpoint_stride, max_snapshots: as for :class:`PrefixCache`.
+    """
+
+    def __init__(self, target_factory: TargetFactory, *,
+                 interval: int = 1 * MS, settle: int = 50 * MS,
+                 checkpoint_stride: int = 64,
+                 max_snapshots: int = 256) -> None:
+        super().__init__(target_factory, interval=interval, settle=settle,
+                         checkpoint_stride=checkpoint_stride,
+                         max_snapshots=max_snapshots)
+
+    @property
+    def frames_restored(self) -> int:
+        return self.steps_restored
+
+    @property
+    def frames_simulated(self) -> int:
+        return self.steps_simulated

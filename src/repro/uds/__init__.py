@@ -12,20 +12,15 @@ tested in all their operating modes because the diagnostic states
 - :mod:`~repro.uds.server` -- a UDS server embedded in an ECU, with
   session control, security access and a seeded vulnerability,
 - :mod:`~repro.uds.client` -- a tester-side client,
-- :mod:`~repro.uds.fuzzer` -- a Bayer/Ptok-style UDS fuzzer,
 - :mod:`~repro.uds.stategen` -- the coverage-guided stateful
-  generator driving :class:`~repro.fuzz.uds_campaign.UdsFuzzCampaign`,
+  generator driving :class:`~repro.fuzz.uds_campaign.UdsFuzzCampaign`
+  (the Bayer/Ptok-style UDS fuzzing of related work [13], made
+  stateful),
 - :mod:`~repro.uds.replay` -- request-level semantic replay,
   confirmation and minimisation for stateful findings.
 """
 
 from repro.uds.client import UdsClient, UdsResponse
-from repro.uds.fuzzer import (
-    DataIdentifierFuzzer,
-    UdsFinding,
-    UdsFuzzer,
-    UdsFuzzReport,
-)
 from repro.uds.isotp import (
     IsoTpEndpoint,
     IsoTpError,
@@ -51,10 +46,6 @@ __all__ = [
     "UdsServer",
     "UdsClient",
     "UdsResponse",
-    "UdsFuzzer",
-    "DataIdentifierFuzzer",
-    "UdsFuzzReport",
-    "UdsFinding",
     "UdsStateGenerator",
     "KEY_ALGORITHMS",
     "UdsReplayer",

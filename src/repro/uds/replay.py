@@ -11,32 +11,31 @@ replay* using the algorithm the campaign learned
 (:data:`~repro.uds.stategen.KEY_ALGORITHMS`).  Everything else is
 replayed byte-for-byte.
 
-:class:`UdsReplayer` rebuilds a fresh bench per probe;
-:class:`UdsSnapshotReplayer` keeps a prefix tree of world snapshots
-keyed by the *recorded* request bytes (rewriting is a deterministic
-function of the restored world, so identical recorded prefixes
-reproduce identical worlds) and only simulates the suffix -- the same
-second-touch checkpoint policy as
-:class:`repro.fuzz.replay.SnapshotReplayer`.
+This module is only the request track of the replay engine in
+:mod:`repro.fuzz.replay`: a step is the *recorded* request bytes, and
+running one is an exchange with sendKey rewriting and ECUReset
+ride-out.  :class:`UdsReplayer` rebuilds a fresh bench per probe;
+:class:`UdsSnapshotReplayer` adds the shared prefix-tree checkpoint
+cache.  Keying the tree by pre-rewrite bytes is sound because pacing
+is a fixed grid and rewriting is a deterministic function of the
+restored world, so identical recorded prefixes reproduce identical
+worlds.
 
 Both are ddmin-ready: ``probe`` is a ``still_fails`` predicate over
-request sequences, and :meth:`UdsReplayer.minimize` shrinks a
-finding's witness-plus-window to the 1-minimal request sequence --
-for the seeded defect, session control, seed request, key, programming
+request sequences, and ``minimize`` shrinks a finding's
+witness-plus-window to the 1-minimal request sequence -- for the
+seeded defect, session control, seed request, key, programming
 session and the oversized write, and nothing else.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Sequence
 
-from repro.fuzz.health import ConfirmationReport
-from repro.fuzz.minimize import MinimizeStats, minimize_trace
 from repro.fuzz.oracle import Finding
+from repro.fuzz.replay import ConfirmationReport, PrefixCache, StepReplayer
 from repro.sim.clock import MS
 from repro.sim.kernel import Simulator
-from repro.sim.snapshot import Snapshot, capture
 from repro.uds.client import UdsClient
 from repro.uds.services import SECURITY_SEND_KEY, ServiceId
 from repro.uds.stategen import KEY_ALGORITHMS
@@ -48,7 +47,7 @@ UdsTargetFactory = Callable[[], tuple[Simulator, UdsClient,
                                       Callable[[], bool]]]
 
 
-class UdsReplayer:
+class UdsReplayer(StepReplayer):
     """Replays request sequences against freshly built benches.
 
     Args:
@@ -63,30 +62,26 @@ class UdsReplayer:
             rewriting; ``None`` replays recorded key bytes verbatim.
     """
 
+    unit = "requests"
+
     def __init__(self, target_factory: UdsTargetFactory, *,
                  interval: int = 2 * MS, settle: int = 50 * MS,
                  reset_settle: int = 80 * MS,
                  key_algorithm: int | None = None) -> None:
         if interval < 0:
             raise ValueError("interval must be >= 0")
-        if settle < 0:
-            raise ValueError("settle must be >= 0")
+        if reset_settle < 0:
+            raise ValueError("reset_settle must be >= 0")
         if key_algorithm is not None \
                 and not 0 <= key_algorithm < len(KEY_ALGORITHMS):
             raise ValueError(
                 f"key_algorithm must index KEY_ALGORITHMS "
                 f"(0-{len(KEY_ALGORITHMS) - 1})")
-        self._target_factory = target_factory
-        self.interval = interval
-        self.settle = settle
+        super().__init__(target_factory, interval=interval, settle=settle)
         self.reset_settle = reset_settle
         self.key_algorithm = key_algorithm
-        self.replays = 0
         self.keys_rewritten = 0
 
-    # ------------------------------------------------------------------
-    # Semantic rewriting
-    # ------------------------------------------------------------------
     def _rewrite(self, request: bytes, client: UdsClient) -> bytes:
         """Re-derive a sendKey's key byte from this replay's seed."""
         if (self.key_algorithm is not None
@@ -103,177 +98,54 @@ class UdsReplayer:
     def _step(self, sim: Simulator, client: UdsClient,
               request: bytes) -> None:
         """One replayed exchange, with pacing and reboot ride-out."""
-        response = client.request(self._rewrite(bytes(request), client))
+        response = client.request(self._rewrite(request, client))
         if response.positive and request[:1] == bytes((ServiceId.ECU_RESET,)):
             sim.run_for(self.reset_settle)
         if self.interval:
             sim.run_for(self.interval)
 
-    # ------------------------------------------------------------------
-    # Probing
-    # ------------------------------------------------------------------
     def probe(self, requests: Sequence[bytes]) -> bool:
-        """Replay ``requests`` on a fresh bench; True if it fails.
+        """Replay ``requests``; True if the target fails.
 
         Usable directly as ``minimize_trace``'s ``still_fails``.
         """
-        sim, client, failed = self._target_factory()
-        self.replays += 1
-        for request in requests:
-            self._step(sim, client, request)
-        sim.run_for(self.settle)
-        return bool(failed())
+        return self._run(tuple(bytes(request) for request in requests))
 
     def probe_finding(self, finding: Finding) -> bool:
         """Replay a finding's witness-plus-window request record."""
         return self.probe(finding.recent_requests)
 
-    def minimize(self, requests: Sequence[bytes], *,
-                 max_tests: int = 10_000,
-                 stats: MinimizeStats | None = None) -> list[bytes]:
-        """Shrink ``requests`` to a 1-minimal failing subsequence."""
-        return minimize_trace([bytes(r) for r in requests], self.probe,
-                              max_tests=max_tests, stats=stats)
 
-
-class _RequestNode:
-    """One step of the request-level checkpoint prefix tree."""
-
-    __slots__ = ("children", "snapshot")
-
-    def __init__(self) -> None:
-        self.children: dict[bytes, "_RequestNode"] = {}
-        self.snapshot: Snapshot | None = None
-
-    def walk(self, key: bytes) -> "tuple[_RequestNode, bool]":
-        """Child for ``key``, creating it if absent; True if it existed."""
-        child = self.children.get(key)
-        if child is not None:
-            return child, True
-        child = _RequestNode()
-        self.children[key] = child
-        return child, False
-
-
-class UdsSnapshotReplayer(UdsReplayer):
+class UdsSnapshotReplayer(PrefixCache, UdsReplayer):
     """A :class:`UdsReplayer` resuming probes from cached checkpoints.
 
-    The bench is built once (the root checkpoint captures the powered-on
-    world); a probe restores the deepest cached ancestor of its
-    candidate's recorded-request path and simulates only the suffix.
-    The tree is keyed by the recorded (pre-rewrite) request bytes:
-    pacing is a fixed grid and key rewriting is a deterministic
-    function of the restored world, so two probes sharing a recorded
-    prefix share the resulting world exactly.
-
-    Checkpoints use the second-touch policy of
-    :class:`repro.fuzz.replay.SnapshotReplayer`: a step is only worth
-    capturing once a second probe proves the prefix shared, at most one
-    per ``checkpoint_stride`` steps; duplicate candidates are answered
-    from a verdict memo without touching the simulator.
+    The bench is built once; see
+    :class:`~repro.fuzz.replay.PrefixCache` for the checkpoint policy
+    and counters.  :meth:`stats` also reports ``keys_rewritten``.
     """
 
     def __init__(self, target_factory: UdsTargetFactory, *,
                  interval: int = 2 * MS, settle: int = 50 * MS,
                  reset_settle: int = 80 * MS,
                  key_algorithm: int | None = None,
-                 checkpoint_stride: int = 8, max_snapshots: int = 128,
-                 memoize_verdicts: bool = True) -> None:
+                 checkpoint_stride: int = 8,
+                 max_snapshots: int = 128) -> None:
         super().__init__(target_factory, interval=interval, settle=settle,
                          reset_settle=reset_settle,
-                         key_algorithm=key_algorithm)
-        if checkpoint_stride < 1:
-            raise ValueError("checkpoint_stride must be at least 1")
-        if max_snapshots < 1:
-            raise ValueError("max_snapshots must be at least 1")
-        self._stride = checkpoint_stride
-        self._max_snapshots = max_snapshots
-        self._memoize = memoize_verdicts
-        self._root = _RequestNode()
-        self._verdicts: dict[tuple[bytes, ...], bool] = {}
-        self._lru: "OrderedDict[int, _RequestNode]" = OrderedDict()
-        self.cache_hits = 0
-        self.restores = 0
-        self.requests_restored = 0
-        self.requests_simulated = 0
-        self.snapshots_taken = 0
-
-    def probe(self, requests: Sequence[bytes]) -> bool:
-        path = tuple(bytes(r) for r in requests)
-        if self._memoize:
-            cached = self._verdicts.get(path)
-            if cached is not None:
-                self.replays += 1
-                self.cache_hits += 1
-                return cached
-        root = self._ensure_root()
-        node = root
-        best_node, best_depth = root, 0
-        for depth, key in enumerate(path, start=1):
-            node = node.children.get(key)
-            if node is None:
-                break
-            if node.snapshot is not None:
-                best_node, best_depth = node, depth
-        if best_node is not root:
-            self._lru.move_to_end(id(best_node))
-        sim, client, failed = best_node.snapshot.restore()
-        self.replays += 1
-        self.restores += 1
-        self.requests_restored += best_depth
-        node = best_node
-        since_checkpoint = 0
-        for i in range(best_depth, len(path)):
-            child, shared = node.walk(path[i])
-            node = child
-            self._step(sim, client, path[i])
-            self.requests_simulated += 1
-            since_checkpoint += 1
-            # Capture before the settle window: the stored world is
-            # exactly "prefix exchanged, nothing settled yet".
-            if (shared and child.snapshot is None
-                    and since_checkpoint >= self._stride):
-                self._store(child, capture((sim, client, failed)))
-                since_checkpoint = 0
-        sim.run_for(self.settle)
-        verdict = bool(failed())
-        if self._memoize:
-            self._verdicts[path] = verdict
-        return verdict
-
-    def _ensure_root(self) -> _RequestNode:
-        """Build the bench once and checkpoint its start state."""
-        if self._root.snapshot is None:
-            self._root.snapshot = capture(self._target_factory(),
-                                          label="uds-root")
-            self.snapshots_taken += 1
-        return self._root
-
-    def _store(self, node: _RequestNode, snap: Snapshot) -> None:
-        node.snapshot = snap
-        self.snapshots_taken += 1
-        self._lru[id(node)] = node
-        while len(self._lru) > self._max_snapshots:
-            _, evicted = self._lru.popitem(last=False)
-            evicted.snapshot = None
+                         key_algorithm=key_algorithm,
+                         checkpoint_stride=checkpoint_stride,
+                         max_snapshots=max_snapshots)
 
     @property
-    def cached_snapshots(self) -> int:
-        """Checkpoints currently held (excluding the root)."""
-        return len(self._lru)
+    def requests_restored(self) -> int:
+        return self.steps_restored
+
+    @property
+    def requests_simulated(self) -> int:
+        return self.steps_simulated
 
     def stats(self) -> dict[str, int]:
-        """Counter snapshot for reports (JSON-ready)."""
-        return {
-            "replays": self.replays,
-            "cache_hits": self.cache_hits,
-            "restores": self.restores,
-            "requests_restored": self.requests_restored,
-            "requests_simulated": self.requests_simulated,
-            "snapshots_taken": self.snapshots_taken,
-            "cached_snapshots": self.cached_snapshots,
-            "keys_rewritten": self.keys_rewritten,
-        }
+        return {**super().stats(), "keys_rewritten": self.keys_rewritten}
 
 
 def confirm_uds_findings(findings: list[Finding],
@@ -289,14 +161,6 @@ def confirm_uds_findings(findings: list[Finding],
     witness-plus-window record still drives the fresh target into the
     failed state is confirmed; the rest are filtered as noise.
     """
-    replayer = UdsReplayer(factory, interval=interval, settle=settle,
-                           reset_settle=reset_settle,
-                           key_algorithm=key_algorithm)
-    confirmed: list[Finding] = []
-    rejected: list[Finding] = []
-    for finding in findings:
-        if replayer.probe_finding(finding):
-            confirmed.append(finding)
-        else:
-            rejected.append(finding)
-    return ConfirmationReport(confirmed=confirmed, rejected=rejected)
+    return UdsReplayer(factory, interval=interval, settle=settle,
+                       reset_settle=reset_settle,
+                       key_algorithm=key_algorithm).confirm(findings)

@@ -111,7 +111,8 @@ ATTACK_LENGTHS = (1, 4, 8, 15, 16, 17, 24, 33, 64, 129, 256)
 SWEEP_FIRST_DID = 0xF180
 SWEEP_LAST_DID = 0xF1FF
 
-#: Raw-garbage ingredients (shared shape with ``uds.fuzzer``).
+#: Raw-garbage ingredients: SIDs around the implemented surface and
+#: payload lengths at the boundaries of typical buffers.
 GARBAGE_SIDS = (0x10, 0x11, 0x22, 0x27, 0x2E, 0x31, 0x3E, 0x19, 0x28, 0x85)
 GARBAGE_LENGTHS = (0, 1, 2, 3, 7, 8, 15, 16, 17, 32, 63, 64, 128)
 
@@ -292,7 +293,8 @@ class UdsStateGenerator:
         return bytes(base) if base else b"\x3e"
 
     def _garbage_move(self) -> bytes:
-        """Raw negative-path pressure, as the toy fuzzer sent."""
+        """Raw negative-path pressure: a mostly-known SID with a boundary
+        or short random payload length."""
         rng = self._rng
         if rng.random() < 0.8:
             sid = rng.choice(GARBAGE_SIDS)

@@ -1,10 +1,12 @@
-"""Tests for the snapshot-cached replayer.
+"""Tests for the snapshot-cached replayers.
 
 The contract under test is *verdict parity*: for any candidate
-sequence, :class:`SnapshotReplayer` must answer exactly what the
-fresh-build :class:`Replayer` answers -- same probe verdicts, same
-minimised traces, same probe counts -- while reusing cached prefix
-checkpoints instead of rebuilding the target.
+sequence, a snapshot replayer must answer exactly what its fresh-build
+twin answers -- same probe verdicts, same minimised traces, same probe
+counts -- while reusing cached prefix checkpoints instead of
+rebuilding the target.  The parity and cache-policy checks run on both
+tracks of the one replay engine: CAN frames against the unlock bench
+and UDS requests against the diagnostic bench.
 """
 
 import pytest
@@ -17,6 +19,11 @@ from repro.fuzz.oracle import Finding
 from repro.fuzz.replay import Replayer, SnapshotReplayer
 from repro.sim.clock import MS
 from repro.testbench.bench import UnlockTestbench
+from repro.testbench.factory import UdsReplayFactory
+from repro.uds.replay import UdsReplayer, UdsSnapshotReplayer
+from repro.uds.server import (BOOTLOADER_SCRATCH_DID, HANG_SESSION_SUB,
+                              SCRATCH_BUFFER_SIZE)
+from repro.uds.stategen import KEY_ALGORITHMS
 from repro.vehicle.database import BODY_COMMAND_ID, UNLOCK_COMMAND
 
 
@@ -37,47 +44,122 @@ POOL = NOISE[:4] + [UNLOCK_FRAME,
                     CanFrame(BODY_COMMAND_ID, bytes((0x21, 0x99, 0x01)))]
 
 
-class TestParity:
+class Track:
+    """One replay track under test: its replayer pair, target and traces.
+
+    ``noise`` holds ten distinct benign steps, ``culprit`` is one step
+    that fails the target on its own, ``pool`` feeds generated traces,
+    and ddmin must reduce the failing ``witness`` to ``core``.
+    """
+
+    options: dict = {}
+
+    @classmethod
+    def fresh(cls, **options):
+        return cls.fresh_cls(cls.factory, **{**cls.options, **options})
+
+    @classmethod
+    def snapshot(cls, factory=None, **options):
+        return cls.snapshot_cls(factory or cls.factory,
+                                **{**cls.options, **options})
+
+
+class FrameTrack(Track):
+    fresh_cls, snapshot_cls = Replayer, SnapshotReplayer
+    factory = staticmethod(bench_factory)
+    restored = "frames_restored"
+    noise, culprit, pool = NOISE, UNLOCK_FRAME, POOL
+    witness = NOISE[:6] + [UNLOCK_FRAME] + NOISE[6:]
+    core = [UNLOCK_FRAME]
+    invalid = ({"interval": 0}, {"settle": -1})
+
+
+#: Reads of unassigned identification DIDs: answered 0x31, harmless in
+#: every session.
+REQUEST_NOISE = [bytes((0x22, 0xF1, 0x80 + i)) for i in range(10)]
+HANG_REQUEST = bytes((0x10, HANG_SESSION_SUB))
+#: The scratch overflow's minimal core: extended session, seed, key
+#: (a stale recorded byte the replayer re-derives), programming
+#: session, oversized write.
+OVERFLOW_CORE = [bytes.fromhex("1003"), bytes.fromhex("2701"),
+                 bytes.fromhex("270200"), bytes.fromhex("1002"),
+                 bytes((0x2E, BOOTLOADER_SCRATCH_DID >> 8,
+                        BOOTLOADER_SCRATCH_DID & 0xFF))
+                 + bytes(SCRATCH_BUFFER_SIZE + 1)]
+
+
+class RequestTrack(Track):
+    fresh_cls, snapshot_cls = UdsReplayer, UdsSnapshotReplayer
+    factory = UdsReplayFactory(seed=0)
+    options = {"key_algorithm": 0}
+    restored = "requests_restored"
+    noise, culprit = REQUEST_NOISE, HANG_REQUEST
+    pool = REQUEST_NOISE[:4] + [HANG_REQUEST, bytes((0x10, 0x05))]
+    witness = [REQUEST_NOISE[0], OVERFLOW_CORE[0], REQUEST_NOISE[1],
+               *OVERFLOW_CORE[1:3], REQUEST_NOISE[2], OVERFLOW_CORE[3],
+               REQUEST_NOISE[3], OVERFLOW_CORE[4], REQUEST_NOISE[4]]
+    core = OVERFLOW_CORE
+    invalid = ({"interval": -1}, {"settle": -1}, {"reset_settle": -1},
+               {"key_algorithm": len(KEY_ALGORITHMS)})
+
+
+def generated_trace_parity(track):
+    """Property test: probe verdicts on ``track`` match a fresh build.
+
+    One snapshot replayer is shared across examples -- cross-example
+    cache state is exactly what this exercises.  Built per track so
+    that each test class gets its own hypothesis test function.
+    """
+    shared = track.snapshot(checkpoint_stride=2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(trace=st.lists(st.sampled_from(track.pool), max_size=8))
+    def test(self, trace):
+        assert shared.probe(trace) == track.fresh().probe(trace)
+
+    return test
+
+
+class ParityCases:
+    """Snapshot-versus-fresh parity; a ``Test*`` subclass sets ``track``."""
+
     def test_probe_verdicts_match_fresh_replayer(self):
-        fresh = Replayer(bench_factory)
-        snap = SnapshotReplayer(bench_factory, checkpoint_stride=2)
+        track = self.track
+        noise, culprit = track.noise, track.culprit
+        fresh = track.fresh()
+        snap = track.snapshot(checkpoint_stride=2)
         for trace in (
-            NOISE,
-            NOISE[:5] + [UNLOCK_FRAME] + NOISE[5:],
-            [UNLOCK_FRAME],
+            noise,
+            noise[:5] + [culprit] + noise[5:],
+            [culprit],
             [],
-            NOISE[:3],
-            NOISE[:5] + [UNLOCK_FRAME],
+            noise[:3],
+            noise[:5] + [culprit],
         ):
             assert snap.probe(trace) == fresh.probe(trace), trace
 
-    @settings(max_examples=25, deadline=None)
-    @given(picks=st.lists(st.integers(0, len(POOL) - 1), max_size=8))
-    def test_probe_parity_on_generated_traces(self, picks):
-        trace = [POOL[i] for i in picks]
-        # Fresh replayers per example: hypothesis reuses the test
-        # class, and cross-example cache state is exactly what we want
-        # to exercise on the snapshot side -- so share *one* snapshot
-        # replayer across examples but verify against a fresh build.
-        assert self.snap.probe(trace) == Replayer(bench_factory).probe(
-            trace)
-
-    snap = SnapshotReplayer(bench_factory, checkpoint_stride=2,
-                            memoize_verdicts=False)
-
     def test_minimize_parity_including_probe_counts(self):
-        trace = NOISE[:6] + [UNLOCK_FRAME] + NOISE[6:]
+        track = self.track
         fresh_stats, snap_stats = MinimizeStats(), MinimizeStats()
-        fresh_minimal = Replayer(bench_factory).minimize(
-            trace, stats=fresh_stats)
-        snap_minimal = SnapshotReplayer(bench_factory).minimize(
-            trace, stats=snap_stats)
-        assert snap_minimal == fresh_minimal == [UNLOCK_FRAME]
+        snap = track.snapshot(checkpoint_stride=2)
+        fresh_minimal = track.fresh().minimize(track.witness,
+                                               stats=fresh_stats)
+        snap_minimal = snap.minimize(track.witness, stats=snap_stats)
+        assert snap_minimal == fresh_minimal == track.core
         assert snap_stats.tests_used == fresh_stats.tests_used
+        # The prefix cache really skipped work: some replayed steps
+        # came from checkpoints instead of being simulated.
+        assert snap.stats()[track.restored] > 0
 
     def test_minimize_benign_trace_raises(self):
         with pytest.raises(ValueError):
-            SnapshotReplayer(bench_factory).minimize(NOISE)
+            self.track.snapshot().minimize(self.track.noise)
+
+
+class TestParity(ParityCases):
+    track = FrameTrack
+    test_probe_parity_on_generated_traces = generated_trace_parity(
+        FrameTrack)
 
     def test_minimize_frame_parity(self):
         minimal = SnapshotReplayer(bench_factory).minimize_frame(
@@ -85,78 +167,90 @@ class TestParity:
         assert minimal.data == bytes((UNLOCK_COMMAND,))
 
 
-class TestCaching:
+class TestUdsParity(ParityCases):
+    track = RequestTrack
+    test_probe_parity_on_generated_traces = generated_trace_parity(
+        RequestTrack)
+
+
+class CachingCases:
+    """Checkpoint policy; a ``Test*`` subclass sets ``track``."""
+
     def test_target_is_built_exactly_once(self):
+        track = self.track
         built = []
 
         def counting_factory():
             built.append(True)
-            return bench_factory()
+            return track.factory()
 
-        replayer = SnapshotReplayer(counting_factory)
-        replayer.probe(NOISE)
-        replayer.probe([UNLOCK_FRAME])
-        replayer.probe(NOISE[:3])
+        replayer = track.snapshot(counting_factory)
+        replayer.probe(track.noise)
+        replayer.probe([track.culprit])
+        replayer.probe(track.noise[:3])
         assert len(built) == 1
         assert replayer.replays == 3
-
-    def test_verdict_memo_serves_repeats(self):
-        replayer = SnapshotReplayer(bench_factory)
-        assert replayer.probe([UNLOCK_FRAME])
-        restores_before = replayer.restores
-        assert replayer.probe([UNLOCK_FRAME])
-        assert replayer.cache_hits == 1
-        assert replayer.restores == restores_before  # no sim touched
 
     def test_second_touch_checkpointing_enables_prefix_reuse(self):
         # stride=1: every *revisited* step beyond the root becomes a
         # checkpoint.  First walk of a path stores nothing; the second
         # walk stores; the third restores mid-trace.
-        replayer = SnapshotReplayer(bench_factory, checkpoint_stride=1,
-                                    memoize_verdicts=False)
-        prefix = NOISE[:4]
-        replayer.probe(prefix + [NOISE[5]])
+        track = self.track
+        replayer = track.snapshot(checkpoint_stride=1)
+        prefix = track.noise[:4]
+        replayer.probe(prefix + [track.noise[5]])
         assert replayer.snapshots_taken == 1          # root only
-        replayer.probe(prefix + [NOISE[6]])
+        replayer.probe(prefix + [track.noise[6]])
         assert replayer.snapshots_taken > 1           # shared prefix
-        frames_restored_before = replayer.frames_restored
-        replayer.probe(prefix + [UNLOCK_FRAME])
-        assert replayer.frames_restored >= frames_restored_before + 4
+        restored_before = getattr(replayer, track.restored)
+        replayer.probe(prefix + [track.culprit])
+        assert getattr(replayer, track.restored) >= restored_before + 4
         stats = replayer.stats()
         assert stats["restores"] == 3
         assert stats["cached_snapshots"] >= 4
 
     def test_one_off_suffixes_cost_no_captures(self):
-        replayer = SnapshotReplayer(bench_factory, checkpoint_stride=1,
-                                    memoize_verdicts=False)
-        replayer.probe(NOISE)          # first walk: index only
+        replayer = self.track.snapshot(checkpoint_stride=1)
+        replayer.probe(self.track.noise)   # first walk: index only
         assert replayer.snapshots_taken == 1
         assert replayer.cached_snapshots == 0
 
     def test_stride_limits_checkpoint_density(self):
-        dense = SnapshotReplayer(bench_factory, checkpoint_stride=1,
-                                 memoize_verdicts=False)
-        sparse = SnapshotReplayer(bench_factory, checkpoint_stride=5,
-                                  memoize_verdicts=False)
+        track = self.track
+        dense = track.snapshot(checkpoint_stride=1)
+        sparse = track.snapshot(checkpoint_stride=5)
         for replayer in (dense, sparse):
-            replayer.probe(NOISE)
-            replayer.probe(NOISE + [UNLOCK_FRAME])
+            replayer.probe(track.noise)
+            replayer.probe(track.noise + [track.culprit])
         assert sparse.cached_snapshots < dense.cached_snapshots
 
     def test_lru_eviction_bounds_memory(self):
-        replayer = SnapshotReplayer(bench_factory, checkpoint_stride=1,
-                                    max_snapshots=3,
-                                    memoize_verdicts=False)
-        replayer.probe(NOISE)
-        replayer.probe(NOISE + [UNLOCK_FRAME])       # checkpoints NOISE path
+        track = self.track
+        replayer = track.snapshot(checkpoint_stride=1, max_snapshots=3)
+        replayer.probe(track.noise)
+        replayer.probe(track.noise + [track.culprit])  # checkpoints noise
         assert replayer.cached_snapshots <= 3
         # Evicted prefixes still answer correctly (rebuilt from root).
-        assert replayer.probe(NOISE[:2] + [UNLOCK_FRAME])
-        assert not replayer.probe(NOISE[:2])
+        assert replayer.probe(track.noise[:2] + [track.culprit])
+        assert not replayer.probe(track.noise[:2])
+
+    def test_parameter_validation(self):
+        track = self.track
+        for options in track.invalid:
+            with pytest.raises(ValueError):
+                track.fresh(**options)
+            with pytest.raises(ValueError):
+                track.snapshot(**options)
+        for options in ({"checkpoint_stride": 0}, {"max_snapshots": 0}):
+            with pytest.raises(ValueError):
+                track.snapshot(**options)
+
+
+class TestCaching(CachingCases):
+    track = FrameTrack
 
     def test_different_pacing_does_not_share_checkpoints(self):
-        replayer = SnapshotReplayer(bench_factory, checkpoint_stride=1,
-                                    memoize_verdicts=False)
+        replayer = SnapshotReplayer(bench_factory, checkpoint_stride=1)
         times_a = [i * 1 * MS for i in range(len(NOISE))]
         times_b = [i * 3 * MS for i in range(len(NOISE))]
         replayer.probe(NOISE, times=times_a)
@@ -168,11 +262,9 @@ class TestCaching:
         assert replayer.probe(NOISE, times=times_b) is False
         assert replayer.snapshots_taken > taken
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            SnapshotReplayer(bench_factory, checkpoint_stride=0)
-        with pytest.raises(ValueError):
-            SnapshotReplayer(bench_factory, max_snapshots=0)
+
+class TestUdsCaching(CachingCases):
+    track = RequestTrack
 
 
 class TestRecordedPacing:

@@ -19,11 +19,7 @@ from repro.fuzz.parallel import ShardedCampaign, ShardSpec
 from repro.fuzz.session import FuzzResult
 from repro.fuzz.uds_campaign import UdsFuzzCampaign
 from repro.testbench.factory import UdsBenchFactory, UdsReplayFactory
-from repro.uds.replay import (
-    UdsReplayer,
-    UdsSnapshotReplayer,
-    confirm_uds_findings,
-)
+from repro.uds.replay import UdsReplayer, confirm_uds_findings
 from repro.uds.server import (BOOTLOADER_SCRATCH_DID, CALIBRATION_DUMP_DID,
                               SCRATCH_BUFFER_SIZE)
 
@@ -206,21 +202,6 @@ class TestConfirmAndMinimize:
         ]
         assert len(minimal[-1]) - 3 > SCRATCH_BUFFER_SIZE
         assert stats.tests_used <= 200
-
-    def test_snapshot_replayer_minimises_identically(self, deep_result):
-        finding = overflow_finding(deep_result)
-        algorithm = deep_result.health["uds"]["key_algorithm_index"]
-        fresh = UdsReplayer(UdsReplayFactory(seed=SEED),
-                            key_algorithm=algorithm)
-        snap = UdsSnapshotReplayer(UdsReplayFactory(seed=SEED),
-                                   key_algorithm=algorithm)
-        assert (snap.minimize(finding.recent_requests)
-                == fresh.minimize(finding.recent_requests))
-        stats = snap.stats()
-        assert stats["restores"] > 0
-        # The prefix cache really skipped work: some replayed requests
-        # came from checkpoints instead of being simulated.
-        assert stats["requests_restored"] > 0
 
     def test_stale_recorded_key_fails_without_rewriting(self, deep_result):
         """The recorded key byte answers the original run's seed; a

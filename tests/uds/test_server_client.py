@@ -146,9 +146,14 @@ class TestProgrammingAndDefect:
             bytes(SCRATCH_BUFFER_SIZE)
 
     def test_scratch_write_locked_refused(self, rig):
-        _, _, client = rig
-        response = client.write_did(BOOTLOADER_SCRATCH_DID, b"\x01")
-        assert response.nrc == NegativeResponse.SECURITY_ACCESS_DENIED
+        """In the default session even an oversized record is refused
+        before it reaches the defective handler: the ECU keeps running
+        (the paper's point about mode coverage)."""
+        ecu, _, client = rig
+        for record in (b"\x01", bytes(SCRATCH_BUFFER_SIZE + 1)):
+            response = client.write_did(BOOTLOADER_SCRATCH_DID, record)
+            assert response.nrc == NegativeResponse.SECURITY_ACCESS_DENIED
+        assert ecu.state is EcuState.RUNNING
 
     def test_overflow_crashes_ecu(self, rig):
         """The seeded defect: an oversized record kills the server."""
