@@ -1,4 +1,4 @@
-"""Batched multi-world throughput benchmark: lockstep vs scalar kernel.
+"""Batched multi-world throughput benchmark: frame engine vs scalar kernel.
 
 Runs the ``bench_throughput`` random-fuzz workload (UnlockTestbench,
 full-default :class:`FuzzConfig`, 1 ms interval) two ways and compares
@@ -7,9 +7,9 @@ aggregate frames per wall second:
 - **scalar**: one world at a time through the ordinary event-kernel
   campaign loop -- the per-shard cost :class:`ShardedCampaign` pays
   today;
-- **batched**: N seeded worlds advanced in lockstep by
-  :class:`repro.fuzz.batch.BatchCampaign` over structure-of-arrays
-  state.
+- **batched**: N seeded worlds run by
+  :class:`repro.fuzz.batch.BatchCampaign`'s block-stepped frame
+  engine.
 
 The comparison is only meaningful because the batch engine's contract
 is *bit identity*, so the benchmark also proves it: every batched
@@ -80,7 +80,7 @@ def run_scalar(seeds, frames, targeted=False):
 
 
 def run_batched(seeds, frames, targeted=False):
-    """All worlds in one lockstep batch; returns (dicts, f/s, reasons)."""
+    """All worlds in one batch; returns (dicts, f/s, reasons)."""
     batch = BatchCampaign([build_campaign(seed, frames, targeted)
                            for seed in seeds])
     start = time.perf_counter()
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     parser.add_argument("--frames", type=positive_int, default=50_000,
                         help="frame limit per world")
     parser.add_argument("--worlds", type=positive_int, default=128,
-                        help="batch width (number of lockstep worlds)")
+                        help="batch width (number of worlds)")
     parser.add_argument("--scalar-sample", type=positive_int, default=8,
                         help="worlds run through the scalar kernel to "
                              "price the baseline and check parity (the "
@@ -133,7 +133,7 @@ def main(argv=None) -> int:
           f"fallbacks: {fallbacks or 'none'}")
 
     # Targeted-generator variant: the admission prover must take these
-    # worlds on the lockstep engine (zero fallbacks) with the same
+    # worlds on the frame engine (zero fallbacks) with the same
     # bit-identity, at a fraction of the main run's size.
     targeted_worlds = min(16, args.worlds)
     targeted_frames = min(10_000, args.frames)
@@ -150,7 +150,8 @@ def main(argv=None) -> int:
           f"fallbacks: {targeted_fallbacks or 'none'}")
 
     report = {
-        "benchmark": "batched lockstep campaign vs scalar kernel",
+        "benchmark": "batched campaign (block-stepped frame engine) vs "
+                     "scalar kernel",
         "workload": {
             "target": "UnlockTestbench",
             "frames_per_world": args.frames,

@@ -131,7 +131,7 @@ class BitTiming:
         The stuffed region (SOF through CRC) gains at most one stuff
         bit per four bits after the first, so ``(region - 1) // 4``
         bounds the stuffing of *every* id/payload combination at this
-        DLC.  The batch engine uses this to prove its lockstep episode
+        DLC.  The batch frame engine uses this to prove its episode
         invariant (command + response always settle within one transmit
         interval) without enumerating frames; the bound is reachable
         only by pathological bit patterns, but it is safe for all.

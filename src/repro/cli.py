@@ -618,6 +618,8 @@ def _cmd_table5(args: argparse.Namespace) -> int:
     print(row.format())
     if row.timeouts:
         print(f"({row.timeouts} trial(s) hit the per-trial cap)")
+    for reason in row.fallback_reasons:
+        print(f"scalar fallback: {reason}")
     return 0
 
 
@@ -693,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default min(shards, cpu count))")
     bench.add_argument("--batch-size", type=int, default=1,
                        metavar="K",
-                       help="shards per worker advanced in lockstep by "
+                       help="shards per worker run by "
                             "the batch engine (1 = scalar kernel per "
                             "shard); worlds the batch prover rejects "
                             "fall back to the scalar kernel and their "

@@ -1,21 +1,24 @@
-"""Batched lockstep campaign execution: N worlds per process.
+"""Batched campaign execution: many worlds per process.
 
 The scalar :class:`~repro.fuzz.campaign.FuzzCampaign` pays the Python
 event-dispatch tax on every frame: a tx closure, a bus completion
 event, oracle taps.  For the unlock-bench workload almost every one of
 those events is *predictable* -- the fuzzer transmits on a fixed
 interval grid, the bench answers only to command frames, and the BCM's
-status broadcast rides the same grid -- so N independent campaign
-worlds can advance in lockstep with one vectorised dispatch per tick:
+status broadcast rides the same grid -- so the frame engine
+*block-steps* each world instead of dispatching its events:
 
-- frame generation is one :class:`~repro.sim.batch.BatchRandom` draw
-  across all active worlds (bit-exact CPython ``random`` emulation),
-- transmit bookkeeping (counters, recent windows) lives in
-  struct-of-arrays numpy storage (:class:`~repro.sim.batch.FrameRing`),
-- the *rare* events -- a frame that matches the BCM's command check, a
-  watched response id, a status broadcast an oracle cares about -- drop
-  to an exact scalar episode handler whose timing arithmetic mirrors
-  the discrete-event kernel tick for tick.
+- a block of upcoming frames is parsed at once, vectorised over time,
+  straight from the world's MT19937 word stream
+  (:meth:`~repro.sim.batch.BatchRandom.peek`), consuming words exactly
+  as CPython's generator calls would,
+- the block ends at the world's next rare-event candidate -- a frame
+  that matches the BCM's command check or a watched id -- its next
+  checkpoint frame or its step limit, where an exact scalar handler
+  whose timing arithmetic mirrors the discrete-event kernel tick for
+  tick runs the episode, writes the checkpoint or ends the world,
+- the world then resumes at the next frame's first word
+  (:meth:`~repro.sim.batch.BatchRandom.commit`).
 
 The request-level counterpart is :class:`BatchUdsCampaign`: N
 :class:`~repro.fuzz.uds_campaign.UdsFuzzCampaign` worlds advance in
@@ -44,6 +47,7 @@ DESIGN.md §15-§16.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import numpy as np
 
@@ -60,22 +64,26 @@ from repro.fuzz.session import (FALLBACK_WARNING_PREFIX, FuzzResult,
                                 finding_to_dict, frame_from_dict,
                                 frame_to_dict)
 from repro.fuzz.uds_campaign import UdsFuzzCampaign
-from repro.sim.batch import (BatchRandom, BatchRandomView, FrameRing,
-                             state_from_random)
+from repro.sim.batch import BatchRandom, BatchRandomView, state_from_random
 from repro.sim.clock import MS, SECOND
 from repro.sim.random import rng_state_from_json, rng_state_to_json
 from repro.uds.client import UdsResponse
 from repro.uds.stategen import UdsStateGenerator
 
-#: Step cap sentinel for worlds without a pending candidate finding.
-_NO_CAP = np.iinfo(np.int64).max
+#: Next checkpoint frame of a world without a journal.
+_NEVER = 1 << 62
 
-#: Check-mode codes for the vectorised command-match masks.
-_MODE_CODES = {"byte": 0, "byte+dlc": 1, "two-byte": 2}
+#: BCM check modes the command test models (``BenchBcm._matches``).
+_CHECK_MODES = ("byte", "byte+dlc", "two-byte")
+
+#: Most frames one block parses.  A block's arrays cost a few dozen
+#: bytes per frame, so this constant -- not a world's length, nor the
+#: number of worlds -- bounds the frame engine's working memory.
+BLOCK_FRAMES = 1024
 
 
 class ScalarFallback(Exception):
-    """A world cannot be proven eligible for the lockstep engine.
+    """A world cannot be proven eligible for a batch engine.
 
     Raised (and caught) internally by :class:`BatchCampaign`; the
     message names the first violated rule and is surfaced through
@@ -124,10 +132,17 @@ class _WorldPlan:
 
 
 class _WorldState:
-    """Mutable per-world engine state touched only on rare events."""
+    """Mutable per-world engine state touched only on rare events.
+
+    ``recent`` holds the tail of the world's transmissions as
+    ``(source, lo, hi)`` segments -- rows ``lo..hi-1`` of a parsed
+    :class:`_Block` or of the resumed window's row list -- just long
+    enough to cover the recent window; ``recent_len`` counts their
+    frames.
+    """
 
     __slots__ = ("locked", "counter", "pending_time", "pending_hits",
-                 "finished")
+                 "finished", "recent", "recent_len")
 
     def __init__(self, locked: bool, counter: int) -> None:
         self.locked = locked
@@ -135,11 +150,13 @@ class _WorldState:
         self.pending_time: int | None = None
         self.pending_hits: list[tuple[str, str]] = []
         self.finished = False
+        self.recent: deque = deque()
+        self.recent_len = 0
 
 
 def plan_frame_world(index: int, campaign: FuzzCampaign, bench,
                      resume_state: dict | None) -> _WorldPlan:
-    """Prove one campaign eligible for the lockstep engine, or raise.
+    """Prove one campaign eligible for the frame engine, or raise.
 
     Eligibility is a *proof obligation*, not a heuristic: every rule
     below guards an assumption the analytic timeline model makes.  Any
@@ -148,8 +165,9 @@ def plan_frame_world(index: int, campaign: FuzzCampaign, bench,
     wrong result.  The rules, by layer:
 
     campaign -- plain :class:`FuzzCampaign`, zero interval jitter, no
-    tx gate / bus-off handler / reset hook / adversarial channel, and
-    ``stop_on_finding`` (or no oracles at all).
+    tx gate / bus-off handler / reset hook / adversarial channel,
+    ``stop_on_finding`` (or no oracles at all), and a bounded recent
+    window (``recent_window=None`` keeps every frame).
 
     generator -- exactly :class:`RandomFrameGenerator` (or its
     targeted subclass), classic frames only, and an RNG whose state is
@@ -194,6 +212,8 @@ def plan_frame_world(index: int, campaign: FuzzCampaign, bench,
         fail("continue-after-finding campaigns run scalar")
     if c._running:
         fail("campaign already running")
+    if c._recent.maxlen is None:
+        fail("unbounded recent window runs scalar")
     if resume_state is None and (c.frames_sent or c.frames_skipped
                                  or c._findings or c._recent
                                  or c._write_errors):
@@ -214,7 +234,7 @@ def plan_frame_world(index: int, campaign: FuzzCampaign, bench,
     bcm = bench.bcm
     if not isinstance(bcm, BenchBcm):
         fail("bench BCM is not the standard BenchBcm")
-    if bcm.check_mode not in _MODE_CODES:
+    if bcm.check_mode not in _CHECK_MODES:
         fail(f"unknown check mode {bcm.check_mode!r}")
 
     adapter = c.adapter
@@ -248,7 +268,7 @@ def plan_frame_world(index: int, campaign: FuzzCampaign, bench,
     plan.extended = generator._extended
     plan.timing = bus.timing
     plan.interval = c.interval
-    plan.mode = _MODE_CODES[bcm.check_mode]
+    plan.mode = bcm.check_mode
     plan.adapter_name = adapter.controller.name
     plan.bcm = bcm
     plan.unlock_ack_id = UNLOCK_ACK_ID
@@ -302,7 +322,7 @@ def plan_frame_world(index: int, campaign: FuzzCampaign, bench,
             if (frame.extended != plan.extended or frame.fd or frame.remote
                     or frame.brs):
                 fail("resumed recent window holds foreign frame flags")
-            rows.append((time, frame.can_id, len(frame.data), frame.data))
+            rows.append((time, frame.can_id, frame.data))
         plan.recent_rows = rows
         try:
             plan.rng_state = state_from_random(
@@ -488,7 +508,7 @@ def _wire_ticks(can_id: int, data: bytes, bitrate: int) -> int:
 
 def plan_world(index: int, campaign, bench,
                resume_state: dict | None):
-    """Prove one campaign eligible for its lockstep engine, or raise.
+    """Prove one campaign eligible for its batch engine, or raise.
 
     Dispatches on the campaign's layer: request-level
     :class:`~repro.fuzz.uds_campaign.UdsFuzzCampaign` worlds are judged
@@ -668,7 +688,7 @@ def plan_uds_world(index: int, campaign: UdsFuzzCampaign, bench,
 
 
 class BatchCampaign:
-    """Run many independent campaigns with one lockstep engine.
+    """Run many independent campaigns on the block-stepped frame engine.
 
     Args:
         campaigns: the worlds to run, each a fully built
@@ -720,174 +740,303 @@ class BatchCampaign:
                 self.resume_states[index])
             result.fallback_reasons = [reason]
             results[index] = result
-        groups: dict[tuple, list[_WorldPlan]] = {}
-        for plan in plans:
-            key = (plan.pool_ids.size, plan.pool_dlcs.size,
-                   plan.full_byte_range, plan.byte_min, plan.byte_span)
-            groups.setdefault(key, []).append(plan)
-        for group in groups.values():
-            _GroupEngine(group).run()
+        if plans:
+            _FrameEngine(plans).run()
         for plan in plans:
             results[plan.index] = plan.result
         return results
 
 
-class _GroupEngine:
-    """The vectorised main loop for one draw-compatible world group.
+def _next_accepted(accepted: np.ndarray) -> np.ndarray:
+    """``out[p]``: the first accepted word at or after ``p``.
 
-    Worlds in a group share pool *sizes* and byte range (so every RNG
-    draw is one ``randbelow`` across the group); pools themselves,
-    intervals, limits, oracles and check modes are per-world arrays.
+    ``len(accepted)`` stands for "none"; the result has two trailing
+    entries so ``out[q + 1]`` is defined for every ``q`` in ``out``.
+    """
+    size = accepted.size
+    out = np.full(size + 2, size, dtype=np.int64)
+    hits = np.flatnonzero(accepted)
+    out[hits] = hits
+    return np.minimum.accumulate(out[::-1])[::-1]
+
+
+def _command_matches(mode: str, payload: bytes, code: int) -> bool:
+    """``BenchBcm._matches`` for one payload: the command byte, plus a
+    data length of 7 (``byte+dlc``) or the 0x5F channel byte
+    (``two-byte``)."""
+    if not payload or payload[0] != code:
+        return False
+    if mode == "byte":
+        return True
+    if mode == "byte+dlc":
+        return len(payload) == 7
+    return len(payload) >= 2 and payload[1] == 0x5F
+
+
+class _Block:
+    """A run of one world's consecutive frames, parsed at once.
+
+    Frame ``i`` transmits at ``tick0 + i * interval``, carries
+    ``ids[i]``/``dlcs[i]``, and leaves ``ends[i]`` of the block's words
+    consumed.  Its payload starts at word ``pay[i]`` (full byte range,
+    ``randbytes`` words) or at entry ``pay[i]`` of ``byte_values``
+    (narrow range, one accepted draw per byte).
+    """
+
+    __slots__ = ("tick0", "interval", "ids", "dlcs", "ends", "pay",
+                 "words", "byte_values")
+
+    @property
+    def size(self) -> int:
+        return self.ids.size
+
+    def tick(self, i: int) -> int:
+        return self.tick0 + i * self.interval
+
+    def payload(self, i: int) -> bytes:
+        dlc = int(self.dlcs[i])
+        start = int(self.pay[i])
+        if self.byte_values is not None:
+            return self.byte_values[start:start + dlc].tobytes()
+        if not dlc:
+            return b""
+        value = int(self.words[start])
+        if dlc <= 4:
+            value >>= 32 - 8 * dlc
+        else:
+            value |= (int(self.words[start + 1]) >> (64 - 8 * dlc)) << 32
+        return value.to_bytes(dlc, "little")
+
+    def __getitem__(self, i: int) -> tuple[int, int, bytes]:
+        """Frame ``i`` as a ``(time, id, payload)`` row."""
+        return self.tick(i), int(self.ids[i]), self.payload(i)
+
+
+class _BlockParser:
+    """Parses one world's upcoming frames straight from its words.
+
+    Per frame the generator draws an id index and a DLC index by
+    rejection (``_randbelow``: one word per try, its top bits kept,
+    redrawn while out of range), then the payload: ``randbytes``
+    words for the full byte range (none for 0 bytes, one for 1-4, two
+    for 5-8), one ``_randbelow`` per byte otherwise.  :meth:`scan`
+    computes, vectorised over every word of a peeked block, where a
+    frame starting at that word would end; the frames are the chain of
+    those ends from word 0, and the block's consumption is exactly the
+    words CPython would draw for them.
+    """
+
+    def __init__(self, plan: _WorldPlan) -> None:
+        self.pool_ids = plan.pool_ids
+        self.pool_dlcs = plan.pool_dlcs
+        self.id_count = plan.pool_ids.size
+        self.id_shift = 32 - self.id_count.bit_length()
+        self.dlc_count = plan.pool_dlcs.size
+        dlc_bits = self.dlc_count.bit_length()
+        self.dlc_shift = 32 - dlc_bits
+        # Per raw DLC draw (rejected values included, never read as a
+        # frame's DLC): the DLC, and the payload's randbytes words.
+        self.dlc_of = np.zeros(1 << dlc_bits, dtype=np.int64)
+        self.dlc_of[:self.dlc_count] = plan.pool_dlcs
+        self.tail_words = ((self.dlc_of > 0).astype(np.int64)
+                           + (self.dlc_of > 4))
+        per_frame = ((1 << self.id_count.bit_length()) / self.id_count
+                     + (1 << dlc_bits) / self.dlc_count)
+        if plan.full_byte_range:
+            self.byte_span = None
+            per_frame += self.tail_words[:self.dlc_count].mean()
+        else:
+            self.byte_min = plan.byte_min
+            self.byte_span = plan.byte_span
+            self.byte_shift = 32 - plan.byte_span.bit_length()
+            per_frame += (plan.pool_dlcs.mean()
+                          * (1 << plan.byte_span.bit_length())
+                          / plan.byte_span)
+        #: Expected words per frame, with headroom: a block that runs
+        #: out of words just ends early.
+        self.words_per_frame = 1.1 * per_frame
+
+    def scan(self, words: np.ndarray, count: int, tick0: int,
+             interval: int) -> _Block:
+        """The first ``count`` frames ``words`` holds completely (fewer
+        when the words run out)."""
+        size = words.size
+        id_draw = words >> self.id_shift
+        dlc_draw = words >> self.dlc_shift
+        id_at = _next_accepted(id_draw < self.id_count)
+        dlc_at = _next_accepted(dlc_draw < self.dlc_count)
+        # A frame starting at word p draws its id at id_at[p] and its
+        # DLC at dlc_at[id_at[p] + 1]; ``size`` there means the block
+        # ran out, which pushes the frame's end past the block.
+        dlc_word = dlc_at[id_at[:size] + 1]
+        dlc_raw = dlc_draw[np.minimum(dlc_word, size - 1)]
+        byte_values = None
+        if self.byte_span is None:
+            end = dlc_word + 1 + self.tail_words[dlc_raw]
+        else:
+            byte_draw = words >> self.byte_shift
+            accepted = byte_draw < self.byte_span
+            hits = np.flatnonzero(accepted)
+            byte_values = (self.byte_min + byte_draw[hits]).astype(np.uint8)
+            # rank[q]: accepted byte draws at or before word q, so the
+            # payload after a DLC at q starts at hits[rank[q]].
+            rank = np.cumsum(accepted)
+            first = rank[np.minimum(dlc_word, size - 1)]
+            dlc = self.dlc_of[dlc_raw]
+            after = np.concatenate([hits + 1, np.full(9, size + 1)])
+            end = np.where(dlc > 0, after[first + dlc - 1], dlc_word + 1)
+        ends = end.tolist()
+        ends.append(size + 1)
+        starts = []
+        at = 0
+        for _ in range(count):
+            stop = ends[at]
+            if stop > size:
+                break
+            starts.append(at)
+            at = stop
+        frames = np.array(starts, dtype=np.int64)
+        id_word = id_at[frames]
+        dlc_word = dlc_at[id_word + 1]
+        block = _Block()
+        block.tick0 = tick0
+        block.interval = interval
+        block.ids = self.pool_ids[id_draw[id_word]]
+        block.dlcs = self.pool_dlcs[dlc_draw[dlc_word]]
+        block.ends = end[frames]
+        block.words = words
+        block.byte_values = byte_values
+        block.pay = (dlc_word + 1 if byte_values is None
+                     else rank[dlc_word])
+        return block
+
+
+class _FrameEngine:
+    """The block-stepped main loop over admitted frame worlds.
+
+    Worlds are independent, so each runs to completion in turn; one
+    :class:`~repro.sim.batch.BatchRandom` holds every world's stream.
+    Pools, byte ranges, intervals, limits, oracles and check modes are
+    all per world.
     """
 
     def __init__(self, plans: list[_WorldPlan]) -> None:
         self.plans = plans
-        n = len(plans)
-        self.n = n
-        p0 = plans[0]
-        self.id_count = p0.pool_ids.size
-        self.dlc_count = p0.pool_dlcs.size
-        self.full_byte_range = p0.full_byte_range
-        self.byte_min = p0.byte_min
-        self.byte_span = p0.byte_span
-        self.group_max_dlc = max(p.max_dlc for p in plans)
-
-        self.first_tx = np.array([p.first_tx for p in plans], np.int64)
-        self.interval = np.array([p.interval for p in plans], np.int64)
-        self.deadline = np.array([p.deadline for p in plans], np.int64)
-        self.natural_steps = np.array([p.natural_steps for p in plans],
-                                      np.int64)
-        self.sent = np.array([p.base_frames for p in plans], np.int64)
-        self.mode = np.array([p.mode for p in plans], np.int64)
-        self.body_id = np.array([p.body_command_id for p in plans], np.int64)
-        self.limit_step = self.natural_steps.copy()
-        self.next_cp = np.array(
-            [p.base_frames + p.checkpoint_every if p.journal is not None
-             else _NO_CAP for p in plans], np.int64)
-        self.pool_ids = np.stack([p.pool_ids for p in plans])
-        self.pool_dlcs = np.stack([p.pool_dlcs for p in plans])
-        watch_width = max((len(p.watch_ids) for p in plans), default=0)
-        watch_width = max(watch_width, 1)
-        self.watch = np.full((n, watch_width), -1, np.int64)
-        self.any_watch = False
-        for row, p in enumerate(plans):
-            for col, can_id in enumerate(p.watch_ids):
-                self.watch[row, col] = can_id
-                self.any_watch = True
-
         self.rng = BatchRandom([p.rng_state for p in plans])
-        self.ring = FrameRing(n, max(p.recent_maxlen for p in plans))
-        for row, p in enumerate(plans):
-            if p.recent_rows:
-                self.ring.seed(row, p.recent_rows)
+        self.parsers = [_BlockParser(p) for p in plans]
+        self.step = [0] * len(plans)
+        self.limit_step = [p.natural_steps for p in plans]
+        self.sent = [p.base_frames for p in plans]
+        self.next_cp = [p.base_frames + p.checkpoint_every
+                        if p.journal is not None else _NEVER
+                        for p in plans]
         self.states = [_WorldState(p.locked0, p.counter0) for p in plans]
-        for row, p in enumerate(plans):
-            if p.journal is not None:
-                if p.is_resume:
-                    p.journal.append({"type": "resume",
-                                      "frames_sent": p.base_frames,
-                                      "generation": p.journal.generation})
-                else:
-                    p.journal.append({"type": "start", "name": p.name,
-                                      "started_at": p.started_at})
-            # Pre-known candidate: an oracle that matches the status
-            # broadcast in the *current* lock state fires at the very
-            # first delivery, before any command lands.
-            self._recompute_pending(row, p.status_base - 1)
 
     # ------------------------------------------------------------------
-    # Vector main loop
+    # Block loop
     # ------------------------------------------------------------------
     def run(self) -> None:
-        n = self.n
-        alive = np.ones(n, dtype=bool)
-        step = 0
-        rng = self.rng
-        ring = self.ring
-        randbelow = rng.randbelow
-        states = self.states
-        first_tx = self.first_tx
-        interval = self.interval
-        limit_step = self.limit_step
-        sent = self.sent
-        next_cp = self.next_cp
-        pool_ids = self.pool_ids
-        pool_dlcs = self.pool_dlcs
-        id_count = self.id_count
-        dlc_count = self.dlc_count
-        full_byte_range = self.full_byte_range
-        mode_codes = self.mode
-        body_ids = self.body_id
-        any_watch = self.any_watch
-        code_mask = self._code_mask
-        has_journal = bool((next_cp != _NO_CAP).any())
-        while True:
-            run_mask = alive & (step < limit_step)
-            done = alive & ~run_mask
-            if done.any():
-                for w in done.nonzero()[0]:
-                    self._finalize_natural(int(w))
-                    alive[w] = False
-            active = run_mask.nonzero()[0]
-            if active.size == 0:
-                break
-            ticks = first_tx[active] + step * interval[active]
-            id_idx = randbelow(active, id_count)
-            ids = pool_ids[active, id_idx]
-            dlc_idx = randbelow(active, dlc_count)
-            dlcs = pool_dlcs[active, dlc_idx]
-            if full_byte_range:
-                data = rng.randbytes8(active, dlcs)
-            else:
-                data = np.zeros((active.size, 8), np.uint8)
-                for column in range(self.group_max_dlc):
-                    rows = (dlcs > column).nonzero()[0]
-                    if rows.size:
-                        data[rows, column] = (
-                            self.byte_min
-                            + randbelow(active[rows], self.byte_span)
-                        ).astype(np.uint8)
-            sent[active] += 1
-            ring.append(active, ticks, ids, dlcs, data)
-            if has_journal:
-                due = (sent[active] >= next_cp[active]).nonzero()[0]
-                for pos in due:
-                    w = int(active[pos])
-                    self._write_checkpoint(w, int(ticks[pos]))
-                    next_cp[w] = sent[w] + self.plans[w].checkpoint_every
-            # Rare-event candidates: command matches and watched ids.
-            d0 = data[:, 0]
-            d1 = data[:, 1]
-            mode = mode_codes[active]
-            is_cmd = ids == body_ids[active]
-            if is_cmd.any():
-                unlock = is_cmd & code_mask(mode, d0, d1, dlcs, 0x20)
-                lock = is_cmd & code_mask(mode, d0, d1, dlcs, 0x10)
-                flagged = unlock | lock
-            else:
-                unlock = lock = is_cmd
-                flagged = is_cmd
-            if any_watch:
-                flagged = flagged | (
-                    ids[:, None] == self.watch[active]).any(axis=1)
-            if flagged.any():
-                for pos in flagged.nonzero()[0]:
-                    w = int(active[pos])
-                    dlc = int(dlcs[pos])
-                    self._episode(w, int(ticks[pos]), int(ids[pos]), dlc,
-                                  bytes(data[pos, :dlc]), bool(unlock[pos]),
-                                  bool(lock[pos]))
-                    if states[w].finished:
-                        alive[w] = False
-            step += 1
+        for w in range(len(self.plans)):
+            self._run_world(w)
 
-    @staticmethod
-    def _code_mask(mode, d0, d1, dlcs, code):
-        """The BCM ``_matches`` check, vectorised over one tick."""
-        value = d0 == code
-        return value & (((mode == 0) & (dlcs >= 1))
-                        | ((mode == 1) & (dlcs == 7))
-                        | ((mode == 2) & (dlcs >= 2) & (d1 == 0x5F)))
+    def _run_world(self, w: int) -> None:
+        plan = self.plans[w]
+        st = self.states[w]
+        if plan.recent_rows:
+            self._remember(w, plan.recent_rows, 0, len(plan.recent_rows))
+        if plan.journal is not None:
+            if plan.is_resume:
+                plan.journal.append({"type": "resume",
+                                     "frames_sent": plan.base_frames,
+                                     "generation": plan.journal.generation})
+            else:
+                plan.journal.append({"type": "start", "name": plan.name,
+                                     "started_at": plan.started_at})
+        # Pre-known candidate: an oracle that matches the status
+        # broadcast in the *current* lock state fires at the very first
+        # delivery, before any command lands.
+        self._recompute_pending(w, plan.status_base - 1)
+        while True:
+            base = self.step[w]
+            if base >= self.limit_step[w]:
+                self._finalize_natural(w)
+                return
+            block = self._parse(w, min(BLOCK_FRAMES,
+                                       self.limit_step[w] - base,
+                                       self.next_cp[w] - self.sent[w]))
+            done = 0
+            for i, can_id, payload, is_unlock, is_lock in self._hot(w, block):
+                if base + i >= self.limit_step[w]:
+                    break
+                self._advance(w, block, done, i + 1)
+                done = i + 1
+                self._episode(w, block.tick(i), can_id, len(payload),
+                              payload, is_unlock, is_lock)
+                if st.finished:
+                    return
+            stop = min(block.size, self.limit_step[w] - base)
+            if stop > done:
+                self._advance(w, block, done, stop)
+
+    def _parse(self, w: int, count: int) -> _Block:
+        """The world's next frames, at most ``count`` and at least one."""
+        plan = self.plans[w]
+        parser = self.parsers[w]
+        tick0 = plan.first_tx + self.step[w] * plan.interval
+        need = int(count * parser.words_per_frame) + 32
+        while True:
+            block = parser.scan(self.rng.peek(w, need), count, tick0,
+                                plan.interval)
+            if block.size:
+                return block
+            need *= 2
+
+    def _hot(self, w: int, block: _Block):
+        """The block's rare-event candidates, in transmit order:
+        ``(i, id, payload, is_unlock, is_lock)`` for each command frame
+        the BCM recognises and each frame on a watched id."""
+        plan = self.plans[w]
+        body_id = plan.body_command_id
+        ids = block.ids
+        mask = ids == body_id
+        if plan.watch_ids:
+            mask |= np.isin(ids, plan.watch_ids)
+        for i in np.flatnonzero(mask).tolist():
+            can_id = int(ids[i])
+            payload = block.payload(i)
+            is_unlock = is_lock = False
+            if can_id == body_id:
+                is_unlock = _command_matches(plan.mode, payload, 0x20)
+                is_lock = _command_matches(plan.mode, payload, 0x10)
+                if not (is_unlock or is_lock or can_id in plan.watch_ids):
+                    continue
+            yield i, can_id, payload, is_unlock, is_lock
+
+    def _advance(self, w: int, block: _Block, lo: int, hi: int) -> None:
+        """Transmit block frames ``lo..hi-1``: consume their words,
+        count them, remember them, and checkpoint if one is due."""
+        used = int(block.ends[hi - 1]) - (int(block.ends[lo - 1]) if lo
+                                          else 0)
+        self.rng.commit(w, used)
+        self.step[w] += hi - lo
+        self.sent[w] += hi - lo
+        self._remember(w, block, lo, hi)
+        if self.sent[w] >= self.next_cp[w]:
+            self._write_checkpoint(w, block.tick(hi - 1))
+            self.next_cp[w] = self.sent[w] + self.plans[w].checkpoint_every
+
+    def _remember(self, w: int, source, lo: int, hi: int) -> None:
+        """Append a segment to the world's recent tail, dropping the
+        oldest segments the window no longer reaches."""
+        st = self.states[w]
+        maxlen = self.plans[w].recent_maxlen
+        recent = st.recent
+        recent.append((source, lo, hi))
+        st.recent_len += hi - lo
+        while recent and st.recent_len - (recent[0][2]
+                                          - recent[0][1]) >= maxlen:
+            _, old_lo, old_hi = recent.popleft()
+            st.recent_len -= old_hi - old_lo
 
     # ------------------------------------------------------------------
     # Rare-event scalar handlers (exact discrete-event arithmetic)
@@ -1001,14 +1150,23 @@ class _GroupEngine:
     # ------------------------------------------------------------------
     # World completion
     # ------------------------------------------------------------------
+    def _recent_rows(self, w: int) -> list[tuple[int, int, bytes]]:
+        """The world's recent window as (time, id, payload), oldest
+        first."""
+        maxlen = self.plans[w].recent_maxlen
+        rows: list[tuple[int, int, bytes]] = []
+        for source, lo, hi in reversed(self.states[w].recent):
+            take = min(hi - lo, maxlen - len(rows))
+            rows.extend(source[i] for i in range(hi - 1, hi - 1 - take, -1))
+        rows.reverse()
+        return rows
+
     def _window(self, w: int):
         plan = self.plans[w]
-        rows = self.ring.window(w)
-        if plan.recent_maxlen is not None:
-            rows = rows[-plan.recent_maxlen:]
+        rows = self._recent_rows(w)
         frames = tuple(trusted_frame(can_id, data, plan.extended, False)
-                       for _, can_id, _, data in rows)
-        times = tuple(time for time, _, _, _ in rows)
+                       for _, can_id, data in rows)
+        times = tuple(time for time, _, _ in rows)
         return frames, times
 
     def _finish_finding(self, w: int, time: int,
@@ -1041,6 +1199,10 @@ class _GroupEngine:
     def _assemble(self, w: int, *, ended_at: int, findings: list[Finding],
                   stop_reason: str) -> None:
         plan = self.plans[w]
+        # The bench's BCM ends where the scalar run would leave it.
+        st = self.states[w]
+        plan.bcm.locked = st.locked
+        plan.bcm._ack_counter = st.counter
         result = FuzzResult(
             name=plan.name,
             seed_label=plan.seed_label,
@@ -1064,11 +1226,10 @@ class _GroupEngine:
 
     def _write_checkpoint(self, w: int, tick: int) -> None:
         plan = self.plans[w]
-        rows = self.ring.window(w)[-plan.recent_maxlen:]
         recent = [[time,
                    frame_to_dict(trusted_frame(can_id, data, plan.extended,
                                                False))]
-                  for time, can_id, _, data in rows]
+                  for time, can_id, data in self._recent_rows(w)]
         state = {
             "format": 1,
             "kind": "frame",
@@ -1633,7 +1794,7 @@ class _UdsEngine:
 
 def run_shard_batch(factory, specs, *, journal_infos=None,
                     checkpoint_every: int | None = None):
-    """Run one worker's batch of shard specs through the lockstep engine.
+    """Run one worker's batch of shard specs through a batch engine.
 
     The batched analogue of :func:`repro.fuzz.parallel._shard_worker`'s
     body: per spec, a surviving journal result short-circuits, a

@@ -232,8 +232,8 @@ def _shard_worker(factory: CampaignFactory, spec: ShardSpec, conn,
 
 def _batch_worker(factory: CampaignFactory, specs: tuple, conn,
                   journal_infos=None) -> None:
-    """Worker entry point for a chunk of shards run as one batched
-    lockstep engine (:func:`repro.fuzz.batch.run_shard_batch`).
+    """Worker entry point for a chunk of shards run as one batch
+    (:func:`repro.fuzz.batch.run_shard_batch`).
 
     Replies ``("batch", [(result_json, warnings), ...])`` aligned with
     ``specs``.  Any failure -- including one ineligible world, which
@@ -424,11 +424,20 @@ class ShardedResult:
 
         Excludes wall-clock fields, so two runs of the same shards --
         serial or parallel, any job count -- fingerprint identically.
+        The digest is the sha256 of ``json.dumps(payload,
+        sort_keys=True)`` over ``[(index, seed, attempt, result dict),
+        ...]``, fed one outcome at a time so the whole document never
+        sits in memory at once.
         """
-        payload = [(o.index, o.seed, o.attempt, o.result.to_dict())
-                   for o in self.outcomes]
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(b"[")
+        for position, o in enumerate(self.outcomes):
+            if position:
+                digest.update(b", ")
+            digest.update(json.dumps(
+                (o.index, o.seed, o.attempt, o.result.to_dict()),
+                sort_keys=True).encode("utf-8"))
+        digest.update(b"]")
+        return digest.hexdigest()
 
     def summary(self) -> str:
         """One-paragraph human-readable outcome of the whole fan-out."""
@@ -442,7 +451,7 @@ class ShardedResult:
         fallbacks = self.fallback_reasons
         if fallbacks:
             lines.append(f"  {len(fallbacks)} scalar-fallback shard(s) "
-                         f"(ran outside the lockstep batch):")
+                         f"(ran outside the batch engine):")
             for index, reason in sorted(fallbacks.items()):
                 lines.append(f"    [shard {index}] {reason}")
         durability = self.warning_count - len(fallbacks)
@@ -529,8 +538,8 @@ class ShardedCampaign:
             :class:`FaultyStore` builder here).
         batch_size: shards per worker process.  ``1`` (the default)
             runs each shard through the scalar simulator as before;
-            larger values hand chunks of shards to the vectorised
-            lockstep engine (:mod:`repro.fuzz.batch`), which produces
+            larger values hand chunks of shards to the batch engines
+            (:mod:`repro.fuzz.batch`), which produce
             bit-identical results at a fraction of the interpreter
             cost.  A batched worker's hang deadline scales with its
             chunk size, and a faulted chunk is retried per shard.
@@ -785,7 +794,7 @@ class ShardedCampaign:
         """Start one worker; None when the OS refuses resources.
 
         A single-spec chunk runs the scalar worker; a larger chunk runs
-        the batched lockstep worker.  The hang deadline scales with the
+        the batched worker.  The hang deadline scales with the
         chunk size -- ``shard_timeout`` stays a per-shard budget.
         """
         try:

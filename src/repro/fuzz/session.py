@@ -63,7 +63,10 @@ def _finding_to_dict(finding: Finding) -> dict:
     return payload
 
 
-def _finding_from_dict(item: dict) -> Finding:
+def _finding_from_dict(item: dict, requests: dict | None = None) -> Finding:
+    """Rebuild a finding; ``requests`` maps the hex of each request
+    payload already decoded to its bytes."""
+    requests = {} if requests is None else requests
     return Finding(
         time=item.get("time", 0),
         oracle=item.get("oracle", ""),
@@ -74,7 +77,7 @@ def _finding_from_dict(item: dict) -> Finding:
         # the fixed interval grid then.
         recent_times=tuple(item.get("recent_times", ())),
         # Protocol-level (UDS) findings record request payloads.
-        recent_requests=tuple(bytes.fromhex(r)
+        recent_requests=tuple(requests.setdefault(r, bytes.fromhex(r))
                               for r in item.get("recent_requests", ())),
     )
 
@@ -182,13 +185,17 @@ class FuzzResult:
         Every top-level read tolerates a missing key with the seed-era
         default, so results saved before a field existed still load.
         """
+        requests: dict[str, bytes] = {}
         return cls(
             name=payload.get("name", ""),
             seed_label=payload.get("seed_label", ""),
             started_at=payload.get("started_at", 0),
             ended_at=payload.get("ended_at", 0),
             frames_sent=payload.get("frames_sent", 0),
-            findings=[_finding_from_dict(item)
+            # A campaign's findings overlap in their recent-request
+            # windows; sharing each decoded payload keeps a loaded
+            # result as small as the one that was saved.
+            findings=[_finding_from_dict(item, requests)
                       for item in payload.get("findings", [])],
             write_errors=dict(payload.get("write_errors", {})),
             stop_reason=payload.get("stop_reason", ""),

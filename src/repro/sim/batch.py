@@ -3,8 +3,8 @@
 The scalar :class:`~repro.sim.kernel.Simulator` dispatches one Python
 closure per event; a fuzz campaign fires two to three events per frame,
 which caps throughput near the interpreter's call rate.  This module
-holds the primitives that let N independent campaign worlds advance in
-lockstep instead -- one numpy operation per tick across all worlds:
+holds the random-number primitive that lets independent campaign worlds
+skip that dispatch:
 
 - :class:`BatchRandom`: W CPython-``random.Random``-compatible MT19937
   streams stored as struct-of-arrays word buffers.  Draw emulation is
@@ -12,16 +12,20 @@ lockstep instead -- one numpy operation per tick across all worlds:
   words CPython's ``_randbelow``/``randbytes`` would, including
   rejection re-draws, so a world's stream can be exported back into a
   ``random.Random`` at any frame boundary (:meth:`BatchRandom.getstate`)
-  and continue scalar bit-identically.
-- :class:`FrameRing`: struct-of-arrays ring buffers for the per-world
-  recent-transmit windows (ids, DLCs, payload bytes, timestamps).
+  and continue scalar bit-identically.  :meth:`BatchRandom.peek` and
+  :meth:`BatchRandom.commit` hand one world's upcoming words out as a
+  block, so a caller can parse many draws at once and consume exactly
+  the words they used.
+- :class:`BatchRandomView`: a ``random.Random`` facade over one world's
+  stream, for scalar generator code.
 
 Nothing here knows about CAN or campaigns; the analytic campaign model
-that drives these arrays lives in :mod:`repro.fuzz.batch`.
+that drives these streams lives in :mod:`repro.fuzz.batch`.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +58,7 @@ def _row_index(count: int) -> np.ndarray:
 
 
 def state_from_random(rng) -> tuple:
-    """``rng.getstate()`` validated for lockstep transplanting.
+    """``rng.getstate()`` validated for transplanting into a batch.
 
     Raises ``ValueError`` for anything but a plain version-3 MT19937
     state with no buffered gauss value -- the only shape whose future
@@ -72,15 +76,49 @@ def state_from_random(rng) -> tuple:
     return state
 
 
-class BatchRandom:
-    """W lockstep MT19937 streams, bit-exact with ``random.Random``.
+def _raw_words(source: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` raw 32-bit outputs of ``source``, in order."""
+    return np.frombuffer(source.getrandbits(32 * count).to_bytes(
+        4 * count, "little"), dtype="<u4")
 
-    Internally each world holds a numpy ``MT19937`` bit generator plus
-    a refill buffer of raw ``genrand_uint32`` words.  Refills are
-    *twist-aligned* (never past the end of a 624-word block), so the
-    logical CPython state ``(key, pos)`` is reconstructible at any
-    word boundary: ``pos`` advances through the current key block and a
-    refill that crosses a twist swaps in the twisted key at ``pos 0``.
+
+def _untemper(words: np.ndarray) -> np.ndarray:
+    """The MT19937 state words behind a block of raw outputs.
+
+    Inverts the generator's output tempering (four xor-shift steps,
+    each a bijection on 32-bit words), so a block of 624 consecutive
+    outputs starting at a twist yields exactly the key CPython's
+    ``getstate()`` reports for that block.
+    """
+    y = words.astype(np.uint32)
+    y ^= y >> 18
+    y ^= (y << 15) & np.uint32(0xEFC60000)
+    x = y
+    for _ in range(4):
+        x = y ^ ((x << 7) & np.uint32(0x9D2C5680))
+    y = x
+    for _ in range(2):
+        x = y ^ (x >> 11)
+    return x
+
+
+class BatchRandom:
+    """W MT19937 streams, bit-exact with ``random.Random``.
+
+    Internally each world holds a private ``random.Random`` copy of
+    its stream as the word source (``getrandbits(32 * n)`` packs the
+    next ``n`` raw ``genrand_uint32`` words little-endian) plus a
+    refill buffer of those words.  Refills are *twist-aligned* (never
+    past the end of a 624-word block), so the logical CPython state
+    ``(key, pos)`` is reconstructible at any word boundary: ``pos``
+    advances through the current key block and a refill that crosses a
+    twist swaps in the next block at ``pos 0``.  The key of a whole
+    buffered block is its untempered words; only the transplanted
+    block, which may start mid-way, keeps the key it arrived with.
+
+    :meth:`peek` draws blocks past the buffer ahead of time and
+    :meth:`commit` moves the buffer onto them, so peeked words are
+    never drawn twice and never lost.
     """
 
     def __init__(self, states: Sequence[tuple]) -> None:
@@ -88,28 +126,29 @@ class BatchRandom:
         if worlds == 0:
             raise ValueError("BatchRandom needs at least one world")
         self.worlds = worlds
-        self._bitgens: list[np.random.MT19937] = []
+        self._sources: list[random.Random] = []
+        self._keys0 = np.zeros((worlds, MT_N), dtype=np.uint32)
         self._base_pos = np.zeros(worlds, dtype=np.int64)
-        # The bit generator's own block position, tracked here so a
-        # refill never has to read ``bitgen.state`` back (that property
-        # rebuilds the full 624-word state dict on every access).
+        # The word source's own block position, tracked here so chunks
+        # can end exactly at its twists.
         self._mt_pos = np.zeros(worlds, dtype=np.int64)
         self._buf = np.zeros((worlds, MT_N), dtype=np.uint32)
         self._buf_len = np.zeros(worlds, dtype=np.int64)
         self._buf_pos = np.zeros(worlds, dtype=np.int64)
+        #: Per world: twist-aligned chunks drawn by :meth:`peek` that
+        #: the buffer has not reached yet, oldest first.
+        self._ahead: list[list[np.ndarray]] = [[] for _ in range(worlds)]
         for world, state in enumerate(states):
             version, internal, gauss_next = state
             if (version != PY_STATE_VERSION or len(internal) != MT_N + 1
                     or gauss_next is not None):
                 raise ValueError(f"world {world}: not a plain version-3 "
                                  f"MT19937 state")
-            key = np.array(internal[:MT_N], dtype=np.uint32)
             pos = int(internal[MT_N])
-            bitgen = np.random.MT19937()
-            bitgen.state = {"bit_generator": "MT19937",
-                            "state": {"key": key.astype(np.uint64),
-                                      "pos": pos}}
-            self._bitgens.append(bitgen)
+            source = random.Random()
+            source.setstate((version, tuple(internal), None))
+            self._sources.append(source)
+            self._keys0[world] = internal[:MT_N]
             self._base_pos[world] = pos
             self._mt_pos[world] = pos
 
@@ -118,19 +157,35 @@ class BatchRandom:
         """Transplant live ``random.Random`` instances."""
         return cls([state_from_random(rng) for rng in rngs])
 
-    def _refill(self, world: int) -> None:
-        """Buffer raw words up to (never past) the next twist.
+    def _draw_chunks(self, world: int, count: int) -> None:
+        """Append twist-aligned chunks of at least ``count`` words in
+        total to the world's look-ahead list.
 
-        Afterwards the bit generator sits exactly at its block end, so
-        its key -- read lazily by :meth:`getstate` -- is the buffered
-        block's key for the whole life of the buffer.
+        The first chunk ends at the source's next twist (it is partial
+        only for a transplanted mid-block state); the rest are whole
+        624-word blocks drawn in one call.
         """
-        bitgen = self._bitgens[world]
-        pos = self._mt_pos[world]
-        count = MT_N - pos if pos < MT_N else MT_N
-        self._buf[world, :count] = bitgen.random_raw(int(count))
-        self._base_pos[world] = pos if pos < MT_N else 0
+        source = self._sources[world]
+        ahead = self._ahead[world]
+        pos = int(self._mt_pos[world])
+        if pos < MT_N:
+            ahead.append(_raw_words(source, MT_N - pos))
+            count -= MT_N - pos
+        if count > 0:
+            blocks = -(-count // MT_N)
+            ahead.extend(_raw_words(source, blocks * MT_N)
+                         .reshape(blocks, MT_N))
         self._mt_pos[world] = MT_N
+
+    def _refill(self, world: int) -> None:
+        """Load the next twist-aligned chunk into the world's buffer."""
+        ahead = self._ahead[world]
+        if not ahead:
+            self._draw_chunks(world, 1)
+        chunk = ahead.pop(0)
+        count = chunk.size
+        self._buf[world, :count] = chunk
+        self._base_pos[world] = MT_N - count
         self._buf_len[world] = count
         self._buf_pos[world] = 0
 
@@ -142,6 +197,35 @@ class BatchRandom:
             pos = 0
         self._buf_pos[world] = pos + 1
         return int(self._buf[world, pos])
+
+    def peek(self, world: int, count: int) -> np.ndarray:
+        """The world's next ``count`` raw words, without consuming them.
+
+        The block is a fresh uint32 array; a later :meth:`commit`
+        consumes any prefix of it, and the next ``peek`` starts at the
+        first uncommitted word.
+        """
+        pos = int(self._buf_pos[world])
+        end = int(self._buf_len[world])
+        ahead = self._ahead[world]
+        short = count - (end - pos) - sum(chunk.size for chunk in ahead)
+        if short > 0:
+            self._draw_chunks(world, short)
+        return np.concatenate([self._buf[world, pos:end], *ahead])[:count]
+
+    def commit(self, world: int, count: int) -> None:
+        """Consume the world's next ``count`` words (a peeked prefix).
+
+        Afterwards :meth:`getstate` reports the state CPython reaches
+        after drawing exactly those words.
+        """
+        pos = int(self._buf_pos[world]) + count
+        end = int(self._buf_len[world])
+        while pos > end:
+            pos -= end
+            self._refill(world)
+            end = int(self._buf_len[world])
+        self._buf_pos[world] = pos
 
     def next_words(self, idx: np.ndarray) -> np.ndarray:
         """One raw 32-bit word per world in ``idx`` (uint32 values).
@@ -229,15 +313,17 @@ class BatchRandom:
         """The world's logical ``random.Random.getstate()`` tuple.
 
         Feeding this to ``Random.setstate`` yields a scalar stream that
-        continues bit-identically from the words consumed so far.  The
-        key is read from the bit generator here (a rare, export-time
-        cost): after any refill it is exactly the buffered block's key,
-        and before the first refill it is the transplanted key.
+        continues bit-identically from the words consumed so far.  A
+        whole buffered block's key is its untempered words (a rare,
+        export-time cost); before the first whole block the key is the
+        transplanted one.
         """
         pos = int(self._base_pos[world] + self._buf_pos[world])
-        state_key = self._bitgens[world].state["state"]["key"]
-        key = tuple(int(word) for word in state_key)
-        return (PY_STATE_VERSION, key + (pos,), None)
+        if self._buf_len[world] == MT_N:
+            key = _untemper(self._buf[world])
+        else:
+            key = self._keys0[world]
+        return (PY_STATE_VERSION, tuple(key.tolist()) + (pos,), None)
 
 
 class BatchRandomView:
@@ -247,7 +333,7 @@ class BatchRandomView:
     vectorised bulk calls; the request-level UDS engine instead hands
     each world's *generator object* a view of its own stream, so the
     scalar generator code runs unmodified while the words still come
-    from (and are accounted against) the shared lockstep state.  Every
+    from (and are accounted against) the shared batch state.  Every
     method reproduces CPython's word consumption exactly -- including
     ``getrandbits(0)`` drawing nothing and ``_randbelow`` rejection
     redraws -- so :meth:`getstate` stays exportable at any boundary and
@@ -410,58 +496,3 @@ class BatchRandomView:
     def getstate(self) -> tuple:
         self._batch._buf_pos[self._world] = self._pos
         return self._batch.getstate(self._world)
-
-
-class FrameRing:
-    """Struct-of-arrays ring buffers for per-world recent-frame windows.
-
-    One ``append`` writes a whole vector of frames (one per listed
-    world) into fixed-size rings; :meth:`window` reads one world's
-    window back in oldest-first order for result assembly.
-    """
-
-    def __init__(self, worlds: int, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.times = np.zeros((worlds, capacity), dtype=np.int64)
-        self.ids = np.zeros((worlds, capacity), dtype=np.int64)
-        self.dlcs = np.zeros((worlds, capacity), dtype=np.int64)
-        self.data = np.zeros((worlds, capacity, 8), dtype=np.uint8)
-        self.filled = np.zeros(worlds, dtype=np.int64)
-
-    def append(self, idx: np.ndarray, times: np.ndarray, ids: np.ndarray,
-               dlcs: np.ndarray, data: np.ndarray) -> None:
-        """Push one frame per world in ``idx`` (vectorised)."""
-        slot = self.filled[idx] % self.capacity
-        self.times[idx, slot] = times
-        self.ids[idx, slot] = ids
-        self.dlcs[idx, slot] = dlcs
-        self.data[idx, slot] = data
-        self.filled[idx] += 1
-
-    def seed(self, world: int, entries) -> None:
-        """Preload one world's window (oldest first) from a resume."""
-        for time, can_id, dlc, payload in entries:
-            slot = int(self.filled[world]) % self.capacity
-            self.times[world, slot] = time
-            self.ids[world, slot] = can_id
-            self.dlcs[world, slot] = dlc
-            row = np.zeros(8, dtype=np.uint8)
-            row[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-            self.data[world, slot] = row
-            self.filled[world] += 1
-
-    def window(self, world: int) -> list[tuple[int, int, int, bytes]]:
-        """(time, id, dlc, payload) rows, oldest first."""
-        filled = int(self.filled[world])
-        length = min(filled, self.capacity)
-        start = filled - length
-        rows = []
-        for offset in range(start, filled):
-            slot = offset % self.capacity
-            dlc = int(self.dlcs[world, slot])
-            rows.append((int(self.times[world, slot]),
-                         int(self.ids[world, slot]), dlc,
-                         bytes(self.data[world, slot, :dlc])))
-        return rows

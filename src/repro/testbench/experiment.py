@@ -9,7 +9,10 @@ increased to 1959 seconds."
 
 :class:`UnlockExperiment` runs N independent trials per BCM check
 mode; each trial is a fresh bench, a fresh fuzzer stream and a
-campaign that stops at the first unlock acknowledgement.
+campaign that stops at the first unlock acknowledgement.  Trials run
+on the batch frame engine (:class:`~repro.fuzz.batch.BatchCampaign`),
+whose results are bit-identical to the scalar kernel's; a trial its
+prover cannot admit runs scalar and names the rule in its outcome.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
+from repro.fuzz.batch import BatchCampaign
 from repro.fuzz.campaign import CampaignLimits, FuzzCampaign
 from repro.fuzz.config import FuzzConfig
 from repro.fuzz.coverage import expected_unlock_seconds
@@ -36,6 +40,9 @@ class TrialOutcome:
     unlocked: bool
     seconds_to_unlock: float | None
     frames_sent: int
+    #: The batch prover's rule that sent the trial to the scalar
+    #: kernel, or ``None`` when the batch engine ran it.
+    fallback_reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,8 @@ class TableVRow:
     check_mode: str
     times_seconds: tuple[float, ...]
     timeouts: int
+    #: ``"trial k: rule"`` for each trial that ran scalar.
+    fallback_reasons: tuple[str, ...] = ()
 
     @property
     def mean_seconds(self) -> float:
@@ -91,14 +100,19 @@ class UnlockExperiment:
                 require_exact_dlc=(check_mode == "byte+dlc"),
                 value_bytes=2 if check_mode == "two-byte" else 1,
                 interval_ticks=interval)
-            trial_timeout_seconds = 6.0 * analytic
+            # Stored as the whole-tick cap the campaign applies
+            # (``round(cap * SECOND)`` ticks), so the cap reported here
+            # is exactly the one a timed-out trial ran to.
+            trial_timeout_seconds = round(6.0 * analytic * SECOND) / SECOND
         self.trial_timeout_seconds = trial_timeout_seconds
 
     # ------------------------------------------------------------------
     # Single trial
     # ------------------------------------------------------------------
-    def run_trial(self, trial: int) -> TrialOutcome:
-        """One independent blind-fuzz trial on a fresh bench."""
+    def build_trial(self, trial: int) -> FuzzCampaign:
+        """The world of one trial: a fresh bench (on ``campaign.bench``)
+        and fuzzer stream, and a campaign that stops at the first
+        unlock acknowledgement."""
         streams = RandomStreams(self.seed).fork(f"trial-{trial}")
         bench = UnlockTestbench(seed=self.seed,
                                 check_mode=self.check_mode,
@@ -126,14 +140,22 @@ class UnlockExperiment:
             oracles=[ack_oracle, led_oracle],
             interval=self.interval,
             name=f"unlock-{self.check_mode}-trial{trial}")
-        result = campaign.run()
-        unlocked = not bench.bcm.locked
+        campaign.bench = bench
+        return campaign
+
+    def run_trial(self, trial: int) -> TrialOutcome:
+        """One independent blind-fuzz trial on a fresh bench."""
+        campaign = self.build_trial(trial)
+        batch = BatchCampaign([campaign])
+        result = batch.run()[0]
+        unlocked = not campaign.bench.bcm.locked
         return TrialOutcome(
             trial=trial,
             unlocked=unlocked,
             seconds_to_unlock=(result.first_finding_seconds
                                if unlocked else None),
-            frames_sent=result.frames_sent)
+            frames_sent=result.frames_sent,
+            fallback_reason=batch.fallback_reasons.get(0))
 
     # ------------------------------------------------------------------
     # Full row
@@ -142,14 +164,18 @@ class UnlockExperiment:
         """The paper's sample of 12 runs (count configurable)."""
         times = []
         timeouts = 0
+        reasons = []
         for trial in range(count):
             outcome = self.run_trial(trial)
             if outcome.seconds_to_unlock is None:
                 timeouts += 1
             else:
                 times.append(outcome.seconds_to_unlock)
+            if outcome.fallback_reason is not None:
+                reasons.append(f"trial {trial}: {outcome.fallback_reason}")
         return TableVRow(
             label=ROW_LABELS.get(self.check_mode, self.check_mode),
             check_mode=self.check_mode,
             times_seconds=tuple(times),
-            timeouts=timeouts)
+            timeouts=timeouts,
+            fallback_reasons=tuple(reasons))

@@ -97,7 +97,7 @@ class UnlockBenchFactory:
             name=f"unlock-{self.check_mode}-shard{spec.index}",
             channel=channel)
         # Pin the bench on the campaign: it keeps the world alive for
-        # the campaign's lifetime and lets the batched lockstep engine
+        # the campaign's lifetime and lets the batch engine
         # (repro.fuzz.batch) find the target it must model.
         campaign.bench = bench
         return campaign
@@ -153,7 +153,7 @@ class UdsBenchFactory:
             recent_window=self.recent_window,
             name=f"uds-shard{spec.index}")
         # Pin the bench on the campaign: it keeps the world alive for
-        # the campaign's lifetime and lets the batched lockstep engine
+        # the campaign's lifetime and lets the batch engine
         # (repro.fuzz.batch) prove the world it must model.
         campaign.bench = bench
         return campaign

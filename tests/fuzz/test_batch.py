@@ -1,14 +1,16 @@
-"""Scalar-vs-batch parity for the lockstep multi-world engine.
+"""Scalar-vs-batch parity for the block-stepped frame engine.
 
 The batch engine's whole contract is *bit-identical* results: the same
 seeds must produce the same ``FuzzResult.to_dict()`` whether a world
-runs through the scalar event kernel or the vectorised lockstep
-arrays, including every journal artefact (record stream, checkpoint
+runs through the scalar event kernel or the block-stepped frame
+engine, including every journal artefact (record stream, checkpoint
 file, result file) and every resume path.  These tests pin that
 contract across finding kinds, payload check modes, limit shapes,
-durability and the sharded runner's batched workers.
+recent-window sizes, block boundaries, durability and the sharded
+runner's batched workers.
 """
 
+import functools
 import json
 import random
 import shutil
@@ -16,6 +18,7 @@ import shutil
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.fuzz import batch as batch_engine
 from repro.fuzz.batch import BatchCampaign, run_shard_batch
 from repro.fuzz.campaign import CampaignLimits, FuzzCampaign, resume_campaign
 from repro.fuzz.config import FuzzConfig
@@ -29,7 +32,7 @@ from repro.testbench.bench import UnlockTestbench
 from repro.testbench.factory import UnlockBenchFactory, _unlock_ack
 
 
-def build_world(kind, seed, mode="byte", max_frames=4000):
+def build_world(kind, seed, mode="byte", max_frames=4000, recent_window=32):
     """One deterministic campaign world; call twice for twin copies."""
     if kind == "factory":
         factory = UnlockBenchFactory(check_mode=mode)
@@ -71,28 +74,54 @@ def build_world(kind, seed, mode="byte", max_frames=4000):
         limits = CampaignLimits(max_frames=max_frames)
     campaign = FuzzCampaign(bench.sim, adapter, generator, limits=limits,
                             oracles=oracles, interval=1 * MS,
+                            recent_window=recent_window,
                             name=f"{kind}-{mode}-{seed}")
     campaign.bench = bench
     return campaign
 
 
+def bcm_state(campaign):
+    bcm = campaign.bench.bcm
+    return bcm.locked, bcm._ack_counter
+
+
 class TestFreshParity:
     # One case per finding kind / check mode / limit shape: ack
     # finding, LED-only oracle, hot status watch, time limit, narrowed
-    # byte range, and the stock factory bench (full id range).
+    # byte range, the stock factory bench (full id range), and an ack
+    # finding with an empty recent window.
     CASES = [("ack", 0, "byte"), ("ack", 1, "byte+dlc"),
              ("ack", 2, "two-byte"), ("led", 0, "byte"),
              ("status", 1, "byte"), ("time", 0, "byte"),
-             ("narrow", 2, "two-byte"), ("factory", 0, "byte")]
+             ("narrow", 2, "two-byte"), ("factory", 0, "byte"),
+             ("ack", 3, "byte", 4000, 0)]
 
-    def test_results_bit_identical_across_kinds(self):
-        scalar = [build_world(*case).run().to_dict()
-                  for case in self.CASES]
-        batch = BatchCampaign([build_world(*case) for case in self.CASES])
+    def test_results_bit_identical_across_kinds(self, monkeypatch):
+        twins = [build_world(*case) for case in self.CASES]
+        scalar = [campaign.run().to_dict() for campaign in twins]
+        worlds = [build_world(*case) for case in self.CASES]
+        batch = BatchCampaign(worlds)
         batched = [result.to_dict() for result in batch.run()]
         assert batch.fallback_reasons == {}
         for case, want, got in zip(self.CASES, scalar, batched):
             assert got == want, case
+        # The batched bench's BCM ends where the scalar run leaves it.
+        for case, twin, world in zip(self.CASES, twins, worlds):
+            assert bcm_state(world) == bcm_state(twin), case
+        assert scalar[-1]["findings"]
+        assert scalar[-1]["findings"][0]["recent_frames"] == []
+        # Block boundaries: a block size equal to a world's frame count
+        # puts its last frame -- the finding frame of an ack finding,
+        # the step limit of every other world -- on a block's last
+        # frame; one frame per block, a few frames per block, and a
+        # block longer than every world cover the rest.
+        sizes = sorted({result["frames_sent"] for result in scalar})
+        for size in sizes + [1, 7, 10 ** 6]:
+            monkeypatch.setattr(batch_engine, "BLOCK_FRAMES", size)
+            again = BatchCampaign([build_world(*case)
+                                   for case in self.CASES]).run()
+            for case, want, got in zip(self.CASES, scalar, again):
+                assert got.to_dict() == want, (case, size)
 
     def test_results_come_back_in_input_order(self):
         campaigns = [build_world("ack", seed) for seed in (3, 1)]
@@ -148,10 +177,17 @@ class TestScalarFallback:
                             rng=random.Random(10), name="odd")
         odd2.bench = bench2
         twins.append(odd2.run().to_dict())
+        # An unbounded recent window (the scalar deque keeps every
+        # frame) is a named scalar rule.
+        campaigns.append(build_world("ack", 4, recent_window=None))
+        twins.append(build_world("ack", 4, recent_window=None)
+                     .run().to_dict())
         batch = BatchCampaign(campaigns)
         results = [result.to_dict() for result in batch.run()]
         assert results == twins
-        assert list(batch.fallback_reasons) == [1]
+        assert list(batch.fallback_reasons) == [1, 2]
+        assert batch.fallback_reasons[2] == ("unbounded recent window "
+                                             "runs scalar")
 
 
 def journal_spec(index, max_frames=1200):
@@ -160,7 +196,7 @@ def journal_spec(index, max_frames=1200):
                      limits=CampaignLimits(max_frames=max_frames))
 
 
-def journal_build(spec):
+def journal_build(spec, recent_window=32):
     bench = UnlockTestbench(seed=spec.seed, check_mode="byte")
     bench.power_on(settle_seconds=0.5)
     adapter = bench.attacker_adapter()
@@ -177,7 +213,8 @@ def journal_build(spec):
     ]
     campaign = FuzzCampaign(bench.sim, adapter, generator,
                             limits=spec.limits, oracles=oracles,
-                            interval=1 * MS, name=f"jp-{spec.index}")
+                            interval=1 * MS, recent_window=recent_window,
+                            name=f"jp-{spec.index}")
     campaign.bench = bench
     return campaign
 
@@ -190,63 +227,85 @@ def read_records(directory):
 
 class TestJournalParity:
     def test_record_streams_checkpoints_and_results_identical(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         specs = [journal_spec(i) for i in range(3)]
-        for spec in specs:
-            journal = CampaignJournal(DirectoryStore(
-                str(tmp_path / f"scalar/shard-{spec.index:04d}")))
-            FuzzCampaign.resume(journal, lambda spec=spec:
-                                journal_build(spec), checkpoint_every=500)
-        infos = [(None, str(tmp_path / f"batch/shard-{s.index:04d}"), 500)
-                 for s in specs]
-        run_shard_batch(journal_build, specs, journal_infos=infos)
-        for spec in specs:
-            scalar_dir = tmp_path / f"scalar/shard-{spec.index:04d}"
-            batch_dir = tmp_path / f"batch/shard-{spec.index:04d}"
-            assert read_records(scalar_dir) == read_records(batch_dir)
-            scalar_store = DirectoryStore(str(scalar_dir))
-            batch_store = DirectoryStore(str(batch_dir))
-            assert (json.loads(scalar_store.read(CampaignJournal.RESULT))
-                    == json.loads(batch_store.read(CampaignJournal.RESULT)))
-            if scalar_store.exists(CampaignJournal.CHECKPOINT):
-                assert (json.loads(
-                    scalar_store.read(CampaignJournal.CHECKPOINT))
-                    == json.loads(
-                        batch_store.read(CampaignJournal.CHECKPOINT)))
+        # Default blocks; blocks that end exactly at each checkpoint;
+        # blocks the checkpoint cuts short; a checkpoint on shard 2's
+        # finding frame (checkpoint first, then the finding); an empty
+        # recent window.
+        runs = [("default", journal_build, None, 500),
+                ("cp-aligned", journal_build, 500, 500),
+                ("cp-cut", journal_build, 7, 500),
+                ("cp-on-finding", journal_build, None, 261),
+                ("window0", functools.partial(journal_build,
+                                              recent_window=0), None, 500)]
+        for tag, build, block, every in runs:
+            if block is not None:
+                monkeypatch.setattr(batch_engine, "BLOCK_FRAMES", block)
+            for spec in specs:
+                journal = CampaignJournal(DirectoryStore(
+                    str(tmp_path / f"{tag}/scalar/shard-{spec.index:04d}")))
+                FuzzCampaign.resume(journal, lambda spec=spec: build(spec),
+                                    checkpoint_every=every)
+            infos = [(None, str(tmp_path / f"{tag}/batch/shard-"
+                                           f"{s.index:04d}"), every)
+                     for s in specs]
+            run_shard_batch(build, specs, journal_infos=infos)
+            monkeypatch.undo()
+            for spec in specs:
+                scalar_dir = tmp_path / f"{tag}/scalar/shard-{spec.index:04d}"
+                batch_dir = tmp_path / f"{tag}/batch/shard-{spec.index:04d}"
+                assert read_records(scalar_dir) == read_records(batch_dir)
+                scalar_store = DirectoryStore(str(scalar_dir))
+                batch_store = DirectoryStore(str(batch_dir))
+                assert (json.loads(scalar_store.read(CampaignJournal.RESULT))
+                        == json.loads(
+                            batch_store.read(CampaignJournal.RESULT)))
+                if scalar_store.exists(CampaignJournal.CHECKPOINT):
+                    assert (json.loads(
+                        scalar_store.read(CampaignJournal.CHECKPOINT))
+                        == json.loads(
+                            batch_store.read(CampaignJournal.CHECKPOINT)))
 
     def test_kill_resume_matches_scalar_resume_both_ways(self, tmp_path):
         # The resume contract: a batch resume of a surviving journal
         # equals a *scalar resume* of the same journal (the protocol
         # rebuilds the target fresh, so neither necessarily equals the
         # uninterrupted run when commands preceded the checkpoint).
+        # Checkpoints every 1040 frames leave shard 0's finding (frame
+        # 1056) 16 frames after the resume point, so its recent window
+        # joins resumed rows to new frames.
         spec = journal_spec(0)
-        source = tmp_path / "full"
-        journal = CampaignJournal(DirectoryStore(str(source)))
-        FuzzCampaign.resume(journal, lambda: journal_build(spec),
-                            checkpoint_every=500)
-        assert DirectoryStore(str(source)).exists(
-            CampaignJournal.CHECKPOINT)
-        for tag in ("ctl", "bat"):
-            shutil.copytree(source, tmp_path / tag)
-            DirectoryStore(str(tmp_path / tag)).remove(
-                CampaignJournal.RESULT)
-        control = resume_campaign(
-            CampaignJournal(DirectoryStore(str(tmp_path / "ctl"))),
-            lambda: journal_build(spec), checkpoint_every=500)
-        pairs = run_shard_batch(
-            journal_build, [spec],
-            journal_infos=[(None, str(tmp_path / "bat"), 500)])
-        assert pairs[0][0].to_dict() == control.to_dict()
-        assert read_records(tmp_path / "bat") == read_records(
-            tmp_path / "ctl")
-        kinds = [record["type"] for record in read_records(tmp_path / "bat")]
-        assert kinds.count("resume") == 1
-        # A second batch resume of the now-completed batch journal
-        # short-circuits to the saved result.
-        again = run_shard_batch(
-            journal_build, [spec],
-            journal_infos=[(None, str(tmp_path / "bat"), 500)])
-        assert again[0][0].to_dict() == control.to_dict()
+        for every in (500, 1040):
+            source = tmp_path / f"full-{every}"
+            journal = CampaignJournal(DirectoryStore(str(source)))
+            FuzzCampaign.resume(journal, lambda: journal_build(spec),
+                                checkpoint_every=every)
+            assert DirectoryStore(str(source)).exists(
+                CampaignJournal.CHECKPOINT)
+            ctl, bat = tmp_path / f"ctl-{every}", tmp_path / f"bat-{every}"
+            for target in (ctl, bat):
+                shutil.copytree(source, target)
+                DirectoryStore(str(target)).remove(CampaignJournal.RESULT)
+            control = resume_campaign(
+                CampaignJournal(DirectoryStore(str(ctl))),
+                lambda: journal_build(spec), checkpoint_every=every)
+            pairs = run_shard_batch(
+                journal_build, [spec],
+                journal_infos=[(None, str(bat), every)])
+            assert pairs[0][0].to_dict() == control.to_dict()
+            assert read_records(bat) == read_records(ctl)
+            kinds = [record["type"] for record in read_records(bat)]
+            assert kinds.count("resume") == 1
+            # A second batch resume of the now-completed batch journal
+            # short-circuits to the saved result.
+            again = run_shard_batch(
+                journal_build, [spec],
+                journal_infos=[(None, str(bat), every)])
+            assert again[0][0].to_dict() == control.to_dict()
+        checkpointed = control.started_at + (1040 - 1) * MS
+        times = control.findings[0].recent_times
+        assert times[0] < checkpointed < times[-1]
 
 
 class TestShardedBatching:

@@ -1,5 +1,7 @@
 """Tests for the sharded parallel campaign runner."""
 
+import hashlib
+import json
 import os
 import random
 import signal
@@ -199,6 +201,11 @@ class TestParallelRun:
                                  master_seed=3, limits=SMALL).run()
         restored = ShardedResult.from_json(merged.to_json())
         assert restored.fingerprint() == merged.fingerprint()
+        # The digest is that of the whole payload's canonical JSON.
+        payload = [(o.index, o.seed, o.attempt, o.result.to_dict())
+                   for o in merged.outcomes]
+        assert merged.fingerprint() == hashlib.sha256(json.dumps(
+            payload, sort_keys=True).encode("utf-8")).hexdigest()
         assert restored.frames_sent == merged.frames_sent
         assert restored.jobs == merged.jobs
 

@@ -92,11 +92,20 @@ class TestCampaignFindsTheDefects:
         assert result.findings
         assert result.findings[0].oracle == "uds-liveness"
 
-    def test_result_roundtrips_with_request_records(self, hunt_result):
+    def test_result_roundtrips_with_request_records(self, hunt_result,
+                                                    deep_result):
         restored = FuzzResult.from_dict(hunt_result.to_dict())
         assert restored.to_dict() == hunt_result.to_dict()
         assert (restored.findings[0].recent_requests
                 == hunt_result.findings[0].recent_requests)
+        # The findings of one result share each decoded payload, as
+        # the campaign's own findings share their request objects.
+        restored = FuzzResult.from_dict(deep_result.to_dict())
+        assert restored.to_dict() == deep_result.to_dict()
+        decoded = {}
+        for finding in restored.findings:
+            for request in finding.recent_requests:
+                assert decoded.setdefault(request, request) is request
 
 
 class TestLearnedKeyAlgorithms:

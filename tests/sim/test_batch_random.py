@@ -1,4 +1,4 @@
-"""Bit-exactness of the lockstep MT19937 streams and frame rings.
+"""Bit-exactness of the batched MT19937 streams.
 
 ``BatchRandom`` is the subtlest piece of the batch engine: every draw
 must consume the exact 32-bit word stream CPython's ``random.Random``
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.batch import BatchRandom, FrameRing, state_from_random
+from repro.sim.batch import BatchRandom, state_from_random
 
 
 def scalar_randbelow(rng, n):
@@ -134,24 +134,58 @@ class TestGetstateRoundtrip:
         assert batch.getstate(0) == reference.getstate()
 
 
-class TestFrameRing:
-    def test_window_returns_oldest_first(self):
-        ring = FrameRing(2, capacity=3)
-        for step in range(5):
-            ring.append(np.array([0]), np.array([step * 10]),
-                        np.array([0x100 + step]), np.array([2]),
-                        np.array([[step, step, 0, 0, 0, 0, 0, 0]],
-                                 dtype=np.uint8))
-        window = ring.window(0)
-        assert [row[0] for row in window] == [20, 30, 40]  # 0,10 evicted
-        assert window[-1] == (40, 0x104, 2, bytes((4, 4)))
-        assert ring.window(1) == []
+class TestPeekCommit:
+    def test_peek_reads_ahead_without_consuming(self):
+        batch = BatchRandom.from_randoms([random.Random(8)])
+        reference = random.Random(8)
+        first = batch.peek(0, 2000)  # crosses three twists
+        assert batch.peek(0, 2000).tolist() == first.tolist()
+        assert batch.getstate(0) == reference.getstate()
+        assert first.tolist() == [reference.getrandbits(32)
+                                  for _ in range(2000)]
 
-    def test_seed_then_append_behaves_like_one_stream(self):
-        ring = FrameRing(1, capacity=4)
-        ring.seed(0, [(1, 0x10, 1, b"\x0a"), (2, 0x20, 0, b"")])
-        ring.append(np.array([0]), np.array([3]), np.array([0x30]),
-                    np.array([1]),
-                    np.array([[7, 0, 0, 0, 0, 0, 0, 0]], dtype=np.uint8))
-        assert ring.window(0) == [(1, 0x10, 1, b"\x0a"), (2, 0x20, 0, b""),
-                                  (3, 0x30, 1, b"\x07")]
+    def test_commit_ending_on_a_twist(self):
+        # CPython reports (key, 624) until the next draw twists, so a
+        # commit that ends exactly on a block boundary must too.
+        for skip in (0, 100):
+            rng = random.Random(4)
+            for _ in range(skip):
+                rng.getrandbits(32)
+            reference = random.Random()
+            reference.setstate(rng.getstate())
+            batch = BatchRandom.from_randoms([rng])
+            for used in (624 - skip, 624, 1248):
+                batch.peek(0, used + 5)
+                batch.commit(0, used)
+                for _ in range(used):
+                    reference.getrandbits(32)
+                assert reference.getstate()[1][-1] == 624
+                assert batch.getstate(0) == reference.getstate()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+           skip=st.integers(min_value=0, max_value=700),
+           moves=st.lists(st.tuples(st.integers(min_value=0,
+                                                max_value=2000),
+                                    st.floats(min_value=0, max_value=1)),
+                          min_size=1, max_size=12))
+    def test_getstate_exact_at_every_commit(self, seed, skip, moves):
+        # A mid-block transplant (skip words already drawn), then
+        # peeks of any size and commits of any prefix, must leave the
+        # state CPython reaches after drawing the same words.
+        rng = random.Random(seed)
+        if skip:
+            rng.getrandbits(32 * skip)
+        reference = random.Random()
+        reference.setstate(rng.getstate())
+        batch = BatchRandom.from_randoms([rng])
+        idx = np.array([0])
+        for count, share in moves:
+            words = batch.peek(0, count).tolist()
+            used = round(count * share)
+            assert words[:used] == [reference.getrandbits(32)
+                                    for _ in range(used)]
+            batch.commit(0, used)
+            assert batch.getstate(0) == reference.getstate()
+            # The vectorised draws continue from the committed word.
+            assert int(batch.next_words(idx)[0]) == reference.getrandbits(32)
