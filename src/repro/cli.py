@@ -373,6 +373,7 @@ def _run_sharded_bench(args: argparse.Namespace, channel_config) -> int:
             "shards": args.shards,
             "batch_size": args.batch_size,
             "ok": merged.ok,
+            "fingerprint": merged.fingerprint(),
             "findings": len(findings_with_seeds),
             "fallback_reasons": {str(index): reason
                                  for index, reason

@@ -55,7 +55,7 @@ from repro.can.bitstuff import (FRAME_TAIL_BITS, INTERFRAME_BITS,
                                 _crc_and_stuff_from, _header_crc_state)
 from repro.can.frame import trusted_frame
 from repro.ecu.base import EcuState
-from repro.fuzz.campaign import FuzzCampaign
+from repro.fuzz.campaign import FuzzCampaign, resume_point
 from repro.fuzz.durability import CampaignJournal, DirectoryStore
 from repro.fuzz.generator import (RandomFrameGenerator,
                                   TargetedFrameGenerator)
@@ -1796,16 +1796,15 @@ def run_shard_batch(factory, specs, *, journal_infos=None,
                     checkpoint_every: int | None = None):
     """Run one worker's batch of shard specs through a batch engine.
 
-    The batched analogue of :func:`repro.fuzz.parallel._shard_worker`'s
-    body: per spec, a surviving journal result short-circuits, a
-    loadable checkpoint resumes (channel-era checkpoints replay from
-    zero, matching :func:`~repro.fuzz.campaign.resume_campaign`), and
-    everything else starts fresh -- then all live worlds advance in one
-    :class:`BatchCampaign` (frame-level shards) or
-    :class:`BatchUdsCampaign` (request-level UDS shards).  Worlds that
-    fell back to the scalar kernel carry a ``"scalar fallback: ..."``
-    warning so :class:`~repro.fuzz.parallel.ShardedResult` can surface
-    the reason.
+    The batched analogue of a scalar shard run: per spec, the journal
+    decides where the world continues
+    (:func:`~repro.fuzz.campaign.resume_point`, the rule
+    :func:`~repro.fuzz.campaign.resume_campaign` applies), then all
+    live worlds advance in one :class:`BatchCampaign` (frame-level
+    shards) or :class:`BatchUdsCampaign` (request-level UDS shards).
+    Worlds that fell back to the scalar kernel carry a ``"scalar
+    fallback: ..."`` warning so
+    :class:`~repro.fuzz.parallel.ShardedResult` can surface the reason.
 
     Args:
         factory: pickleable campaign factory (``spec -> FuzzCampaign``).
@@ -1835,14 +1834,10 @@ def run_shard_batch(factory, specs, *, journal_infos=None,
             store_factory, shard_dir, info_every = info
             journal = CampaignJournal(
                 (store_factory or DirectoryStore)(shard_dir))
-            saved = journal.load_result()
+            saved, state = resume_point(journal)
             if saved is not None:
-                out[slot] = (FuzzResult.from_dict(saved),
-                             list(journal.warnings))
+                out[slot] = (saved, list(journal.warnings))
                 continue
-            state = journal.load_checkpoint()
-            if state is not None and state.get("channel") is not None:
-                state = None
         campaign = factory(spec)
         if journal is not None:
             every = checkpoint_every

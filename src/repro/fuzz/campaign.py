@@ -472,6 +472,27 @@ class FuzzCampaign:
         self.sim.stop()
 
 
+def resume_point(journal: CampaignJournal
+                 ) -> tuple[FuzzResult | None, dict | None]:
+    """Where a journalled campaign continues: ``(saved result, None)``
+    when it already completed, else ``(None, checkpoint state)``.
+
+    The one resume rule, in order: a saved result short-circuits, a
+    loadable checkpoint is restored, otherwise (state ``None``) the
+    campaign starts from attempt zero.  Checkpoints carrying
+    adversarial-channel state force the from-zero path: mid-run restore
+    cannot be bit-exact under injected noise (see
+    :meth:`FuzzCampaign.resume`).
+    """
+    saved = journal.load_result()
+    if saved is not None:
+        return FuzzResult.from_dict(saved), None
+    state = journal.load_checkpoint()
+    if state is not None and state.get("channel") is not None:
+        state = None
+    return None, state
+
+
 def resume_campaign(journal: "CampaignJournal | str", build: Callable,
                     *, checkpoint_every: int | None = None) -> FuzzResult:
     """Continue any journalled campaign from its last durable state.
@@ -479,22 +500,14 @@ def resume_campaign(journal: "CampaignJournal | str", build: Callable,
     The shared resume protocol behind :meth:`FuzzCampaign.resume` and
     :meth:`repro.fuzz.uds_campaign.UdsFuzzCampaign.resume`: ``build``
     deterministically reconstructs the campaign object (any class with
-    ``attach_journal`` and ``_execute``), and three cases apply in
-    order -- a saved result short-circuits, a loadable checkpoint is
-    restored, otherwise the campaign starts from attempt zero.
-
-    Checkpoints carrying adversarial-channel state force the from-zero
-    path: mid-run restore cannot be bit-exact under injected noise
-    (see :meth:`FuzzCampaign.resume`).
+    ``attach_journal`` and ``_execute``), which continues from
+    :func:`resume_point`.
     """
     if not isinstance(journal, CampaignJournal):
         journal = CampaignJournal(journal)
-    saved = journal.load_result()
+    saved, state = resume_point(journal)
     if saved is not None:
-        return FuzzResult.from_dict(saved)
-    state = journal.load_checkpoint()
-    if state is not None and state.get("channel") is not None:
-        state = None
+        return saved
     campaign = build()
     campaign.attach_journal(journal, checkpoint_every=checkpoint_every)
     return campaign._execute(state)

@@ -20,6 +20,10 @@ number of times with a fresh seed derivation, and if the OS refuses to
 start processes the runner degrades to fewer workers, down to running
 shards inline.
 
+The process mechanics live in :class:`WorkerPool`, which the campaign
+service's orchestrator shares; :class:`ShardedCampaign` keeps only its
+policy (chunk deadlines, retries, failures).
+
 With ``journal_dir`` set the fan-out becomes crash-safe: every shard
 journals into ``<journal_dir>/shard-NNNN/`` (write-ahead findings,
 periodic checkpoints, final result), a ``master.json`` manifest pins
@@ -34,6 +38,7 @@ run exactly.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -44,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, Sequence
 
 from repro.fuzz.campaign import CampaignLimits, FuzzCampaign
 from repro.fuzz.durability import (CampaignJournal, DirectoryStore,
@@ -141,6 +146,176 @@ class ResourceGuards:
         return notes
 
 
+# ----------------------------------------------------------------------
+# Worker processes, shared with the service orchestrator
+# ----------------------------------------------------------------------
+
+def send(conn, message) -> None:
+    """Best-effort send to the supervising process; does nothing when
+    ``conn`` is ``None`` (an inline run).
+
+    A dead parent (a SIGKILLed supervisor) breaks the pipe; the worker
+    keeps running as a benign orphan -- everything it does is
+    journalled and deterministic, so a restarted supervisor either
+    finds its saved result or re-executes to the identical fingerprint.
+    """
+    if conn is not None:
+        with contextlib.suppress(OSError):
+            conn.send(message)
+
+
+def call_body(body: Callable[..., tuple], conn, *args) -> tuple:
+    """Run a worker body; its reply is ``("ok", *returned)``, or
+    ``("error", traceback)`` when it raised.
+
+    A body is a module-level function (it must pickle) taking ``conn``,
+    the pipe for progress messages -- ``None`` when a supervisor runs
+    it inline -- then its own arguments.  Interrupts and exits
+    propagate: in a worker they end the process, seen as a crash.
+    """
+    try:
+        return ("ok", *body(conn, *args))
+    except Exception:
+        return ("error", traceback.format_exc())
+
+
+def worker_main(conn, body: Callable[..., tuple], *args) -> None:
+    """Worker process entry point: run ``body`` and send its reply."""
+    try:
+        send(conn, call_body(body, conn, *args))
+    finally:
+        conn.close()
+
+
+@dataclass(eq=False)
+class PoolWorker:
+    """One live worker process of a :class:`WorkerPool`."""
+
+    key: Any  # the supervisor's name for the work running here
+    process: multiprocessing.process.BaseProcess
+    conn: Any
+    started: float  # pool clock reading at spawn
+
+
+class WorkerPool:
+    """Spawn, read, reap and kill worker processes.
+
+    The process layer of :class:`ShardedCampaign` and the service's
+    :class:`~repro.service.orchestrator.Orchestrator`, which keep only
+    their policy.  Every wait on a process is bounded: a worker that
+    outlives its purpose is SIGKILLed after ``terminate_grace``.
+
+    Args:
+        slots: concurrency cap; :meth:`shed` lowers it when the OS
+            refuses a process.
+        mp_context: multiprocessing start-method context (default: the
+            platform default, ``fork`` on Linux).
+        terminate_grace: seconds a worker gets to exit -- after its
+            last message, or after SIGTERM -- before SIGKILL.
+        clock: monotonic time source for :attr:`PoolWorker.started`.
+    """
+
+    def __init__(self, slots: int, *, mp_context=None,
+                 terminate_grace: float = 5.0,
+                 clock: Callable[[], float] = time.monotonic) -> None:
+        self.slots = slots
+        self.terminate_grace = terminate_grace
+        self.clock = clock
+        self._ctx = mp_context or multiprocessing.get_context()
+        #: key -> live worker.
+        self.workers: dict[Any, PoolWorker] = {}
+
+    @property
+    def free(self) -> bool:
+        """True when another worker fits under the slot cap."""
+        return len(self.workers) < self.slots
+
+    def start(self, key, body: Callable[..., tuple], *args) -> bool:
+        """Run ``body(conn, *args)`` in a new worker process under
+        ``key``; False when the OS refuses the pipe or the process."""
+        try:
+            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+        except OSError:
+            return False
+        try:
+            process = self._ctx.Process(
+                target=worker_main, args=(child_conn, body, *args),
+                daemon=True)
+            process.start()
+        except OSError:
+            parent_conn.close()
+            child_conn.close()
+            return False
+        child_conn.close()
+        self.workers[key] = PoolWorker(key=key, process=process,
+                                       conn=parent_conn,
+                                       started=self.clock())
+        return True
+
+    def wait(self, timeout: float | None) -> list[PoolWorker]:
+        """Block up to ``timeout`` seconds until some worker has a
+        message (or a closed pipe) to read; returns those workers."""
+        ready = set(_connection_wait(
+            [worker.conn for worker in self.workers.values()],
+            timeout=timeout))
+        return [worker for worker in self.workers.values()
+                if worker.conn in ready]
+
+    def receive(self, worker: PoolWorker):
+        """The worker's next message, or ``None`` when none is waiting.
+
+        A pipe that ends without a message means the process died: the
+        worker is released and ``("crashed", note)`` returned, the note
+        naming the exit code.
+        """
+        if not worker.conn.poll():
+            return None
+        try:
+            return worker.conn.recv()
+        except (EOFError, OSError):
+            self.release(worker)
+            return ("crashed",
+                    f"worker crashed without reporting (exit code "
+                    f"{worker.process.exitcode}, "
+                    f"{self.clock() - worker.started:.1f} s after "
+                    f"launch)")
+
+    def release(self, worker: PoolWorker) -> None:
+        """Forget a worker that is done and reap its process, SIGKILLing
+        it if it has not exited within ``terminate_grace``.  Releasing
+        a released worker does nothing."""
+        self.workers.pop(worker.key, None)
+        with contextlib.suppress(OSError):
+            worker.conn.close()
+        worker.process.join(timeout=self.terminate_grace)
+        if worker.process.is_alive():
+            worker.process.kill()
+            worker.process.join()
+
+    def stop(self, worker: PoolWorker) -> str | None:
+        """Kill a worker and release it.  Returns the escalation note
+        when SIGTERM was not enough (see :func:`terminate_and_reap`)."""
+        note = terminate_and_reap(worker.process,
+                                  grace=self.terminate_grace)
+        self.release(worker)
+        return note
+
+    def shed(self) -> bool:
+        """Apply the spawn-refusal rule after :meth:`start` failed.
+
+        The cap drops to the number of workers still running (at least
+        one).  Returns True when none are running: waiting would free
+        nothing, so the caller must run the work inline.
+        """
+        self.slots = max(1, len(self.workers))
+        return not self.workers
+
+    def pids(self) -> dict:
+        """key -> OS pid of each live worker."""
+        return {key: worker.process.pid
+                for key, worker in self.workers.items()}
+
+
 def derive_shard_seed(master_seed: int, shard_index: int,
                       attempt: int = 0) -> int:
     """Deterministic per-shard seed, the sharding analogue of
@@ -202,54 +377,31 @@ class ShardSpec:
 CampaignFactory = Callable[[ShardSpec], FuzzCampaign]
 
 
-def _shard_worker(factory: CampaignFactory, spec: ShardSpec, conn,
-                  journal_info: tuple | None = None) -> None:
-    """Worker entry point: build the shard's target, run, ship JSON.
+def _run_shards(conn, factory: CampaignFactory,
+                specs: tuple[ShardSpec, ...], journal_infos: list) -> tuple:
+    """Worker body for one chunk of shards; returns
+    ``([(result_json, warnings), ...],)`` aligned with ``specs``.
 
-    With ``journal_info`` -- ``(store_factory, shard_dir,
-    checkpoint_every)`` -- the worker opens the shard's durable
-    journal first and resumes from whatever state survived the
-    previous attempt; durability warnings ride back in the reply.
+    One spec runs on the scalar simulator, a longer chunk as one batch
+    (:func:`repro.fuzz.batch.run_shard_batch`).  A shard with a journal
+    info -- ``(store_factory, shard_dir, checkpoint_every)`` -- resumes
+    from whatever its journal kept of the previous attempt.
     """
-    try:
-        if journal_info is None:
-            result = factory(spec).run()
-            warnings: list[str] = []
-        else:
-            store_factory, shard_dir, checkpoint_every = journal_info
-            journal = CampaignJournal(
-                (store_factory or DirectoryStore)(shard_dir))
-            result = FuzzCampaign.resume(
-                journal, lambda: factory(spec),
-                checkpoint_every=checkpoint_every)
-            warnings = list(journal.warnings)
-        conn.send(("ok", result.to_json(), warnings))
-    except BaseException:
-        conn.send(("error", traceback.format_exc()))
-    finally:
-        conn.close()
-
-
-def _batch_worker(factory: CampaignFactory, specs: tuple, conn,
-                  journal_infos=None) -> None:
-    """Worker entry point for a chunk of shards run as one batch
-    (:func:`repro.fuzz.batch.run_shard_batch`).
-
-    Replies ``("batch", [(result_json, warnings), ...])`` aligned with
-    ``specs``.  Any failure -- including one ineligible world, which
-    the engine itself handles by falling back to scalar execution, so
-    in practice only real faults land here -- is reported for the whole
-    chunk; the parent retries each shard individually.
-    """
-    try:
+    if len(specs) > 1:
         from repro.fuzz.batch import run_shard_batch
         pairs = run_shard_batch(factory, specs, journal_infos=journal_infos)
-        conn.send(("batch", [(result.to_json(), list(warnings))
-                             for result, warnings in pairs]))
-    except BaseException:
-        conn.send(("error", traceback.format_exc()))
-    finally:
-        conn.close()
+    elif journal_infos[0] is None:
+        pairs = [(factory(specs[0]).run(), [])]
+    else:
+        store_factory, shard_dir, checkpoint_every = journal_infos[0]
+        journal = CampaignJournal(
+            (store_factory or DirectoryStore)(shard_dir))
+        result = FuzzCampaign.resume(
+            journal, lambda: factory(specs[0]),
+            checkpoint_every=checkpoint_every)
+        pairs = [(result, journal.warnings)]
+    return ([(result.to_json(), list(warnings))
+             for result, warnings in pairs],)
 
 
 @dataclass
@@ -279,6 +431,17 @@ class ShardOutcome:
             "warnings": list(self.warnings),
             "result": self.result.to_dict(),
         }
+
+    @classmethod
+    def from_reply(cls, spec: ShardSpec, reply: tuple, wall: float,
+                   faults: Sequence[str] = ()) -> "ShardOutcome":
+        """A shard's outcome from its worker reply, ``(result_json,
+        warnings)``."""
+        result_json, warnings = reply
+        return cls(index=spec.index, seed=spec.seed, attempt=spec.attempt,
+                   result=FuzzResult.from_json(result_json),
+                   wall_seconds=wall, faults=tuple(faults),
+                   warnings=tuple(warnings))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ShardOutcome":
@@ -497,18 +660,6 @@ class ShardedResult:
         )
 
 
-@dataclass
-class _Worker:
-    """Parent-side handle for one in-flight worker (one shard attempt,
-    or a batched chunk of them)."""
-
-    specs: tuple[ShardSpec, ...]
-    process: multiprocessing.process.BaseProcess
-    conn: object
-    started: float
-    deadline: float
-
-
 class ShardedCampaign:
     """Fan one campaign budget across worker processes and merge.
 
@@ -542,7 +693,11 @@ class ShardedCampaign:
             (:mod:`repro.fuzz.batch`), which produce
             bit-identical results at a fraction of the interpreter
             cost.  A batched worker's hang deadline scales with its
-            chunk size, and a faulted chunk is retried per shard.
+            chunk size.  A fault is charged to every shard in the
+            chunk (the parent cannot tell which one caused it), and
+            each shard that faulted retries alone.
+        terminate_grace: seconds a worker gets to exit -- after its
+            result, or after SIGTERM -- before SIGKILL.
     """
 
     def __init__(self, factory: CampaignFactory, *, shards: int,
@@ -690,98 +845,84 @@ class ShardedCampaign:
         must match bit for bit (:meth:`ShardedResult.fingerprint`).
         """
         started = time.perf_counter()
-        outcomes = [self._load_completed(spec) or self._run_inline(spec)
-                    for spec in self._specs]
+        outcomes = []
+        for spec in self._specs:
+            outcome = self._load_completed(spec)
+            if outcome is None:
+                shard_started = time.perf_counter()
+                (replies,) = _run_shards(None, self.factory, (spec,),
+                                         [self._journal_info(spec)])
+                outcome = ShardOutcome.from_reply(
+                    spec, replies[0], time.perf_counter() - shard_started)
+            outcomes.append(outcome)
         return ShardedResult(
             master_seed=self.master_seed, shard_count=self.shards,
             jobs=1, wall_seconds=time.perf_counter() - started,
             outcomes=outcomes)
-
-    def _run_inline(self, spec: ShardSpec,
-                    faults: tuple[str, ...] = ()) -> ShardOutcome:
-        started = time.perf_counter()
-        if self.journal_dir is None:
-            result = self.factory(spec).run()
-            warnings: tuple[str, ...] = ()
-        else:
-            journal = CampaignJournal(self._shard_store(spec.index))
-            result = FuzzCampaign.resume(
-                journal, lambda: self.factory(spec),
-                checkpoint_every=self.checkpoint_every)
-            warnings = tuple(journal.warnings)
-        return ShardOutcome(
-            index=spec.index, seed=spec.seed, attempt=spec.attempt,
-            result=result, wall_seconds=time.perf_counter() - started,
-            faults=faults, warnings=warnings)
 
     # ------------------------------------------------------------------
     # Parallel execution
     # ------------------------------------------------------------------
     def run(self) -> ShardedResult:
         """Execute all shards across worker processes and merge."""
-        ctx = self._mp_context or multiprocessing.get_context()
         started = time.perf_counter()
-        workers: list[_Worker] = []
+        pool = WorkerPool(self.jobs, mp_context=self._mp_context,
+                          terminate_grace=self.terminate_grace)
         outcomes: dict[int, ShardOutcome] = {}
         failures: dict[int, ShardFailure] = {}
         fault_log: dict[int, list[str]] = {
             spec.index: [] for spec in self._specs}
-        retries: dict[int, int] = {}
         for spec in self._specs:
             loaded = self._load_completed(spec)
             if loaded is not None:
                 outcomes[spec.index] = loaded
         pending: deque[ShardSpec] = deque(
             spec for spec in self._specs if spec.index not in outcomes)
-        jobs = self.jobs
-        while pending or workers:
+        while pending or pool.workers:
             # Launch up to the (possibly degraded) concurrency cap.
-            while pending and len(workers) < jobs:
-                count = min(self.batch_size, len(pending))
-                chunk = tuple(pending.popleft() for _ in range(count))
-                worker = self._spawn(ctx, chunk)
-                if worker is not None:
-                    workers.append(worker)
+            while pending and pool.free:
+                chunk = self._take_chunk(pending, fault_log)
+                args = (self.factory, chunk,
+                        [self._journal_info(spec) for spec in chunk])
+                if pool.start(chunk, _run_shards, *args):
                     continue
-                if workers:
-                    # The OS refused a process while others run: put
-                    # the chunk back and degrade to the level that works.
+                if pool.shed():
+                    # No worker left to wait for: run the chunk here.
+                    inline_started = time.monotonic()
+                    reply = call_body(_run_shards, None, *args)
+                    self._settle(chunk, reply,
+                                 time.monotonic() - inline_started,
+                                 outcomes, fault_log, pending, failures)
+                else:
+                    # Retry the chunk once a running worker is done.
                     pending.extendleft(reversed(chunk))
-                    jobs = len(workers)
-                else:
-                    # Cannot run even one worker: execute inline.
-                    for spec in chunk:
-                        outcomes[spec.index] = self._run_inline(
-                            spec, faults=tuple(fault_log[spec.index]))
                 break
-            if not workers:
+            if not pool.workers:
                 continue
+            timeout = max(0.0, min(map(self._deadline,
+                                       pool.workers.values()))
+                          - time.monotonic())
+            for worker in pool.wait(timeout):
+                reply = pool.receive(worker)
+                pool.release(worker)
+                self._settle(worker.key, reply,
+                             time.monotonic() - worker.started,
+                             outcomes, fault_log, pending, failures)
             now = time.monotonic()
-            timeout = max(0.0, min(w.deadline for w in workers) - now)
-            ready = set(_connection_wait([w.conn for w in workers],
-                                         timeout=timeout))
-            now = time.monotonic()
-            still_running: list[_Worker] = []
-            for worker in workers:
-                if worker.conn in ready:
-                    self._reap(worker, outcomes, fault_log, pending,
-                               failures, retries)
-                elif now >= worker.deadline:
-                    escalation = self._kill(worker)
-                    budget = self.shard_timeout * len(worker.specs)
-                    for spec in worker.specs:
-                        self._record_fault(
-                            spec,
-                            f"worker hung: no result within "
-                            f"{budget:.0f} s, killed "
-                            f"(exit code {worker.process.exitcode}, "
-                            f"{now - worker.started:.1f} s wall"
-                            f"{self._journal_progress_note(spec)})"
-                            + (f"; {escalation}" if escalation else ""),
-                            fault_log, pending, failures, retries)
-                else:
-                    still_running.append(worker)
-            workers = still_running
+            for worker in list(pool.workers.values()):
+                if now < self._deadline(worker):
+                    continue
+                escalation = pool.stop(worker)
+                budget = self.shard_timeout * len(worker.key)
+                for spec in worker.key:
+                    self._record_fault(
+                        spec,
+                        f"worker hung: no result within {budget:.0f} s, "
+                        f"killed (exit code {worker.process.exitcode}, "
+                        f"{now - worker.started:.1f} s wall"
+                        f"{self._journal_progress_note(spec)})"
+                        + (f"; {escalation}" if escalation else ""),
+                        fault_log, pending, failures)
         return ShardedResult(
             master_seed=self.master_seed, shard_count=self.shards,
             jobs=self.jobs,
@@ -789,114 +930,56 @@ class ShardedCampaign:
             outcomes=[outcomes[i] for i in sorted(outcomes)],
             failures=[failures[i] for i in sorted(failures)])
 
-    # -- worker lifecycle ----------------------------------------------
-    def _spawn(self, ctx, chunk: tuple[ShardSpec, ...]) -> _Worker | None:
-        """Start one worker; None when the OS refuses resources.
+    def _take_chunk(self, pending: deque,
+                    fault_log: dict) -> tuple[ShardSpec, ...]:
+        """The next chunk: up to ``batch_size`` shards that never
+        faulted, or one shard that did.  A shard that faulted retries
+        alone, so a bad shard cannot fail the healthy shards it was
+        packed with a second time."""
+        chunk = [pending.popleft()]
+        while (pending and len(chunk) < self.batch_size
+               and not fault_log[chunk[0].index]
+               and not fault_log[pending[0].index]):
+            chunk.append(pending.popleft())
+        return tuple(chunk)
 
-        A single-spec chunk runs the scalar worker; a larger chunk runs
-        the batched worker.  The hang deadline scales with the
-        chunk size -- ``shard_timeout`` stays a per-shard budget.
-        """
-        try:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-        except OSError:
-            return None
-        if len(chunk) == 1:
-            target = _shard_worker
-            args = (self.factory, chunk[0], child_conn,
-                    self._journal_info(chunk[0]))
-            name = f"fuzz-shard-{chunk[0].index}"
-        else:
-            target = _batch_worker
-            args = (self.factory, chunk, child_conn,
-                    [self._journal_info(spec) for spec in chunk])
-            name = f"fuzz-batch-{chunk[0].index}-{chunk[-1].index}"
-        try:
-            process = ctx.Process(target=target, args=args, name=name,
-                                  daemon=True)
-            process.start()
-        except OSError:
-            parent_conn.close()
-            child_conn.close()
-            return None
-        child_conn.close()
-        now = time.monotonic()
-        return _Worker(specs=chunk, process=process, conn=parent_conn,
-                       started=now,
-                       deadline=now + self.shard_timeout * len(chunk))
+    def _deadline(self, worker: PoolWorker) -> float:
+        """When a worker is declared hung: ``shard_timeout`` is a
+        per-shard budget, so the deadline scales with the chunk."""
+        return worker.started + self.shard_timeout * len(worker.key)
 
-    def _reap(self, worker: _Worker, outcomes: dict, fault_log: dict,
-              pending: deque, failures: dict, retries: dict) -> None:
-        """Collect a readable worker: results, an error, or a corpse."""
-        warnings: tuple[str, ...] = ()
-        try:
-            message = worker.conn.recv()
-            kind, payload = message[0], message[1]
-            if len(message) > 2:
-                warnings = tuple(message[2])
-        except (EOFError, OSError):
-            worker.process.join()
-            kind = "error"
-            # The corpse tells us nothing, but its journal does: record
-            # how far each shard durably got before dying, so summary()
-            # shows what the crash cost instead of silently dropping it.
-            payload = (f"worker crashed without reporting "
-                       f"(exit code {worker.process.exitcode}, "
-                       f"{time.monotonic() - worker.started:.1f} s wall)")
-        worker.conn.close()
-        worker.process.join()
-        wall = time.monotonic() - worker.started
+    def _settle(self, chunk: tuple[ShardSpec, ...], reply: tuple,
+                wall: float, outcomes: dict, fault_log: dict,
+                pending: deque, failures: dict) -> None:
+        """Merge a chunk's results, or charge its fault to every shard
+        in it with how far the shard's journal durably got."""
+        kind, payload = reply
         if kind == "ok":
-            spec = worker.specs[0]
-            outcomes[spec.index] = ShardOutcome(
-                index=spec.index, seed=spec.seed, attempt=spec.attempt,
-                result=FuzzResult.from_json(payload),
-                wall_seconds=wall,
-                faults=tuple(fault_log[spec.index]), warnings=warnings)
-        elif kind == "batch":
-            for spec, (result_json, shard_warnings) in zip(worker.specs,
-                                                           payload):
-                outcomes[spec.index] = ShardOutcome(
-                    index=spec.index, seed=spec.seed, attempt=spec.attempt,
-                    result=FuzzResult.from_json(result_json),
-                    wall_seconds=wall,
-                    faults=tuple(fault_log[spec.index]),
-                    warnings=tuple(shard_warnings))
-        else:
-            for spec in worker.specs:
-                self._record_fault(
-                    spec, payload + self._journal_progress_note(spec),
-                    fault_log, pending, failures, retries)
-
-    def _kill(self, worker: _Worker) -> str | None:
-        """Stop one worker; returns the escalation note when SIGTERM
-        was not enough (recorded in the shard fault log -- a wedged
-        process must never be leaked silently)."""
-        note = terminate_and_reap(worker.process,
-                                  grace=self.terminate_grace)
-        worker.conn.close()
-        return note
+            for spec, shard_reply in zip(chunk, payload):
+                outcomes[spec.index] = ShardOutcome.from_reply(
+                    spec, shard_reply, wall, fault_log[spec.index])
+            return
+        for spec in chunk:
+            self._record_fault(
+                spec, payload + self._journal_progress_note(spec),
+                fault_log, pending, failures)
 
     def _record_fault(self, spec: ShardSpec, description: str,
                       fault_log: dict, pending: deque,
-                      failures: dict, retries: dict) -> None:
-        fault_log[spec.index].append(
-            f"attempt {spec.attempt}: {description}")
-        used = retries.get(spec.index, 0)
-        if used < self.max_retries:
-            retries[spec.index] = used + 1
-            if self.journal_dir is not None:
-                # The journal survived the worker: requeue the same
-                # spec so the replacement resumes from checkpoint with
-                # the same seed -- the fingerprint must match an
-                # uninterrupted run.
-                pending.append(spec)
-            else:
-                attempt = spec.attempt + 1
-                pending.append(replace(
-                    spec, attempt=attempt,
-                    seed=derive_shard_seed(spec.master_seed, spec.index,
-                                           attempt)))
+                      failures: dict) -> None:
+        faults = fault_log[spec.index]
+        faults.append(f"attempt {spec.attempt}: {description}")
+        if len(faults) > self.max_retries:
+            failures[spec.index] = ShardFailure(index=spec.index,
+                                                faults=tuple(faults))
+        elif self.journal_dir is not None:
+            # The journal survived the worker: requeue the same spec so
+            # the replacement resumes from checkpoint with the same
+            # seed -- the fingerprint must match an uninterrupted run.
+            pending.append(spec)
         else:
-            failures[spec.index] = ShardFailure(
-                index=spec.index, faults=tuple(fault_log[spec.index]))
+            attempt = spec.attempt + 1
+            pending.append(replace(
+                spec, attempt=attempt,
+                seed=derive_shard_seed(spec.master_seed, spec.index,
+                                       attempt)))

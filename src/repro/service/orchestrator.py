@@ -3,11 +3,12 @@
 The service's control loop.  Each tick it (1) drains worker messages
 -- heartbeats renew leases, results complete jobs, tracebacks fault
 them; (2) expires leases whose workers went silent, killing wedged
-survivors with the same SIGTERM-then-SIGKILL escalation
-:class:`~repro.fuzz.parallel.ShardedCampaign` uses; (3) grants leases
-for pending jobs onto fresh workers, honouring per-job jittered
-backoff after faults and degrading to fewer slots (ultimately inline
-execution) when the OS refuses processes.
+survivors; (3) grants leases for pending jobs onto fresh workers,
+honouring per-job jittered backoff after faults.  The worker processes
+themselves -- spawning, reading, bounded reaping, SIGTERM-then-SIGKILL,
+degrading to fewer slots (ultimately inline execution) when the OS
+refuses processes -- are the :class:`~repro.fuzz.parallel.WorkerPool`
+that :class:`~repro.fuzz.parallel.ShardedCampaign` uses too.
 
 The crash-handoff guarantee rests on three existing pieces: every job
 runs inside its own :class:`~repro.fuzz.durability.CampaignJournal`
@@ -25,17 +26,14 @@ absorbed, not double-counted.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import time
-import traceback
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.fuzz.campaign import CampaignLimits, resume_campaign
 from repro.fuzz.durability import (CampaignJournal, DirectoryStore,
                                    QuotaStore, RetryPolicy)
-from repro.fuzz.parallel import (ResourceGuards, ShardSpec,
-                                 terminate_and_reap)
+from repro.fuzz.parallel import (ResourceGuards, ShardSpec, WorkerPool,
+                                 call_body, send)
 from repro.service.lease import LeaseError, LeaseManager
 from repro.service.queue import JobQueue, JobSpec
 from repro.sim.clock import SECOND
@@ -107,21 +105,6 @@ def shard_spec_for(spec: JobSpec) -> ShardSpec:
 # Worker side
 # ----------------------------------------------------------------------
 
-def _send(conn, message) -> bool:
-    """Best-effort send to the orchestrator.
-
-    A dead parent (SIGKILLed orchestrator) breaks the pipe; the worker
-    keeps running as a benign orphan -- everything it does is journalled
-    and deterministic, so the restarted orchestrator either finds its
-    saved result or re-executes to the identical fingerprint.
-    """
-    try:
-        conn.send(message)
-        return True
-    except (BrokenPipeError, OSError):
-        return False
-
-
 class _HeartbeatJournal(CampaignJournal):
     """A campaign journal whose appends double as lease heartbeats.
 
@@ -147,18 +130,19 @@ class _HeartbeatJournal(CampaignJournal):
             # requests_sent; normalise for the status API.
             sent = record.get("frames_sent",
                               record.get("requests_sent", 0))
-            _send(self._conn, ("heartbeat", {
+            send(self._conn, ("heartbeat", {
                 "frames_sent": sent,
                 "findings": record.get("findings", 0),
                 "phase": record.get("type"),
             }))
 
 
-def _job_worker(factory, spec: ShardSpec, conn, journal_dir: str,
-                checkpoint_every: int, store_factory=None,
-                guards: ResourceGuards | None = None,
-                quota_bytes: int | None = None) -> None:
-    """Worker process entry: resume the job's journal and run it out.
+def _run_job(conn, factory, spec: ShardSpec, journal_dir: str,
+             checkpoint_every: int, store_factory=None,
+             guards: ResourceGuards | None = None,
+             quota_bytes: int | None = None) -> tuple:
+    """Worker body: resume the job's journal and run it out.  Returns
+    ``(result dict, durability warnings)``.
 
     Resource guards are installed before any campaign code runs:
     rlimits bound the worker itself (CPU blow-out dies by SIGXCPU and
@@ -168,39 +152,23 @@ def _job_worker(factory, spec: ShardSpec, conn, journal_dir: str,
     abuse raises :class:`~repro.fuzz.durability.DiskQuotaExceeded`
     through the campaign -- a journalled fault strike, never a hang.
     """
-    try:
-        guard_notes = guards.apply() if guards is not None else []
-        store = (store_factory or DirectoryStore)(journal_dir)
-        if quota_bytes is not None:
-            store = QuotaStore(store, quota_bytes=quota_bytes)
-        journal = _HeartbeatJournal(store, conn)
-        payload = {"phase": "building"}
-        if guard_notes:
-            payload["guard_notes"] = guard_notes
-        _send(conn, ("heartbeat", payload))
-        result = resume_campaign(journal, lambda: factory(spec),
-                                 checkpoint_every=checkpoint_every)
-        _send(conn, ("ok", result.to_dict(), list(journal.warnings)))
-    except BaseException:
-        _send(conn, ("error", traceback.format_exc()))
-    finally:
-        conn.close()
+    guard_notes = guards.apply() if guards is not None else []
+    store = (store_factory or DirectoryStore)(journal_dir)
+    if quota_bytes is not None:
+        store = QuotaStore(store, quota_bytes=quota_bytes)
+    journal = _HeartbeatJournal(store, conn)
+    payload = {"phase": "building"}
+    if guard_notes:
+        payload["guard_notes"] = guard_notes
+    send(conn, ("heartbeat", payload))
+    result = resume_campaign(journal, lambda: factory(spec),
+                             checkpoint_every=checkpoint_every)
+    return result.to_dict(), list(journal.warnings)
 
 
 # ----------------------------------------------------------------------
 # Orchestrator
 # ----------------------------------------------------------------------
-
-@dataclass
-class _Handle:
-    """Parent-side state for one leased, running worker."""
-
-    job_id: str
-    worker_id: str
-    process: multiprocessing.process.BaseProcess
-    conn: object
-    started: float
-
 
 class Orchestrator:
     """Lease pending jobs onto worker processes until told to stop.
@@ -221,8 +189,9 @@ class Orchestrator:
             the default adds deterministic seeded jitter so a burst of
             simultaneous faults does not thunder back as one herd.
         poll_interval: tick period of the control loop.
-        terminate_grace: seconds a killed worker gets to honour
-            SIGTERM before SIGKILL (see :func:`terminate_and_reap`).
+        terminate_grace: seconds a worker gets to exit -- after its
+            result, or after SIGTERM -- before SIGKILL (see
+            :class:`~repro.fuzz.parallel.WorkerPool`).
         mp_context: multiprocessing start-method context.
         clock: monotonic time source (tests inject a fake to step
             lease lifetimes deterministically).
@@ -262,22 +231,22 @@ class Orchestrator:
             raise ValueError("terminate_grace must be >= 0")
         self.queue = queue
         self.configured_workers = workers
-        self.slots = workers
         self.leases = LeaseManager(duration=lease_duration, clock=clock)
         self.backoff = backoff or RetryPolicy(
             attempts=1, backoff=0.25, jitter=0.5, seed=0)
         self.checkpoint_every = checkpoint_every
         self.quarantine_after = quarantine_after
         self.poll_interval = poll_interval
-        self.terminate_grace = terminate_grace
         if job_quota_bytes is not None and job_quota_bytes < 1:
             raise ValueError("job_quota_bytes must be >= 1")
         self.clock = clock
         self.store_factory = store_factory
         self.resource_guards = resource_guards
         self.job_quota_bytes = job_quota_bytes
-        self._ctx = mp_context or multiprocessing.get_context()
-        self._handles: dict[str, _Handle] = {}
+        #: Worker processes, keyed ``(job_id, worker_id)``.
+        self.pool = WorkerPool(workers, mp_context=mp_context,
+                               terminate_grace=terminate_grace,
+                               clock=clock)
         #: Per-job earliest re-grant time (jittered backoff after a
         #: fault), in ``clock`` time.
         self._not_before: dict[str, float] = {}
@@ -298,9 +267,17 @@ class Orchestrator:
     # Control loop
     # ------------------------------------------------------------------
     def tick(self) -> None:
-        """One scheduling round: reap, expire, launch."""
-        for handle in list(self._handles.values()):
-            self._pump(handle)
+        """One scheduling round: read worker messages, expire, launch."""
+        for worker in list(self.pool.workers.values()):
+            job_id, worker_id = worker.key
+            while (message := self.pool.receive(worker)) is not None:
+                if message[0] == "heartbeat":
+                    self._on_heartbeat(job_id, worker_id, message[1])
+                    continue
+                self.pool.release(worker)
+                self._release_lease(job_id, worker_id)
+                self._settle(job_id, worker_id, message)
+                break
         self._expire_leases()
         self._launch()
 
@@ -315,7 +292,7 @@ class Orchestrator:
                 if stop is not None:
                     if stop.is_set():
                         break
-                elif self.queue.idle() and not self._handles:
+                elif self.queue.idle() and not self.pool.workers:
                     break
                 await asyncio.sleep(self.poll_interval)
         finally:
@@ -335,17 +312,15 @@ class Orchestrator:
     def shutdown(self, note: str = "orchestrator shutdown: "
                                    "job requeued, not faulted") -> None:
         """Stop every worker and requeue its job without a strike."""
-        for handle in list(self._handles.values()):
-            escalation = terminate_and_reap(handle.process,
-                                            grace=self.terminate_grace)
+        for worker in list(self.pool.workers.values()):
+            job_id, worker_id = worker.key
+            escalation = self.pool.stop(worker)
             if escalation:
-                self.notes.append(
-                    f"shutdown of {handle.worker_id}: {escalation}")
-            self._drop(handle)
-            self._release_lease(handle)
-            job = self.queue.get(handle.job_id)
+                self.notes.append(f"shutdown of {worker_id}: {escalation}")
+            self._release_lease(job_id, worker_id)
+            job = self.queue.get(job_id)
             if job is not None and job.state == "leased":
-                self.queue.requeue(handle.job_id, note, fault=False)
+                self.queue.requeue(job_id, note, fault=False)
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -353,16 +328,15 @@ class Orchestrator:
     def worker_pids(self) -> dict[str, int]:
         """job_id -> OS pid of its current worker (chaos tests and the
         CI smoke job SIGKILL through this)."""
-        return {job_id: handle.process.pid
-                for job_id, handle in self._handles.items()
-                if handle.process.pid is not None}
+        return {job_id: pid
+                for (job_id, _), pid in self.pool.pids().items()}
 
     def status(self) -> dict:
         return {
             "workers": {
                 "configured": self.configured_workers,
-                "slots": self.slots,
-                "busy": len(self._handles),
+                "slots": self.pool.slots,
+                "busy": len(self.pool.workers),
                 "pids": self.worker_pids(),
             },
             "leases": self.leases.stats(),
@@ -374,52 +348,38 @@ class Orchestrator:
         }
 
     # ------------------------------------------------------------------
-    # Reaping
+    # Worker messages
     # ------------------------------------------------------------------
-    def _pump(self, handle: _Handle) -> None:
-        """Drain one worker's pipe; a broken pipe is a crashed worker."""
-        while handle.job_id in self._handles and handle.conn.poll():
-            try:
-                message = handle.conn.recv()
-            except (EOFError, OSError):
-                handle.process.join()
-                self._fault(handle,
-                            f"worker crashed without reporting (exit "
-                            f"code {handle.process.exitcode}, "
-                            f"{self.clock() - handle.started:.1f} s "
-                            f"after launch)")
-                return
-            kind = message[0]
-            if kind == "heartbeat":
-                self._on_heartbeat(handle, message[1])
-            elif kind == "ok":
-                self._on_result(handle, message[1], tuple(message[2]))
-            elif kind == "error":
-                self._fault(handle, f"worker raised:\n{message[1]}")
-
-    def _on_heartbeat(self, handle: _Handle, payload: dict) -> None:
+    def _on_heartbeat(self, job_id: str, worker_id: str,
+                      payload: dict) -> None:
         try:
-            self.leases.renew(handle.job_id, handle.worker_id)
+            self.leases.renew(job_id, worker_id)
         except LeaseError as exc:
             # Late heartbeat from a worker whose lease already expired:
             # the expiry path will kill it this tick; record the race.
             self.notes.append(f"late heartbeat ignored: {exc}")
             return
-        self.queue.update_progress(handle.job_id, payload)
+        self.queue.update_progress(job_id, payload)
 
-    def _on_result(self, handle: _Handle, result: dict,
-                   warnings: tuple) -> None:
-        self._drop(handle)
-        self._release_lease(handle)
-        disposition = self.queue.mark_completed(handle.job_id, result)
+    def _settle(self, job_id: str, worker_id: str, reply: tuple) -> None:
+        """Complete a job from its worker's ``ok`` reply, or strike it
+        for an ``error`` or a crash."""
+        if reply[0] == "crashed":
+            self._record_fault(job_id, reply[1])
+            return
+        if reply[0] == "error":
+            self._record_fault(job_id, f"worker raised:\n{reply[1]}")
+            return
+        _, result, warnings = reply
+        disposition = self.queue.mark_completed(job_id, result)
         if disposition == "divergent":
             self.notes.append(
-                f"job {handle.job_id}: divergent duplicate completion "
-                f"from {handle.worker_id} -- determinism violation")
+                f"job {job_id}: divergent duplicate completion "
+                f"from {worker_id} -- determinism violation")
         if warnings:
             self.queue.update_progress(
-                handle.job_id, {"durability_warnings": list(warnings)})
-        self._not_before.pop(handle.job_id, None)
+                job_id, {"durability_warnings": list(warnings)})
+        self._not_before.pop(job_id, None)
 
     def _expire_leases(self) -> None:
         for lease in self.leases.expire():
@@ -427,22 +387,15 @@ class Orchestrator:
                     f"{lease.worker_id} within "
                     f"{self.leases.duration:.1f} s "
                     f"(granted {lease.renewals} renewal(s))")
-            handle = self._handles.get(lease.job_id)
-            if handle is not None:
+            worker = self.pool.workers.get((lease.job_id, lease.worker_id))
+            if worker is not None:
                 # The worker is alive but silent -- wedged.  Kill it
                 # before re-granting, or two executions would interleave
                 # writes into one journal.
-                escalation = terminate_and_reap(
-                    handle.process, grace=self.terminate_grace)
+                escalation = self.pool.stop(worker)
                 if escalation:
                     note += f"; {escalation}"
-                self._drop(handle)
             self._record_fault(lease.job_id, note)
-
-    def _fault(self, handle: _Handle, note: str) -> None:
-        self._drop(handle)
-        self._release_lease(handle)
-        self._record_fault(handle.job_id, note)
 
     def _record_fault(self, job_id: str, note: str) -> None:
         """Strike a job: quarantine repeat-crashers, otherwise requeue
@@ -467,7 +420,7 @@ class Orchestrator:
     def _launch(self) -> None:
         now = self.clock()
         for job in self.queue.pending():
-            if len(self._handles) >= self.slots:
+            if not self.pool.free:
                 return
             if self._not_before.get(job.spec.job_id, 0.0) > now:
                 continue
@@ -475,8 +428,8 @@ class Orchestrator:
                 return
 
     def _start(self, job) -> bool:
-        """Lease one job onto a fresh worker; False when the OS is out
-        of processes (caller stops launching this tick)."""
+        """Lease one job onto a fresh worker; False when the OS refused
+        the process (caller stops launching this tick)."""
         spec = job.spec
         try:
             factory = build_factory(spec)
@@ -489,94 +442,39 @@ class Orchestrator:
         worker_id = f"worker-{self._worker_seq}"
         self.queue.mark_leased(spec.job_id, worker_id)
         self.leases.grant(spec.job_id, worker_id)
-        journal_dir = str(self.queue.job_dir(spec.job_id))
-        try:
-            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        except OSError:
-            self._abort_grant(spec.job_id, worker_id)
-            self._degrade(job)
-            return False
-        try:
-            process = self._ctx.Process(
-                target=_job_worker,
-                args=(factory, shard_spec_for(spec), child_conn,
-                      journal_dir, self.checkpoint_every,
-                      self.store_factory, self.resource_guards,
-                      self.job_quota_bytes),
-                name=f"fuzz-job-{spec.job_id}", daemon=True)
-            process.start()
-        except OSError:
-            parent_conn.close()
-            child_conn.close()
-            self._abort_grant(spec.job_id, worker_id)
-            self._degrade(job)
-            return False
-        child_conn.close()
-        self._handles[spec.job_id] = _Handle(
-            job_id=spec.job_id, worker_id=worker_id, process=process,
-            conn=parent_conn, started=self.clock())
-        return True
-
-    def _abort_grant(self, job_id: str, worker_id: str) -> None:
-        try:
-            self.leases.release(job_id, worker_id)
-        except LeaseError:
-            pass
+        args = (factory, shard_spec_for(spec),
+                str(self.queue.job_dir(spec.job_id)), self.checkpoint_every,
+                self.store_factory)
+        if self.pool.start((spec.job_id, worker_id), _run_job, *args,
+                           self.resource_guards, self.job_quota_bytes):
+            return True
+        self._release_lease(spec.job_id, worker_id)
         self.queue.requeue(
-            job_id, "worker spawn failed before execution started",
+            spec.job_id, "worker spawn failed before execution started",
             fault=False)
-
-    def _degrade(self, job) -> None:
-        """The OS refused a worker: shed one slot, or -- already at the
-        floor -- run the job inline so the service still makes progress
-        on a box that cannot fork at all."""
-        if self.slots > 1:
-            self.slots -= 1
-            self.notes.append(
-                f"worker spawn failed; degraded to {self.slots} "
-                f"slot(s)")
-            return
-        spec = job.spec
+        inline = self.pool.shed()
         self.notes.append(
-            f"worker spawn failed at one slot; running {spec.job_id} "
-            f"inline")
-        self.queue.mark_leased(spec.job_id, "inline")
-        store = (self.store_factory or DirectoryStore)(
-            str(self.queue.job_dir(spec.job_id)))
-        if self.job_quota_bytes is not None:
-            store = QuotaStore(store, quota_bytes=self.job_quota_bytes)
-        journal = CampaignJournal(store)
-        factory = build_factory(spec)
-        try:
-            result = resume_campaign(
-                journal, lambda: factory(shard_spec_for(spec)),
-                checkpoint_every=self.checkpoint_every)
-        except Exception:
-            self._record_fault(
-                spec.job_id,
-                f"inline execution raised:\n{traceback.format_exc()}")
-            return
-        self.queue.mark_completed(spec.job_id, result.to_dict())
-        self.inline_completions += 1
+            f"worker spawn failed; degraded to {self.pool.slots} slot(s)"
+            + (f", running {spec.job_id} inline" if inline else ""))
+        if inline:
+            # Nothing runs, so waiting frees nothing: run the job here,
+            # so the service still makes progress on a box that cannot
+            # fork at all.  No rlimits: here they would bound the
+            # orchestrator itself.
+            self.queue.mark_leased(spec.job_id, "inline")
+            reply = call_body(_run_job, None, *args, None,
+                              self.job_quota_bytes)
+            if reply[0] == "ok":
+                self.inline_completions += 1
+            self._settle(spec.job_id, "inline", reply)
+        return False
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _drop(self, handle: _Handle) -> None:
-        self._handles.pop(handle.job_id, None)
+    def _release_lease(self, job_id: str, worker_id: str) -> None:
         try:
-            handle.conn.close()
-        except OSError:
-            pass
-        if handle.process.is_alive():
-            handle.process.join(timeout=self.terminate_grace)
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join()
-
-    def _release_lease(self, handle: _Handle) -> None:
-        try:
-            self.leases.release(handle.job_id, handle.worker_id)
+            self.leases.release(job_id, worker_id)
         except LeaseError as exc:
             # The lease expired while the worker's last message was in
             # flight; the result is still deterministic and the dedup

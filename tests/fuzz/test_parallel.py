@@ -5,6 +5,7 @@ import json
 import os
 import random
 import signal
+import threading
 import time
 from dataclasses import dataclass
 
@@ -93,6 +94,19 @@ class StubbornHangFactory:
         if spec.index == 0 and spec.attempt == 0:
             signal.signal(signal.SIGTERM, signal.SIG_IGN)
             time.sleep(60)
+        return TinyFactory()(spec)
+
+
+@dataclass(frozen=True)
+class LingerFactory:
+    """Shard 0's worker reports its result and then does not exit: the
+    factory leaves a non-daemon thread behind, which the interpreter
+    waits for before the process can end."""
+
+    def __call__(self, spec: ShardSpec) -> FuzzCampaign:
+        if spec.index == 0:
+            threading.Thread(target=time.sleep, args=(60,),
+                             daemon=False).start()
         return TinyFactory()(spec)
 
 
@@ -242,10 +256,12 @@ class TestFaultHandling:
         assert merged.ok
         assert "deliberate shard fault" in merged.outcomes[0].faults[0]
 
-    def test_retry_budget_exhaustion_is_a_failure_not_a_crash(self):
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_retry_budget_exhaustion_is_a_failure_not_a_crash(
+            self, batch_size):
         merged = ShardedCampaign(AlwaysRaiseFactory(), shards=2, jobs=2,
                                  master_seed=1, limits=SMALL,
-                                 max_retries=1).run()
+                                 max_retries=1, batch_size=batch_size).run()
         assert not merged.ok
         assert [f.index for f in merged.failures] == [0]
         assert len(merged.failures[0].faults) == 2  # initial + 1 retry
@@ -264,12 +280,12 @@ class TestFaultHandling:
         assert merged.outcomes[0].attempt == 1
         assert "hung" in merged.outcomes[0].faults[0]
 
-    def test_spawn_refusal_degrades_to_inline_execution(self, monkeypatch):
+    def test_spawn_refusal_degrades_to_inline_execution(
+            self, refusing_mp_context):
         """If the OS refuses every process, shards still run (inline)."""
-        monkeypatch.setattr(ShardedCampaign, "_spawn",
-                            lambda self, ctx, spec: None)
         runner = ShardedCampaign(TinyFactory(), shards=3, jobs=2,
-                                 master_seed=4, limits=SMALL)
+                                 master_seed=4, limits=SMALL,
+                                 mp_context=refusing_mp_context)
         merged = runner.run()
         assert merged.ok
         assert (merged.fingerprint()
@@ -298,6 +314,23 @@ class TestFaultHandling:
         assert any("escalated to SIGKILL" in fault
                    for fault in shard0.faults)
         assert any("ignored SIGTERM" in fault for fault in shard0.faults)
+
+    def test_worker_that_lingers_after_its_result_is_reaped(self):
+        """A result does not end the hang protection: a worker that
+        reports and then does not exit is killed after terminate_grace
+        instead of blocking the run forever."""
+        runner = ShardedCampaign(LingerFactory(), shards=2, jobs=2,
+                                 master_seed=1, limits=SMALL,
+                                 shard_timeout=1.0, terminate_grace=0.5)
+        # The lingering thread ends after 60 s, so a regression fails
+        # here instead of hanging.
+        started = time.monotonic()
+        merged = runner.run()
+        assert time.monotonic() - started < 30
+        assert merged.ok
+        assert (merged.fingerprint()
+                == ShardedCampaign(TinyFactory(), shards=2, master_seed=1,
+                                   limits=SMALL).run_serial().fingerprint())
 
     def test_negative_terminate_grace_rejected(self):
         with pytest.raises(ValueError, match="terminate_grace"):

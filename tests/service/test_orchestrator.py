@@ -146,6 +146,26 @@ class TestCrashHandoff:
         assert not orch.worker_pids()
 
 
+class TestSpawnRefusal:
+    def test_refused_spawn_runs_the_job_inline(self, tmp_path,
+                                               refusing_mp_context):
+        queue = JobQueue(tmp_path)
+        queue.submit(job_id="a", kind="uds", seed=7, max_frames=400)
+        orch = Orchestrator(queue, workers=2, backoff=EAGER,
+                            mp_context=refusing_mp_context)
+        # With no worker running, one refusal is enough to go inline:
+        # waiting for a slot would free nothing.
+        orch.tick()
+        job = queue.get("a")
+        assert job.state == "completed", job.faults
+        assert job.fingerprint == direct_fingerprint(
+            job_id="a", seed=7, max_frames=400)
+        assert orch.inline_completions == 1
+        assert orch.status()["workers"]["slots"] == 1
+        assert any("degraded" in note and "inline" in note
+                   for note in orch.notes)
+
+
 class TestLifecycle:
     def test_graceful_stop_requeues_without_a_strike(self, tmp_path):
         queue = JobQueue(tmp_path)
