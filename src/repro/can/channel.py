@@ -21,7 +21,7 @@ and recovery, not just the happy path.
 Every decision draws from one ``random.Random`` stream (hand it
 ``RandomStreams(seed).stream("channel")``), so runs are reproducible,
 checkpointable (``state_dict``/``load_state``) and snapshot-safe (the
-channel deep-copies with the rest of the world).
+channel and its stream clone with the rest of the world).
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ the Flexible Data-rate version of CAN").
 
 from __future__ import annotations
 
-import copy as _copy
 from dataclasses import dataclass, field
+
+from repro.sim.snapshot import shared_by_reference
 
 MAX_STANDARD_ID = 0x7FF
 """Largest 11-bit identifier (2047); the paper's target uses these."""
@@ -49,6 +50,7 @@ def fd_round_size(size: int) -> int:
     raise FrameError(f"payload of {size} bytes exceeds CAN FD maximum")
 
 
+@shared_by_reference
 @dataclass(frozen=True, slots=True)
 class CanFrame:
     """An immutable CAN frame.
@@ -165,16 +167,6 @@ class CanFrame:
         return CanFrame(self.can_id, data, extended=self.extended,
                         remote=self.remote, fd=self.fd, brs=self.brs)
 
-    # Frames are immutable (the _wire_bits cache is a pure memo), so
-    # copying is sharing.  This matters for snapshot/restore: capture
-    # windows and rx queues hold thousands of frames, and cloning each
-    # one would dominate snapshot cost without changing behaviour.
-    def __copy__(self) -> "CanFrame":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "CanFrame":
-        return self
-
     # The snapshot replayer's prefix tree and ddmin's verdict memo hash frames
     # on every probe step; the generated dataclass hash walks all six
     # fields each call.  Frames are immutable, so hash once and keep it.
@@ -220,6 +212,7 @@ def trusted_frame(can_id: int, data: bytes, extended: bool = False,
     return frame
 
 
+@shared_by_reference
 @dataclass(frozen=True, slots=True)
 class TimestampedFrame:
     """A frame plus the bus time (ticks) at which it finished transmitting.
@@ -235,33 +228,5 @@ class TimestampedFrame:
     channel: str = field(default="")
     sender: str = field(default="")
 
-    # Immutable record: share rather than clone under snapshot/restore
-    # (monitor captures hold one of these per observed frame).
-    def __copy__(self) -> "TimestampedFrame":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "TimestampedFrame":
-        return self
-
     def __str__(self) -> str:
         return f"({self.time / 1000:.3f}ms) {self.frame}"
-
-
-def _register_atomic(*classes: type) -> None:
-    """Fast-path immutable frame types in ``copy.deepcopy``.
-
-    ``deepcopy`` consults its dispatch table before falling back to the
-    (much slower) ``__deepcopy__`` method lookup.  Snapshot capture and
-    restore deepcopy worlds holding hundreds of frames, so shaving the
-    per-frame dispatch cost matters; the entry is behaviourally
-    identical to the ``__deepcopy__`` methods above (share, don't
-    clone), which remain as the documented semantics and the fallback
-    if the private table ever disappears.
-    """
-    dispatch = getattr(_copy, "_deepcopy_dispatch", None)
-    if dispatch is not None:
-        for cls in classes:
-            dispatch[cls] = lambda x, memo: x
-
-
-_register_atomic(CanFrame, TimestampedFrame)

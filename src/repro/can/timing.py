@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 from repro.can.bitstuff import (FRAME_TAIL_BITS, INTERFRAME_BITS,
                                 fd_frame_bit_length, frame_bit_length)
-from repro.can.frame import CanFrame, _register_atomic
+from repro.can.frame import CanFrame
 from repro.sim.clock import SECOND
+from repro.sim.snapshot import shared_by_reference
 
 #: Error frames: 6 flag bits + up to 6 echoed flag bits + 8 delimiter
 #: bits + 3-bit interframe space.
@@ -27,6 +28,7 @@ ERROR_FRAME_BITS = 23
 DURATION_CACHE_MAX = 4096
 
 
+@shared_by_reference
 @dataclass(frozen=True)
 class BitTiming:
     """Bus bit timing.
@@ -53,8 +55,8 @@ class BitTiming:
 
     # A BitTiming is immutable identity-wise; _duration_cache is a pure
     # memo (bit count -> ticks) whose entries are identical however
-    # they were computed, so sharing one instance between a snapshot
-    # clone and the original is safe and keeps the cache warm across
+    # they were computed, so copying is sharing.  Snapshots share it
+    # too (see shared_by_reference), which keeps the cache warm across
     # restores.
     def __copy__(self) -> "BitTiming":
         return self
@@ -167,7 +169,3 @@ CAN_125K = BitTiming(bitrate=125_000)
 
 #: High-speed rate; the CAN maximum the paper mentions (1 Mb/s).
 CAN_1M = BitTiming(bitrate=1_000_000)
-
-# Deepcopy fast path: timings are immutable (the tick memo is pure), so
-# snapshot capture/restore shares them (see _register_atomic in frame.py).
-_register_atomic(BitTiming)

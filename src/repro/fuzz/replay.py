@@ -244,9 +244,11 @@ class PrefixCache:
     of its candidate's step path and simulates only the remaining
     suffix.
 
-    Checkpoints follow a *second-touch* policy: a capture costs tens
-    of simulated steps' worth of wall clock, so it is only worth
-    paying on a prefix that is actually shared between probes.  The
+    Checkpoints follow a *second-touch* policy: a capture costs about
+    as much wall clock as a restore -- some fifteen frame steps on the
+    car, two or three request steps on the diagnostic bench -- and
+    every stored checkpoint holds memory, so it is only worth paying
+    on a prefix that is actually shared between probes.  The
     first probe through a path merely indexes it in the tree; a later
     probe that walks the same step again (proving the prefix shared)
     drops a checkpoint there, at most one per ``checkpoint_stride``

@@ -207,6 +207,17 @@ class Simulator:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def next_event_bound(self) -> int | None:
+        """A lower bound on the next event's time, or ``None`` if idle.
+
+        The time of the heap's head entry, which may be a cancelled
+        one; no live event fires before it.  Unlike
+        :meth:`EventQueue.peek_time` this never pops, so the queue's
+        bookkeeping is left exactly as the run loop would find it.
+        """
+        heap = self._queue._heap
+        return heap[0][0] if heap else None
+
     def pending_entries(self) -> list[tuple[int, int, str]]:
         """Live pending events as ``(time, priority, label)`` rows.
 

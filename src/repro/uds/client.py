@@ -128,6 +128,16 @@ class UdsClient:
                 timeout: int | None = None) -> UdsResponse:
         """Send a request and run the simulation until the response.
 
+        The client polls for the reply on a 1 ms grid from the send
+        and returns at the first grid point at or after it (the
+        deadline ends the last slice).  Slices in which nothing is
+        queued cannot produce a reply, so the loop runs straight over
+        them: to the end of the slice holding the next queued event,
+        or to the deadline when nothing is queued before it.  A
+        timed-out request on a dead target therefore costs one
+        ``run_until`` instead of one per millisecond, and fires the
+        same events at the same times as the slice-by-slice loop.
+
         Returns a timed-out response if the server stays silent --
         which, for a fuzzer, is the signal that the server died.
 
@@ -151,17 +161,27 @@ class UdsClient:
             self.stale_responses += len(self._responses)
             self._responses.clear()
         self.endpoint.send(payload)
-        deadline = self.sim.now + timeout
+        sim = self.sim
+        deadline = sim.now + timeout
         while True:
             matched = self._take_matching(sid)
             if matched is not None:
                 return UdsResponse(matched)
-            if self.sim.now >= deadline:
+            before = sim.now
+            if before >= deadline:
                 break
-            before = self.sim.now
-            # Advance in small slices so we stop soon after the reply.
-            self.sim.run_for(min(1 * MS, deadline - self.sim.now))
-            if self.sim.now == before:
+            head = sim.next_event_bound()
+            if head is None or head > deadline:
+                end = deadline
+            else:
+                end = before + MS
+                if head > end:
+                    # End with the slice that holds ``head``.
+                    end += -(-(head - end) // MS) * MS
+                if end > deadline:
+                    end = deadline
+            sim.run_until(end)
+            if sim.now == before:
                 break
         matched = self._take_matching(sid)
         if matched is not None:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.sim.snapshot import shared_by_reference
+
 
 class SignalCodecError(ValueError):
     """Raised for definition or encoding errors."""
@@ -52,6 +54,7 @@ def _be_bit_positions(start_bit: int, length: int) -> list[int]:
     return list(reversed(positions))
 
 
+@shared_by_reference
 @dataclass(frozen=True)
 class SignalDef:
     """One signal within a CAN message.
@@ -168,6 +171,7 @@ class SignalDef:
         self.insert_raw(data, self.to_raw(physical))
 
 
+@shared_by_reference
 @dataclass(frozen=True)
 class MessageDef:
     """One CAN message: identifier, length, cycle time and signals."""
@@ -262,18 +266,6 @@ class SignalDatabase:
     def __contains__(self, can_id: int) -> bool:
         return can_id in self._by_id
 
-    def __deepcopy__(self, memo: dict) -> "SignalDatabase":
-        # Message/signal definitions are frozen dataclasses, so a deep
-        # clone only needs fresh index dicts (keeping add() isolated
-        # between a snapshot clone and the original) while sharing the
-        # definitions themselves.  A full traversal of every SignalDef
-        # would otherwise dominate snapshot cost for nothing.
-        dup = SignalDatabase.__new__(SignalDatabase)
-        memo[id(self)] = dup
-        dup._by_id = dict(self._by_id)
-        dup._by_name = dict(self._by_name)
-        return dup
-
     @property
     def messages(self) -> tuple[MessageDef, ...]:
         return tuple(self._by_id.values())
@@ -302,11 +294,3 @@ class SignalDatabase:
             return None
         return message.decode(data)
 
-
-# Definitions are immutable; ECUs hold direct references to the ones
-# they encode/decode, so without this they would each be traversed by
-# every snapshot capture/restore even though the database itself
-# already shares them (see __deepcopy__ above).
-from repro.can.frame import _register_atomic  # noqa: E402
-
-_register_atomic(SignalDef, MessageDef)

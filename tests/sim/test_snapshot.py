@@ -1,23 +1,37 @@
 """Tests for the snapshot/restore engine.
 
 Covers the tentpole guarantees: closure isolation (a restored world's
-callbacks fire into the clone, never the original), the Snapshottable
-protocol, event-queue snapshot semantics, and the determinism
-guarantee -- run -> snapshot -> diverge -> restore -> rerun yields a
-bit-identical event/frame fingerprint, RNG streams included.
+callbacks fire into the clone, never the original), clone isolation
+over the real replay worlds, the Snapshottable protocol, event-queue
+snapshot semantics, and the determinism guarantee -- run -> snapshot
+-> diverge -> restore -> rerun yields a bit-identical event/frame
+fingerprint, RNG streams included.
 """
 
 import copy
+import enum
+import gc
+import inspect
+import types
+import weakref
+
+import pytest
 
 from repro.analysis import BusCapture
-from repro.can.frame import CanFrame
-from repro.can.timing import CAN_500K
+from repro.can.bus import CanBus
+from repro.can.channel import AdversarialChannel, ChannelConfig
+from repro.can.frame import CanFrame, TimestampedFrame
+from repro.can.timing import CAN_500K, BitTiming
 from repro.sim.clock import MS
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
 from repro.sim.snapshot import Snapshot, Snapshottable, capture, fingerprint
 from repro.testbench.bench import UnlockTestbench
+from repro.testbench.factory import CarReplayFactory, UdsReplayFactory
 from repro.vehicle.database import BODY_COMMAND_ID, UNLOCK_COMMAND
+from repro.vehicle.signals import MessageDef, SignalDef
+
+from tests.uds.test_isotp import make_channel
 
 UNLOCK_FRAME = CanFrame(BODY_COMMAND_ID,
                         bytes((UNLOCK_COMMAND, 0x99, 0x01)))
@@ -62,12 +76,48 @@ class TestClosureIsolation:
         snap = capture(plain)
         assert snap.restore() is plain
 
+    def test_builtin_bound_methods_rebind_to_the_clone(self):
+        # A receiver delivering into ``got.append`` must deliver into
+        # the clone's list once restored, not the original's.
+        sim = Simulator()
+        left, right = make_channel(sim, CanBus(sim, name="isotp"))
+        got: list[bytes] = []
+        right.on_message(got.append)
+        payload = bytes(range(40))
+        left.send(payload)
+        sim.run_for(1 * MS)  # mid-transfer
+        assert not right.idle
+        clone_sim, clone_got = capture((sim, got)).restore()
+        clone_sim.run_for(20 * MS)
+        assert got == []
+        assert clone_got == [payload]
+
+    def test_snapshot_does_not_pin_the_captured_world(self):
+        sim, log = kernel_world()
+        sim.run_for(10 * MS)
+        original = weakref.ref(sim)
+        snap = capture((sim, log))
+        del sim, log
+        gc.collect()
+        assert original() is None
+        clone_sim, clone_log = snap.restore()
+        clone_sim.run_for(5 * MS)
+        assert clone_log == [5 * MS, 10 * MS, 15 * MS]
+
     def test_stock_deepcopy_behaviour_outside_captures(self):
-        # The dispatch patch is scoped: outside capture/restore,
-        # deepcopy treats functions atomically again.
+        # Snapshots leave the copy module alone: deepcopy still treats
+        # functions atomically.
         counter = [0]
         bump = lambda: counter.append(counter[0])  # noqa: E731
         assert copy.deepcopy(bump) is bump
+
+
+def restored(root):
+    return capture(root).restore()
+
+
+#: The protocol is the class's reduction: both clone paths honour it.
+CLONES = (copy.deepcopy, restored)
 
 
 class TestSnapshottableProtocol:
@@ -77,22 +127,130 @@ class TestSnapshottableProtocol:
             self.name = "box"
 
     def test_default_snapshot_is_attribute_dict(self):
-        box = self.Box()
-        box.items.append(1)
-        dup = copy.deepcopy(box)
-        assert dup.items == [1] and dup.name == "box"
-        dup.items.append(2)
-        assert box.items == [1]
+        for clone in CLONES:
+            box = self.Box()
+            box.items.append(1)
+            dup = clone(box)
+            assert dup.items == [1] and dup.name == "box"
+            dup.items.append(2)
+            assert box.items == [1]
 
     def test_identity_preserved_through_memo(self):
-        shared = RandomStreams(1).stream("a")
-        box_a, box_b = self.Box(), self.Box()
-        box_a.items = shared
-        box_b.items = shared
-        dup_a, dup_b = copy.deepcopy((box_a, box_b))
-        assert dup_a.items is dup_b.items
-        assert dup_a.items is not shared
+        for clone in CLONES:
+            shared = RandomStreams(1).stream("a")
+            box_a, box_b = self.Box(), self.Box()
+            box_a.items = shared
+            box_b.items = shared
+            dup_a, dup_b = clone((box_a, box_b))
+            assert dup_a.items is dup_b.items
+            assert dup_a.items is not shared
 
+
+#: Types whose instances snapshots share by design.
+BY_REFERENCE = (type, types.ModuleType, enum.Enum, CanFrame,
+                TimestampedFrame, SignalDef, MessageDef, BitTiming)
+#: Immutable values a clone may share with anything.
+IMMUTABLE = (str, bytes, int, float, complex, type(None), tuple,
+             frozenset, range, types.CodeType)
+MUTABLE_BUILTINS = (list, dict, set, bytearray, types.CellType)
+
+
+def mutable_reach(root) -> dict:
+    """Mutable objects reachable from ``root``, by id.
+
+    Stops at what snapshots share by design: classes, modules, enum
+    members, closure-free functions, a function's globals, a bound
+    method's ``__func__`` and the registered immutable types.
+    """
+    found: dict[int, object] = {}
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, BY_REFERENCE):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, types.FunctionType):
+            if obj.__closure__ is not None:
+                stack.extend(obj.__closure__)
+                stack.extend((obj.__defaults__, obj.__kwdefaults__,
+                              obj.__dict__))
+            continue
+        if isinstance(obj, types.MethodType):
+            stack.append(obj.__self__)
+            continue
+        if isinstance(obj, MUTABLE_BUILTINS) or not (
+                isinstance(obj, IMMUTABLE)
+                or type(obj).__module__ == "builtins"):
+            found[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def unlock_world():
+    bench = UnlockTestbench(seed=11, check_mode="byte")
+    bench.power_on(settle_seconds=0.2)
+    adapter = bench.attacker_adapter()
+    tap = BusCapture(bench.bus, limit=64)
+    for value in range(10):
+        adapter.write(CanFrame(0x321, bytes((value, 0x55))))
+        bench.sim.run_for(1 * MS)
+    return (bench, adapter, tap), bench.sim, [bench.bus], bench.streams
+
+
+def diag_world():
+    sim, client, failed = UdsReplayFactory()()
+    client.request(bytes((0x10, 0x03)))
+    bench = failed.__self__
+    return (sim, client, failed), sim, [bench.bus], bench.streams
+
+
+def car_world():
+    sim, adapter, failed = CarReplayFactory(settle_seconds=0.5)()
+    car = inspect.getclosurevars(failed).nonlocals["car"]
+    return ((sim, adapter, failed), sim,
+            [car.powertrain_bus, car.body_bus], car.streams)
+
+
+def noisy_world():
+    bench = UnlockTestbench(seed=5)
+    bench.power_on(settle_seconds=0.2)
+    channel = AdversarialChannel(
+        ChannelConfig(ber=2e-3, burst_ber=5e-2, burst_enter=0.02,
+                      burst_exit=0.2, ack_loss=0.01),
+        RandomStreams(5).stream("channel"))
+    bench.bus.attach_channel(channel)
+    bench.sim.run_for(200 * MS)
+    return (bench, channel), bench.sim, [bench.bus], bench.streams
+
+
+@pytest.mark.parametrize("build", [unlock_world, diag_world, car_world,
+                                   noisy_world])
+class TestCloneIsolation:
+    """The real replay worlds clone with nothing mutable shared."""
+
+    def test_capture_leaves_the_original_untouched(self, build):
+        root, sim, buses, streams = build()
+
+        def digests():
+            return (sim.state_digest(),
+                    [bus.state_digest() for bus in buses],
+                    streams.state_digest())
+
+        before = digests()
+        capture(root)
+        assert digests() == before
+
+    def test_restores_share_nothing_mutable(self, build):
+        root = build()[0]
+        snap = capture(root)
+        first, second = snap.restore(), snap.restore()
+        clone = mutable_reach(first)
+        assert any(isinstance(obj, Simulator) for obj in clone.values())
+        for other in (mutable_reach(root), mutable_reach(second)):
+            shared = [type(obj).__name__ for key, obj in clone.items()
+                      if key in other]
+            assert shared == []
 
 class TestEventQueueSnapshot:
     def test_cancelled_events_are_dropped_by_capture(self):

@@ -231,10 +231,7 @@ class TestTransportProperty:
         right_node.set_rx_handler(
             lambda s: None if rng.random() < loss else right.handle_frame(s))
         got = []
-        # A closure, not got.append: builtin bound methods are atomic
-        # to deepcopy, so the snapshot clone would otherwise keep
-        # delivering into the original list.
-        right.on_message(lambda p: got.append(p))
+        right.on_message(got.append)
         left.send(payload)
         sim.run_for(3 * MS)  # long payloads are mid-transfer here
         snap = capture((sim, left, right, got, rng))
