@@ -1,27 +1,27 @@
-"""Batched multi-world throughput benchmark: frame engine vs scalar kernel.
+"""Fast-path throughput benchmark: frame engine vs reference kernel.
 
 Runs the ``bench_throughput`` random-fuzz workload (UnlockTestbench,
-full-default :class:`FuzzConfig`, 1 ms interval) two ways and compares
-aggregate frames per wall second:
+full-default :class:`FuzzConfig`, 1 ms interval, the bench pinned on
+``campaign.bench``) two ways and compares aggregate frames per wall
+second:
 
-- **scalar**: one world at a time through the ordinary event-kernel
-  campaign loop -- the per-shard cost :class:`ShardedCampaign` pays
-  today;
-- **batched**: N seeded worlds run by
-  :class:`repro.fuzz.batch.BatchCampaign`'s block-stepped frame
-  engine.
+- **reference**: sampled worlds through ``campaign._execute(None)``,
+  the ordinary event-kernel campaign loop;
+- **fast path**: N seeded worlds, each through its default
+  ``campaign.run()``, which the prover puts on the block-stepped frame
+  engine (:mod:`repro.fuzz.batch`).
 
-The comparison is only meaningful because the batch engine's contract
-is *bit identity*, so the benchmark also proves it: every batched
-world's ``FuzzResult.to_dict()`` is compared against the scalar run of
-the same seed and the verdicts are recorded world-by-world in the
-output JSON.  A speedup bought by drifting off the scalar semantics
-would show up here as a parity failure, not a win.
+The comparison is only meaningful because the fast path's contract is
+*bit identity*, so the benchmark also proves it: every sampled
+world's ``FuzzResult.to_dict()`` is compared against the reference
+run of the same seed and the verdicts are recorded world-by-world in
+the output JSON.  A speedup bought by drifting off the reference
+semantics would show up here as a parity failure, not a win.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_batch.py \
-        --frames 50000 --worlds 128 --output BENCH_batch.json
+        --frames 50000 --worlds 256 --output BENCH_batch.json
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.fuzz.batch import BatchCampaign
 from repro.fuzz.campaign import CampaignLimits, FuzzCampaign
 from repro.fuzz.config import FuzzConfig
 from repro.fuzz.generator import RandomFrameGenerator, TargetedFrameGenerator
@@ -65,30 +64,23 @@ def build_campaign(seed: int, frames: int,
     return campaign
 
 
-def run_scalar(seeds, frames, targeted=False):
-    """Each world through the ordinary kernel; returns (dicts, f/s)."""
+def run_worlds(seeds, frames, targeted=False, *, reference=False):
+    """Each world through ``run()`` (or the reference kernel), with
+    construction untimed; returns (dicts, f/s, wall, fallback reasons
+    by seed)."""
     results = []
+    reasons = {}
     wall = 0.0
     for seed in seeds:
         campaign = build_campaign(seed, frames, targeted)
         start = time.perf_counter()
-        result = campaign.run()
+        result = campaign._execute(None) if reference else campaign.run()
         wall += time.perf_counter() - start
         results.append(result.to_dict())
+        if result.fallback_reasons:
+            reasons[seed] = result.fallback_reasons
     total = sum(r["frames_sent"] for r in results)
-    return results, total / wall, wall
-
-
-def run_batched(seeds, frames, targeted=False):
-    """All worlds in one batch; returns (dicts, f/s, reasons)."""
-    batch = BatchCampaign([build_campaign(seed, frames, targeted)
-                           for seed in seeds])
-    start = time.perf_counter()
-    results = batch.run()
-    wall = time.perf_counter() - start
-    dicts = [result.to_dict() for result in results]
-    total = sum(r["frames_sent"] for r in dicts)
-    return dicts, total / wall, wall, dict(batch.fallback_reasons)
+    return results, total / wall, wall, reasons
 
 
 def positive_int(text: str) -> int:
@@ -103,9 +95,9 @@ def main(argv=None) -> int:
     parser.add_argument("--frames", type=positive_int, default=50_000,
                         help="frame limit per world")
     parser.add_argument("--worlds", type=positive_int, default=128,
-                        help="batch width (number of worlds)")
+                        help="worlds run on the fast path")
     parser.add_argument("--scalar-sample", type=positive_int, default=8,
-                        help="worlds run through the scalar kernel to "
+                        help="worlds run through the reference kernel to "
                              "price the baseline and check parity (the "
                              "full width would take minutes; the first "
                              "K seeds are representative because every "
@@ -117,18 +109,19 @@ def main(argv=None) -> int:
     sample = min(args.scalar_sample, args.worlds)
     seeds = list(range(args.worlds))
 
-    print(f"scalar baseline: {sample} worlds x {args.frames} frames ...")
-    scalar_dicts, scalar_fps, scalar_wall = run_scalar(
-        seeds[:sample], args.frames)
-    print(f"  {scalar_fps:,.0f} frames/s ({scalar_wall:.2f} s wall)")
+    print(f"reference baseline: {sample} worlds x {args.frames} "
+          f"frames ...")
+    reference_dicts, reference_fps, reference_wall, _ = run_worlds(
+        seeds[:sample], args.frames, reference=True)
+    print(f"  {reference_fps:,.0f} frames/s ({reference_wall:.2f} s wall)")
 
-    print(f"batched: {args.worlds} worlds x {args.frames} frames ...")
-    batch_dicts, batch_fps, batch_wall, fallbacks = run_batched(
+    print(f"fast path: {args.worlds} worlds x {args.frames} frames ...")
+    fast_dicts, fast_fps, fast_wall, fallbacks = run_worlds(
         seeds, args.frames)
-    print(f"  {batch_fps:,.0f} frames/s ({batch_wall:.2f} s wall)")
+    print(f"  {fast_fps:,.0f} frames/s ({fast_wall:.2f} s wall)")
 
-    parity = [batch_dicts[i] == scalar_dicts[i] for i in range(sample)]
-    speedup = batch_fps / scalar_fps
+    parity = [fast_dicts[i] == reference_dicts[i] for i in range(sample)]
+    speedup = fast_fps / reference_fps
     print(f"speedup: {speedup:.1f}x, parity {sum(parity)}/{sample}, "
           f"fallbacks: {fallbacks or 'none'}")
 
@@ -140,33 +133,34 @@ def main(argv=None) -> int:
     targeted_sample = min(2, targeted_worlds)
     print(f"targeted generator: {targeted_worlds} worlds "
           f"x {targeted_frames} frames ...")
-    targeted_scalar, _, _ = run_scalar(
-        seeds[:targeted_sample], targeted_frames, targeted=True)
-    targeted_batch, _, _, targeted_fallbacks = run_batched(
+    targeted_reference, _, _, _ = run_worlds(
+        seeds[:targeted_sample], targeted_frames, targeted=True,
+        reference=True)
+    targeted_fast, _, _, targeted_fallbacks = run_worlds(
         seeds[:targeted_worlds], targeted_frames, targeted=True)
-    targeted_parity = [targeted_batch[i] == targeted_scalar[i]
+    targeted_parity = [targeted_fast[i] == targeted_reference[i]
                       for i in range(targeted_sample)]
     print(f"  parity {sum(targeted_parity)}/{targeted_sample}, "
           f"fallbacks: {targeted_fallbacks or 'none'}")
 
     report = {
-        "benchmark": "batched campaign (block-stepped frame engine) vs "
-                     "scalar kernel",
+        "benchmark": "fast path (campaign.run on the block-stepped frame "
+                     "engine) vs reference kernel (campaign._execute)",
         "workload": {
             "target": "UnlockTestbench",
             "frames_per_world": args.frames,
             "interval_us": 1000,
         },
         "worlds": args.worlds,
-        "scalar": {
+        "reference": {
             "worlds_sampled": sample,
-            "wall_seconds": scalar_wall,
-            "frames_per_wall_second": scalar_fps,
+            "wall_seconds": reference_wall,
+            "frames_per_wall_second": reference_fps,
         },
-        "batched": {
+        "fast_path": {
             "worlds": args.worlds,
-            "wall_seconds": batch_wall,
-            "frames_per_wall_second": batch_fps,
+            "wall_seconds": fast_wall,
+            "frames_per_wall_second": fast_fps,
             "fallback_reasons": fallbacks,
         },
         "speedup": speedup,

@@ -1,34 +1,35 @@
-"""Batched UDS request-level campaign benchmark: lockstep vs scalar.
+"""Fast-path UDS campaign benchmark: analytic exchange vs reference.
 
 Runs the stateful diagnostic fuzzing workload (``UdsBenchFactory``:
 DiagTestbench + coverage-guided :class:`UdsStateGenerator`) two ways
 and compares aggregate requests per wall second:
 
-- **scalar**: one world at a time through ``UdsFuzzCampaign.run()``,
-  polling the event kernel in 1 ms slices -- the per-shard cost
-  :class:`ShardedCampaign` pays today;
-- **batched**: N seeded worlds advanced in request/response lockstep
-  by :class:`repro.fuzz.batch.BatchUdsCampaign`, which replaces wire
-  time with memoised analytic durations.
+- **reference**: sampled worlds through ``campaign._execute(None)``,
+  the request loop on the event kernel, polling it in 1 ms slices;
+- **fast path**: N seeded worlds, each through its default
+  ``campaign.run()``, which the prover puts on the analytic exchange
+  (:mod:`repro.fuzz.batch`): the same loop, with wire time replaced by
+  memoised analytic durations.
 
-The comparison is only meaningful because the batch engine's contract
-is *bit identity*, so the benchmark also proves it, on a sampled set
-of worlds:
+The comparison is only meaningful because the fast path's contract is
+*bit identity*, so the benchmark also proves it, on a sampled set of
+worlds:
 
 - campaign results (``FuzzResult.to_dict``), generator state digests
-  and server state dicts against the scalar run of the same seed;
+  and server state dicts against the reference run of the same seed;
 - journal record streams, checkpoints and saved results of journalled
-  runs, scalar vs batched;
+  runs, reference vs fast path (the sharded worker body,
+  :func:`~repro.fuzz.batch.run_shard_batch`);
 - kill-resume: a journal truncated after its last checkpoint (the
-  crash artefact) resumed by *either* engine must finish identically.
+  crash artefact) resumed by *either* kernel must finish identically.
 
 Any parity break fails the benchmark regardless of the speedup.
 
-Wall-clock methodology: the scalar baseline is measured in two halves
-bracketing the batched run, and the aggregate rate uses the summed
-wall time of both halves.  CPU frequency drift on a busy host moves
-scalar and batch rates together; bracketing keeps the recorded ratio
-from crediting (or hiding) a frequency step between the two phases.
+Wall-clock methodology: the reference baseline is measured in two
+halves bracketing the fast-path run, and the aggregate rate uses the
+summed wall time of both halves.  CPU frequency drift on a busy host
+moves both rates together; bracketing keeps the recorded ratio from
+crediting (or hiding) a frequency step between the two phases.
 
 Usage::
 
@@ -47,15 +48,15 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.fuzz.batch import BatchUdsCampaign, run_shard_batch
-from repro.fuzz.campaign import CampaignLimits
+from repro.fuzz.batch import run_shard_batch
+from repro.fuzz.campaign import CampaignLimits, resume_point
 from repro.fuzz.durability import CampaignJournal, DirectoryStore, scan_records
 from repro.fuzz.parallel import ShardSpec
 from repro.fuzz.uds_campaign import UdsFuzzCampaign
 from repro.testbench.factory import UdsBenchFactory
 
-#: The acceptance bar: aggregate requests/s at full width versus the
-#: scalar baseline.
+#: The acceptance bar: aggregate fast-path requests/s versus the
+#: reference baseline.
 REQUIRED_SPEEDUP = 6.0
 
 FACTORY = UdsBenchFactory(stop_on_finding=False)
@@ -81,17 +82,33 @@ def fingerprint(campaign, result) -> dict:
     }
 
 
-def run_scalar(seeds, requests):
-    """Each world through the ordinary kernel; untimed construction."""
-    prints, wall, sent = [], 0.0, 0
+def run_worlds(seeds, requests, *, reference=False):
+    """Each world through ``run()`` (or the reference kernel), with
+    construction untimed; returns (fingerprints, wall, requests sent,
+    fallback reasons by seed)."""
+    prints, wall, sent, reasons = [], 0.0, 0, {}
     for seed in seeds:
         campaign = build_campaign(seed, requests)
         start = time.perf_counter()
-        result = campaign.run()
+        result = campaign._execute(None) if reference else campaign.run()
         wall += time.perf_counter() - start
         sent += result.frames_sent
         prints.append(fingerprint(campaign, result))
-    return prints, wall, sent
+        if result.fallback_reasons:
+            reasons[seed] = result.fallback_reasons
+    return prints, wall, sent, reasons
+
+
+def reference_resume(path: Path, spec: ShardSpec,
+                     checkpoint_every: int) -> dict:
+    """``resume_campaign``'s protocol on the reference kernel."""
+    journal = CampaignJournal(DirectoryStore(str(path)))
+    saved, state = resume_point(journal)
+    if saved is not None:
+        return saved.to_dict()
+    campaign = FACTORY(spec)
+    campaign.attach_journal(journal, checkpoint_every=checkpoint_every)
+    return campaign._execute(state).to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -125,13 +142,11 @@ def _killed_copy(src: Path, dst: Path) -> Path:
 
 
 def durability_parity(seeds, requests, checkpoint_every, root: Path) -> dict:
-    """Journal/checkpoint/kill-resume identity, scalar vs batched."""
+    """Journal/checkpoint/kill-resume identity, reference vs fast path."""
     specs = [spec_for(seed, requests) for seed in seeds]
     for seed, spec in zip(seeds, specs):
-        journal = CampaignJournal(
-            DirectoryStore(str(root / f"scalar/shard-{seed:04d}")))
-        UdsFuzzCampaign.resume(journal, lambda spec=spec: FACTORY(spec),
-                               checkpoint_every=checkpoint_every)
+        reference_resume(root / f"scalar/shard-{seed:04d}", spec,
+                         checkpoint_every)
     infos = [(None, str(root / f"batch/shard-{seed:04d}"), checkpoint_every)
              for seed in seeds]
     pairs = run_shard_batch(FACTORY, specs, journal_infos=infos)
@@ -147,19 +162,15 @@ def durability_parity(seeds, requests, checkpoint_every, root: Path) -> dict:
         checkpoints_ok &= (_load(scalar_dir, CampaignJournal.CHECKPOINT)
                            == _load(batch_dir, CampaignJournal.CHECKPOINT))
 
-    # Kill after the last checkpoint; resume with either engine.
+    # Kill after the last checkpoint; resume with either kernel.
     resumed: dict[str, list] = {}
     for resumer in ("scalar", "batch"):
         dirs = [_killed_copy(root / f"scalar/shard-{seed:04d}",
                              root / f"kill-{resumer}/shard-{seed:04d}")
                 for seed in seeds]
         if resumer == "scalar":
-            outcomes = []
-            for spec, path in zip(specs, dirs):
-                journal = CampaignJournal(DirectoryStore(str(path)))
-                outcomes.append(UdsFuzzCampaign.resume(
-                    journal, lambda spec=spec: FACTORY(spec),
-                    checkpoint_every=checkpoint_every).to_dict())
+            outcomes = [reference_resume(path, spec, checkpoint_every)
+                        for spec, path in zip(specs, dirs)]
         else:
             infos = [(None, str(path), checkpoint_every) for path in dirs]
             outcomes = []
@@ -171,7 +182,7 @@ def durability_parity(seeds, requests, checkpoint_every, root: Path) -> dict:
         resumed[resumer] = [(outcome, _records(path))
                             for outcome, path in zip(outcomes, dirs)]
     # A resumed run legitimately differs from a straight one (it has a
-    # resume record); the contract is that both ENGINES resume a killed
+    # resume record); the contract is that both KERNELS resume a killed
     # journal identically.
     resume_ok = resumed["scalar"] == resumed["batch"]
     return {"journals_identical": journals_ok,
@@ -193,9 +204,9 @@ def main(argv=None) -> int:
     parser.add_argument("--requests", type=positive_int, default=800,
                         help="request limit per world")
     parser.add_argument("--worlds", type=positive_int, default=256,
-                        help="batch width (number of lockstep worlds)")
+                        help="worlds run on the fast path")
     parser.add_argument("--scalar-sample", type=positive_int, default=8,
-                        help="worlds run through the scalar kernel to "
+                        help="worlds run through the reference kernel to "
                              "price the baseline and check parity (the "
                              "full width would take minutes; the first "
                              "K seeds are representative because every "
@@ -213,37 +224,32 @@ def main(argv=None) -> int:
     front = seeds[:sample - sample // 2]
     back = seeds[sample - sample // 2:sample]
 
-    # Scalar first half (brackets the batch run against CPU drift).
-    print(f"scalar baseline (1/2): {len(front)} worlds "
+    # Reference first half (brackets the fast-path run against CPU
+    # drift).
+    print(f"reference baseline (1/2): {len(front)} worlds "
           f"x {args.requests} requests ...")
-    scalar_prints, scalar_wall, scalar_sent = run_scalar(front,
-                                                         args.requests)
+    reference_prints, reference_wall, reference_sent, _ = run_worlds(
+        front, args.requests, reference=True)
 
-    print(f"batched: {args.worlds} worlds x {args.requests} requests ...")
-    campaigns = [build_campaign(seed, args.requests) for seed in seeds]
-    start = time.perf_counter()
-    batch = BatchUdsCampaign(campaigns)
-    results = batch.run()
-    batch_wall = time.perf_counter() - start
-    batch_sent = sum(result.frames_sent for result in results)
-    batch_rps = batch_sent / batch_wall
-    fallbacks = dict(batch.fallback_reasons)
-    print(f"  {batch_rps:,.0f} requests/s ({batch_wall:.2f} s wall)")
+    print(f"fast path: {args.worlds} worlds x {args.requests} "
+          f"requests ...")
+    fast_prints, fast_wall, fast_sent, fallbacks = run_worlds(
+        seeds, args.requests)
+    fast_rps = fast_sent / fast_wall
+    print(f"  {fast_rps:,.0f} requests/s ({fast_wall:.2f} s wall)")
 
-    print(f"scalar baseline (2/2): {len(back)} worlds "
+    print(f"reference baseline (2/2): {len(back)} worlds "
           f"x {args.requests} requests ...")
-    prints2, wall2, sent2 = run_scalar(back, args.requests)
-    scalar_prints += prints2
-    scalar_wall += wall2
-    scalar_sent += sent2
-    scalar_rps = scalar_sent / scalar_wall
-    print(f"  {scalar_rps:,.0f} requests/s ({scalar_wall:.2f} s wall, "
-          f"both halves)")
+    prints2, wall2, sent2, _ = run_worlds(back, args.requests,
+                                          reference=True)
+    reference_prints += prints2
+    reference_wall += wall2
+    reference_sent += sent2
+    reference_rps = reference_sent / reference_wall
+    print(f"  {reference_rps:,.0f} requests/s ({reference_wall:.2f} s "
+          f"wall, both halves)")
 
-    batch_prints = [fingerprint(campaign, result)
-                    for campaign, result in zip(campaigns[:sample],
-                                                results[:sample])]
-    parity = [batch_prints[i] == scalar_prints[i] for i in range(sample)]
+    parity = [fast_prints[i] == reference_prints[i] for i in range(sample)]
 
     print(f"durability parity: {args.durability_sample} journalled "
           f"worlds ...")
@@ -255,7 +261,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
-    speedup = batch_rps / scalar_rps
+    speedup = fast_rps / reference_rps
     durability_ok = (durability["journals_identical"]
                      and durability["checkpoints_identical"]
                      and durability["kill_resume_identical"])
@@ -264,7 +270,8 @@ def main(argv=None) -> int:
           f"fallbacks: {fallbacks or 'none'}")
 
     report = {
-        "benchmark": "batched UDS request-level campaign vs scalar kernel",
+        "benchmark": "fast path (campaign.run on the analytic UDS "
+                     "exchange) vs reference kernel (campaign._execute)",
         "workload": {
             "target": "DiagTestbench (UdsBenchFactory defaults)",
             "generator": "UdsStateGenerator",
@@ -272,17 +279,17 @@ def main(argv=None) -> int:
             "stop_on_finding": False,
         },
         "worlds": args.worlds,
-        "scalar": {
+        "reference": {
             "worlds_sampled": sample,
-            "wall_seconds": scalar_wall,
-            "requests_sent": scalar_sent,
-            "requests_per_wall_second": scalar_rps,
+            "wall_seconds": reference_wall,
+            "requests_sent": reference_sent,
+            "requests_per_wall_second": reference_rps,
         },
-        "batched": {
+        "fast_path": {
             "worlds": args.worlds,
-            "wall_seconds": batch_wall,
-            "requests_sent": batch_sent,
-            "requests_per_wall_second": batch_rps,
+            "wall_seconds": fast_wall,
+            "requests_sent": fast_sent,
+            "requests_per_wall_second": fast_rps,
             "fallback_reasons": fallbacks,
         },
         "speedup": speedup,

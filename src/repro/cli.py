@@ -696,10 +696,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default min(shards, cpu count))")
     bench.add_argument("--batch-size", type=int, default=1,
                        metavar="K",
-                       help="shards per worker run by "
-                            "the batch engine (1 = scalar kernel per "
-                            "shard); worlds the batch prover rejects "
-                            "fall back to the scalar kernel and their "
+                       help="shards per worker process (IPC "
+                            "chunking only; every shard runs the same "
+                            "way); shards the fast-path prover rejects "
+                            "run on the reference kernel and their "
                             "reasons are printed in the summary and "
                             "recorded in --report")
     bench.add_argument("--minimize", action="store_true",

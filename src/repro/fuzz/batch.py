@@ -1,52 +1,50 @@
-"""Batched campaign execution: many worlds per process.
+"""The fast path: each campaign world on the cheapest kernel proven exact.
 
-The scalar :class:`~repro.fuzz.campaign.FuzzCampaign` pays the Python
-event-dispatch tax on every frame: a tx closure, a bus completion
-event, oracle taps.  For the unlock-bench workload almost every one of
-those events is *predictable* -- the fuzzer transmits on a fixed
-interval grid, the bench answers only to command frames, and the BCM's
-status broadcast rides the same grid -- so the frame engine
-*block-steps* each world instead of dispatching its events:
+``FuzzCampaign.run``, ``UdsFuzzCampaign.run`` and
+:func:`~repro.fuzz.campaign.resume_campaign` all end in
+:func:`run_world`.  A campaign that pins its bench on
+``campaign.bench`` (the bench factories and the Table V trials do) is
+judged by a prover -- :func:`plan_frame_world` or
+:func:`plan_uds_world` -- and an admitted world runs on its one-world
+kernel:
 
-- a block of upcoming frames is parsed at once, vectorised over time,
-  straight from the world's MT19937 word stream
+- **frames.**  For the unlock bench almost every event is
+  *predictable* -- the fuzzer transmits on a fixed interval grid, the
+  bench answers only to command frames, and the BCM's status broadcast
+  rides the same grid -- so :class:`_FrameEngine` *block-steps* the
+  world instead of dispatching its events.  A block of upcoming frames
+  is parsed at once, vectorised over time, straight from the
+  generator's MT19937 word stream
   (:meth:`~repro.sim.batch.BatchRandom.peek`), consuming words exactly
-  as CPython's generator calls would,
-- the block ends at the world's next rare-event candidate -- a frame
-  that matches the BCM's command check or a watched id -- its next
-  checkpoint frame or its step limit, where an exact scalar handler
-  whose timing arithmetic mirrors the discrete-event kernel tick for
-  tick runs the episode, writes the checkpoint or ends the world,
-- the world then resumes at the next frame's first word
-  (:meth:`~repro.sim.batch.BatchRandom.commit`).
+  as CPython's generator calls would.  The block ends at the next
+  rare-event candidate -- a frame that matches the BCM's command check
+  or a watched id -- the next checkpoint frame or the step limit,
+  where an exact scalar handler whose timing arithmetic mirrors the
+  discrete-event kernel tick for tick runs the episode, writes the
+  checkpoint or ends the world.  The world then resumes at the next
+  frame's first word (:meth:`~repro.sim.batch.BatchRandom.commit`).
+- **UDS requests.**  The campaign's own loop
+  (``UdsFuzzCampaign._execute``) runs on the real bench objects --
+  the generator with its own RNG, the server's service handlers, the
+  probe / recovery / checkpoint logic -- while :func:`_run_uds_world`
+  stands in for the wire: it installs a closed-form ISO-TP exchange on
+  ``client.request`` and ``server._respond``, which replaces the poll
+  loop and segmentation events between sending a request and taking
+  its response.
 
-The request-level counterpart is :class:`BatchUdsCampaign`: N
-:class:`~repro.fuzz.uds_campaign.UdsFuzzCampaign` worlds advance in
-lockstep at request/response granularity.  Each world keeps its real
-bench objects (generator, server, client, ECU, kernel); the engine
-replaces only the *transport walk* -- the poll loop and ISO-TP
-segmentation events between sending a request and taking its response
--- with closed-form delivery arithmetic, while the application layer
-(the server's service handlers, the generator's belief machine, the
-campaign's probe/recover/checkpoint logic) runs unmodified.  The
-generators draw through :class:`~repro.sim.batch.BatchRandomView`
-facades over one shared :class:`~repro.sim.batch.BatchRandom`.
-
-The contract is **bit-identical per-world results**: for an eligible
-world, :meth:`BatchCampaign.run` / :meth:`BatchUdsCampaign.run`
-returns the same :meth:`~repro.fuzz.session.FuzzResult.to_dict`
-payload the scalar campaign produces from the same seed, and writes
-the same journal record stream (start/progress/checkpoint/finding/
-end).  Worlds the engines cannot prove eligible fall back to the
-scalar kernel (``campaign._execute``), so neither batch runner ever
-changes results -- only wall-clock.  The eligibility rules are
-documented on :func:`plan_frame_world` / :func:`plan_uds_world` and in
-DESIGN.md §15-§16.
+The contract is **bit-identical results**: an admitted world returns
+the same :meth:`~repro.fuzz.session.FuzzResult.to_dict` payload, and
+writes the same journal records and checkpoints, as the reference
+kernel ``campaign._execute`` from the same seed.  A world the prover
+cannot admit runs on ``_execute`` with the violated rule on
+:attr:`~repro.fuzz.session.FuzzResult.fallback_reasons`, so the fast
+path never changes a result -- only wall-clock.  A campaign with no
+pinned bench goes straight to ``_execute`` and records no reason.  The
+rules are documented on the two provers and in DESIGN.md §15-§16.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 
 import numpy as np
@@ -55,7 +53,7 @@ from repro.can.bitstuff import (FRAME_TAIL_BITS, INTERFRAME_BITS,
                                 _crc_and_stuff_from, _header_crc_state)
 from repro.can.frame import trusted_frame
 from repro.ecu.base import EcuState
-from repro.fuzz.campaign import FuzzCampaign, resume_point
+from repro.fuzz.campaign import FuzzCampaign, resume_campaign
 from repro.fuzz.durability import CampaignJournal, DirectoryStore
 from repro.fuzz.generator import (RandomFrameGenerator,
                                   TargetedFrameGenerator)
@@ -64,7 +62,7 @@ from repro.fuzz.session import (FALLBACK_WARNING_PREFIX, FuzzResult,
                                 finding_to_dict, frame_from_dict,
                                 frame_to_dict)
 from repro.fuzz.uds_campaign import UdsFuzzCampaign
-from repro.sim.batch import BatchRandom, BatchRandomView, state_from_random
+from repro.sim.batch import BatchRandom, state_from_random
 from repro.sim.clock import MS, SECOND
 from repro.sim.random import rng_state_from_json, rng_state_to_json
 from repro.uds.client import UdsResponse
@@ -77,17 +75,17 @@ _NEVER = 1 << 62
 _CHECK_MODES = ("byte", "byte+dlc", "two-byte")
 
 #: Most frames one block parses.  A block's arrays cost a few dozen
-#: bytes per frame, so this constant -- not a world's length, nor the
-#: number of worlds -- bounds the frame engine's working memory.
+#: bytes per frame, so this constant -- not the world's length --
+#: bounds the frame engine's working memory.
 BLOCK_FRAMES = 1024
 
 
 class ScalarFallback(Exception):
-    """A world cannot be proven eligible for a batch engine.
+    """A world cannot be proven eligible for its fast kernel.
 
-    Raised (and caught) internally by :class:`BatchCampaign`; the
-    message names the first violated rule and is surfaced through
-    :attr:`BatchCampaign.fallback_reasons` for diagnostics.
+    Raised by the provers and caught by :func:`run_world`; the message
+    names the first violated rule and is surfaced through
+    :attr:`~repro.fuzz.session.FuzzResult.fallback_reasons`.
     """
 
 
@@ -108,13 +106,13 @@ def _next_grid(base: int, period: int, after: int) -> int:
 class _WorldPlan:
     """Everything the engine precomputes about one eligible world.
 
-    A plain attribute bag (filled by :func:`plan_frame_world`); the mutable
-    run state (lock flag, ack counter, pending candidate) lives in
-    :class:`_WorldState` so a plan could in principle be reused.
+    A plain attribute bag (filled by :func:`plan_frame_world`); the
+    mutable run state (lock flag, ack counter, pending candidate) lives
+    on the :class:`_FrameEngine`.
     """
 
     __slots__ = (
-        "index", "campaign", "bench", "journal", "checkpoint_every",
+        "campaign", "bench", "journal", "checkpoint_every",
         "name", "seed_label", "config", "extended", "timing",
         "started_at", "first_tx", "interval", "deadline",
         "base_frames", "base_skipped", "base_generated",
@@ -127,42 +125,19 @@ class _WorldPlan:
         "status_base", "status_period", "status_id", "is_resume",
         "status_frames", "status_durs", "hot_by_state",
         "unlock_ack_id", "body_command_id",
-        "write_errors0", "findings0", "result",
+        "write_errors0", "findings0",
     )
 
 
-class _WorldState:
-    """Mutable per-world engine state touched only on rare events.
-
-    ``recent`` holds the tail of the world's transmissions as
-    ``(source, lo, hi)`` segments -- rows ``lo..hi-1`` of a parsed
-    :class:`_Block` or of the resumed window's row list -- just long
-    enough to cover the recent window; ``recent_len`` counts their
-    frames.
-    """
-
-    __slots__ = ("locked", "counter", "pending_time", "pending_hits",
-                 "finished", "recent", "recent_len")
-
-    def __init__(self, locked: bool, counter: int) -> None:
-        self.locked = locked
-        self.counter = counter
-        self.pending_time: int | None = None
-        self.pending_hits: list[tuple[str, str]] = []
-        self.finished = False
-        self.recent: deque = deque()
-        self.recent_len = 0
-
-
-def plan_frame_world(index: int, campaign: FuzzCampaign, bench,
+def plan_frame_world(campaign: FuzzCampaign, bench,
                      resume_state: dict | None) -> _WorldPlan:
     """Prove one campaign eligible for the frame engine, or raise.
 
     Eligibility is a *proof obligation*, not a heuristic: every rule
     below guards an assumption the analytic timeline model makes.  Any
     violation raises :class:`ScalarFallback` and the world runs on the
-    scalar kernel instead, so the worst case is the old speed, never a
-    wrong result.  The rules, by layer:
+    reference kernel (``campaign._execute``) instead, so the worst case
+    is the old speed, never a wrong result.  The rules, by layer:
 
     campaign -- plain :class:`FuzzCampaign`, zero interval jitter, no
     tx gate / bus-off handler / reset hook / adversarial channel,
@@ -257,7 +232,6 @@ def plan_frame_world(index: int, campaign: FuzzCampaign, bench,
     status_base = entries[0][0]
 
     plan = _WorldPlan()
-    plan.index = index
     plan.campaign = c
     plan.bench = bench
     plan.journal = c.journal
@@ -447,8 +421,6 @@ def plan_frame_world(index: int, campaign: FuzzCampaign, bench,
     worst_ack = plan.timing.worst_case_duration(dlc=2, extended=False)
     if worst_status + worst_cmd + worst_ack >= interval:
         fail("episode chain does not fit inside one transmit interval")
-
-    plan.result = None
     return plan
 
 
@@ -506,31 +478,15 @@ def _wire_ticks(can_id: int, data: bytes, bitrate: int) -> int:
     return -(-bits * SECOND // bitrate)  # ceiling division
 
 
-def plan_world(index: int, campaign, bench,
-               resume_state: dict | None):
-    """Prove one campaign eligible for its batch engine, or raise.
-
-    Dispatches on the campaign's layer: request-level
-    :class:`~repro.fuzz.uds_campaign.UdsFuzzCampaign` worlds are judged
-    by :func:`plan_uds_world`, frame-level :class:`FuzzCampaign` worlds
-    by :func:`plan_frame_world`.  Returns the frame plan (or ``None``
-    for UDS worlds, whose engine keeps no precomputed plan); raises
-    :class:`ScalarFallback` with the first violated rule otherwise.
-    """
-    if isinstance(campaign, UdsFuzzCampaign):
-        return plan_uds_world(index, campaign, bench, resume_state)
-    return plan_frame_world(index, campaign, bench, resume_state)
-
-
-def plan_uds_world(index: int, campaign: UdsFuzzCampaign, bench,
+def plan_uds_world(campaign: UdsFuzzCampaign, bench,
                    resume_state: dict | None) -> None:
-    """Prove one UDS campaign eligible for the request-level engine.
+    """Prove one UDS campaign eligible for the analytic exchange.
 
     Same philosophy as :func:`plan_frame_world`: every rule guards an
     assumption the analytic exchange model makes, and any violation
-    raises :class:`ScalarFallback` so the world runs scalar instead --
-    the worst case is the old speed, never a wrong result.  The rules,
-    by layer:
+    raises :class:`ScalarFallback` so the world runs on the reference
+    kernel instead -- the worst case is the old speed, never a wrong
+    result.  The rules, by layer:
 
     campaign -- plain :class:`~repro.fuzz.uds_campaign.UdsFuzzCampaign`
     with no reset-target hook, driving exactly the bench's own server
@@ -539,9 +495,8 @@ def plan_uds_world(index: int, campaign: UdsFuzzCampaign, bench,
     drained at request boundaries.
 
     generator -- exactly :class:`~repro.uds.stategen.UdsStateGenerator`
-    (its RNG call surface is covered by
-    :class:`~repro.sim.batch.BatchRandomView`) with a transplantable
-    MT19937 state.
+    (wrapping generators, such as the chaos drills' throttles and crash
+    points, keep the reference kernel).
 
     target -- a plain :class:`~repro.ecu.base.Ecu` that is running,
     carries no fault models, watchdog, cyclic tasks, receive guard or
@@ -641,6 +596,8 @@ def plan_uds_world(index: int, campaign: UdsFuzzCampaign, bench,
     # so an analytic delivery can never race the scalar poll deadline.
     dids = server.data_identifiers
     if resume_state is not None:
+        if resume_state.get("kind") != "uds":
+            fail("resume state comes from a non-UDS campaign")
         saved = (resume_state.get("server") or {}).get("data_identifiers")
         if saved is not None:
             try:
@@ -668,83 +625,6 @@ def plan_uds_world(index: int, campaign: UdsFuzzCampaign, bench,
     entries = c.sim.pending_entries()
     if entries:
         fail(f"event queue not quiescent: {entries!r}")
-
-    if resume_state is None:
-        try:
-            state_from_random(generator._rng)
-        except (AttributeError, ValueError) as exc:
-            fail(f"generator RNG not transplantable: {exc}")
-    else:
-        if resume_state.get("kind") != "uds":
-            fail("resume state comes from a non-UDS campaign")
-        rng_json = (resume_state.get("generator") or {}).get("rng")
-        if rng_json is None:
-            fail("resume state carries no generator RNG")
-        try:
-            state_from_random(_RestoredRng(rng_state_from_json(rng_json)))
-        except (KeyError, TypeError, ValueError) as exc:
-            fail(f"resumed RNG state not transplantable: {exc}")
-    return None
-
-
-class BatchCampaign:
-    """Run many independent campaigns on the block-stepped frame engine.
-
-    Args:
-        campaigns: the worlds to run, each a fully built
-            :class:`FuzzCampaign` (the usual source is a
-            :class:`~repro.testbench.factory.UnlockBenchFactory`, which
-            pins its bench on ``campaign.bench``).
-        benches: optional explicit bench per campaign; defaults to
-            each campaign's ``bench`` attribute.
-        resume_states: optional per-world checkpoint dicts (the
-            :meth:`FuzzCampaign._state_dict` schema) for kill-resume;
-            ``None`` entries start from scratch.
-
-    :meth:`run` returns one :class:`FuzzResult` per campaign, in input
-    order.  Worlds that fail the :func:`plan_world` eligibility proof
-    run on the scalar kernel transparently;
-    :attr:`fallback_reasons` maps input index to the violated rule.
-    """
-
-    def __init__(self, campaigns, *, benches=None, resume_states=None) -> None:
-        self.campaigns = list(campaigns)
-        if not self.campaigns:
-            raise ValueError("BatchCampaign needs at least one campaign")
-        count = len(self.campaigns)
-        if benches is None:
-            benches = [getattr(c, "bench", None) for c in self.campaigns]
-        self.benches = list(benches)
-        if resume_states is None:
-            resume_states = [None] * count
-        self.resume_states = list(resume_states)
-        if len(self.benches) != count or len(self.resume_states) != count:
-            raise ValueError("benches/resume_states must match campaigns")
-        self.fallback_reasons: dict[int, str] = {}
-
-    def run(self) -> list[FuzzResult]:
-        results: list[FuzzResult | None] = [None] * len(self.campaigns)
-        plans: list[_WorldPlan] = []
-        for index, campaign in enumerate(self.campaigns):
-            bench = self.benches[index]
-            try:
-                if bench is None:
-                    raise ScalarFallback("campaign carries no bench "
-                                         "reference")
-                plans.append(plan_frame_world(index, campaign, bench,
-                                              self.resume_states[index]))
-            except ScalarFallback as exc:
-                self.fallback_reasons[index] = str(exc)
-        for index, reason in self.fallback_reasons.items():
-            result = self.campaigns[index]._execute(
-                self.resume_states[index])
-            result.fallback_reasons = [reason]
-            results[index] = result
-        if plans:
-            _FrameEngine(plans).run()
-        for plan in plans:
-            results[plan.index] = plan.result
-        return results
 
 
 def _next_accepted(accepted: np.ndarray) -> np.ndarray:
@@ -912,38 +792,42 @@ class _BlockParser:
 
 
 class _FrameEngine:
-    """The block-stepped main loop over admitted frame worlds.
+    """The block-stepped main loop over one admitted frame world.
 
-    Worlds are independent, so each runs to completion in turn; one
-    :class:`~repro.sim.batch.BatchRandom` holds every world's stream.
-    Pools, byte ranges, intervals, limits, oracles and check modes are
-    all per world.
+    Pools, byte ranges, interval, limits, oracles and check mode come
+    from the plan; the words come from a one-world
+    :class:`~repro.sim.batch.BatchRandom`.  The mutable run state --
+    lock flag, ack counter, pending candidate, recent tail -- is
+    touched only on rare events.  ``recent`` holds the tail of the
+    world's transmissions as ``(source, lo, hi)`` segments -- rows
+    ``lo..hi-1`` of a parsed :class:`_Block` or of the resumed window's
+    row list -- just long enough to cover the recent window;
+    ``recent_len`` counts their frames.
     """
 
-    def __init__(self, plans: list[_WorldPlan]) -> None:
-        self.plans = plans
-        self.rng = BatchRandom([p.rng_state for p in plans])
-        self.parsers = [_BlockParser(p) for p in plans]
-        self.step = [0] * len(plans)
-        self.limit_step = [p.natural_steps for p in plans]
-        self.sent = [p.base_frames for p in plans]
-        self.next_cp = [p.base_frames + p.checkpoint_every
-                        if p.journal is not None else _NEVER
-                        for p in plans]
-        self.states = [_WorldState(p.locked0, p.counter0) for p in plans]
+    def __init__(self, plan: _WorldPlan) -> None:
+        self.plan = plan
+        self.rng = BatchRandom([plan.rng_state])
+        self.parser = _BlockParser(plan)
+        self.step = 0
+        self.limit_step = plan.natural_steps
+        self.sent = plan.base_frames
+        self.next_cp = (plan.base_frames + plan.checkpoint_every
+                        if plan.journal is not None else _NEVER)
+        self.locked = plan.locked0
+        self.counter = plan.counter0
+        self.pending_time: int | None = None
+        self.pending_hits: list[tuple[str, str]] = []
+        self.recent: deque = deque()
+        self.recent_len = 0
 
     # ------------------------------------------------------------------
     # Block loop
     # ------------------------------------------------------------------
-    def run(self) -> None:
-        for w in range(len(self.plans)):
-            self._run_world(w)
-
-    def _run_world(self, w: int) -> None:
-        plan = self.plans[w]
-        st = self.states[w]
+    def run(self) -> FuzzResult:
+        plan = self.plan
         if plan.recent_rows:
-            self._remember(w, plan.recent_rows, 0, len(plan.recent_rows))
+            self._remember(plan.recent_rows, 0, len(plan.recent_rows))
         if plan.journal is not None:
             if plan.is_resume:
                 plan.journal.append({"type": "resume",
@@ -955,47 +839,45 @@ class _FrameEngine:
         # Pre-known candidate: an oracle that matches the status
         # broadcast in the *current* lock state fires at the very first
         # delivery, before any command lands.
-        self._recompute_pending(w, plan.status_base - 1)
+        self._recompute_pending(plan.status_base - 1)
         while True:
-            base = self.step[w]
-            if base >= self.limit_step[w]:
-                self._finalize_natural(w)
-                return
-            block = self._parse(w, min(BLOCK_FRAMES,
-                                       self.limit_step[w] - base,
-                                       self.next_cp[w] - self.sent[w]))
+            base = self.step
+            if base >= self.limit_step:
+                return self._finalize_natural()
+            block = self._parse(min(BLOCK_FRAMES, self.limit_step - base,
+                                    self.next_cp - self.sent))
             done = 0
-            for i, can_id, payload, is_unlock, is_lock in self._hot(w, block):
-                if base + i >= self.limit_step[w]:
+            for i, can_id, payload, is_unlock, is_lock in self._hot(block):
+                if base + i >= self.limit_step:
                     break
-                self._advance(w, block, done, i + 1)
+                self._advance(block, done, i + 1)
                 done = i + 1
-                self._episode(w, block.tick(i), can_id, len(payload),
-                              payload, is_unlock, is_lock)
-                if st.finished:
-                    return
-            stop = min(block.size, self.limit_step[w] - base)
+                result = self._episode(block.tick(i), can_id, payload,
+                                       is_unlock, is_lock)
+                if result is not None:
+                    return result
+            stop = min(block.size, self.limit_step - base)
             if stop > done:
-                self._advance(w, block, done, stop)
+                self._advance(block, done, stop)
 
-    def _parse(self, w: int, count: int) -> _Block:
+    def _parse(self, count: int) -> _Block:
         """The world's next frames, at most ``count`` and at least one."""
-        plan = self.plans[w]
-        parser = self.parsers[w]
-        tick0 = plan.first_tx + self.step[w] * plan.interval
+        plan = self.plan
+        parser = self.parser
+        tick0 = plan.first_tx + self.step * plan.interval
         need = int(count * parser.words_per_frame) + 32
         while True:
-            block = parser.scan(self.rng.peek(w, need), count, tick0,
+            block = parser.scan(self.rng.peek(0, need), count, tick0,
                                 plan.interval)
             if block.size:
                 return block
             need *= 2
 
-    def _hot(self, w: int, block: _Block):
+    def _hot(self, block: _Block):
         """The block's rare-event candidates, in transmit order:
         ``(i, id, payload, is_unlock, is_lock)`` for each command frame
         the BCM recognises and each frame on a watched id."""
-        plan = self.plans[w]
+        plan = self.plan
         body_id = plan.body_command_id
         ids = block.ids
         mask = ids == body_id
@@ -1012,39 +894,38 @@ class _FrameEngine:
                     continue
             yield i, can_id, payload, is_unlock, is_lock
 
-    def _advance(self, w: int, block: _Block, lo: int, hi: int) -> None:
+    def _advance(self, block: _Block, lo: int, hi: int) -> None:
         """Transmit block frames ``lo..hi-1``: consume their words,
         count them, remember them, and checkpoint if one is due."""
         used = int(block.ends[hi - 1]) - (int(block.ends[lo - 1]) if lo
                                           else 0)
-        self.rng.commit(w, used)
-        self.step[w] += hi - lo
-        self.sent[w] += hi - lo
-        self._remember(w, block, lo, hi)
-        if self.sent[w] >= self.next_cp[w]:
-            self._write_checkpoint(w, block.tick(hi - 1))
-            self.next_cp[w] = self.sent[w] + self.plans[w].checkpoint_every
+        self.rng.commit(0, used)
+        self.step += hi - lo
+        self.sent += hi - lo
+        self._remember(block, lo, hi)
+        if self.sent >= self.next_cp:
+            self._write_checkpoint(block.tick(hi - 1))
+            self.next_cp = self.sent + self.plan.checkpoint_every
 
-    def _remember(self, w: int, source, lo: int, hi: int) -> None:
-        """Append a segment to the world's recent tail, dropping the
-        oldest segments the window no longer reaches."""
-        st = self.states[w]
-        maxlen = self.plans[w].recent_maxlen
-        recent = st.recent
+    def _remember(self, source, lo: int, hi: int) -> None:
+        """Append a segment to the recent tail, dropping the oldest
+        segments the window no longer reaches."""
+        maxlen = self.plan.recent_maxlen
+        recent = self.recent
         recent.append((source, lo, hi))
-        st.recent_len += hi - lo
-        while recent and st.recent_len - (recent[0][2]
-                                          - recent[0][1]) >= maxlen:
+        self.recent_len += hi - lo
+        while recent and self.recent_len - (recent[0][2]
+                                            - recent[0][1]) >= maxlen:
             _, old_lo, old_hi = recent.popleft()
-            st.recent_len -= old_hi - old_lo
+            self.recent_len -= old_hi - old_lo
 
     # ------------------------------------------------------------------
     # Rare-event scalar handlers (exact discrete-event arithmetic)
     # ------------------------------------------------------------------
-    def _check_delivery(self, plan: _WorldPlan, frame,
+    def _check_delivery(self, frame,
                         from_fuzzer: bool) -> list[tuple[str, str]]:
         hits = []
-        for oracle, sees_fuzzer in plan.ack_oracles:
+        for oracle, sees_fuzzer in self.plan.ack_oracles:
             if from_fuzzer and not sees_fuzzer:
                 continue
             if frame.can_id != oracle.can_id:
@@ -1054,56 +935,54 @@ class _FrameEngine:
             hits.append((oracle.name, _ack_description(frame)))
         return hits
 
-    def _episode(self, w: int, tick: int, can_id: int, dlc: int,
-                 payload: bytes, is_unlock: bool, is_lock: bool) -> None:
+    def _episode(self, tick: int, can_id: int, payload: bytes,
+                 is_unlock: bool, is_lock: bool) -> FuzzResult | None:
         """One interesting tick, replayed with exact event timing.
 
-        Mirrors the scalar kernel's event order at a tick: a colliding
-        status broadcast transmits first (its event was scheduled
-        earlier), then the fuzz frame, then -- if the BCM recognised a
-        command -- the acknowledgement.  The first delivery an oracle
-        matches ends the world at that delivery's completion time;
-        deliveries past the campaign deadline never happen.
+        Mirrors the reference kernel's event order at a tick: a
+        colliding status broadcast transmits first (its event was
+        scheduled earlier), then the fuzz frame, then -- if the BCM
+        recognised a command -- the acknowledgement.  The first
+        delivery an oracle matches ends the world at that delivery's
+        completion time (the result is returned); deliveries past the
+        campaign deadline never happen.
         """
-        plan = self.plans[w]
-        st = self.states[w]
+        plan = self.plan
         deadline = plan.deadline
         t = tick
         if (tick >= plan.status_base
                 and (tick - plan.status_base) % plan.status_period == 0):
-            t += plan.status_durs[st.locked]
+            t += plan.status_durs[self.locked]
             if t > deadline:
-                return
-            hits = self._check_delivery(plan, plan.status_frames[st.locked],
+                return None
+            hits = self._check_delivery(plan.status_frames[self.locked],
                                         False)
             if hits:
-                self._finish_finding(w, t, hits)
-                return
+                return self._finish_finding(t, hits)
         frame = trusted_frame(can_id, payload, plan.extended, False)
         t += plan.timing.frame_duration(frame)
         if t > deadline:
-            return
-        hits = self._check_delivery(plan, frame, True)
+            return None
+        hits = self._check_delivery(frame, True)
         if hits:
-            self._finish_finding(w, t, hits)
-            return
+            return self._finish_finding(t, hits)
         if is_unlock or is_lock:
             t_cmd = t
-            st.counter = (st.counter + 1) % 256
-            st.locked = not is_unlock
+            self.counter = (self.counter + 1) % 256
+            self.locked = not is_unlock
             ack = trusted_frame(
                 plan.unlock_ack_id,
-                bytes((0x01 if is_unlock else 0x00, st.counter)),
+                bytes((0x01 if is_unlock else 0x00, self.counter)),
                 False, False)
             t_ack = t_cmd + plan.timing.frame_duration(ack)
             if t_ack <= deadline:
-                hits = self._check_delivery(plan, ack, False)
+                hits = self._check_delivery(ack, False)
                 if hits:
-                    self._finish_finding(w, t_ack, hits)
-                    return
-            self._recompute_pending(w, t_cmd)
+                    return self._finish_finding(t_ack, hits)
+            self._recompute_pending(t_cmd)
+        return None
 
-    def _recompute_pending(self, w: int, after: int) -> None:
+    def _recompute_pending(self, after: int) -> None:
         """Earliest future finding implied by the current world state.
 
         Two sources exist: a physical-state oracle whose next poll
@@ -1113,11 +992,10 @@ class _FrameEngine:
         poll candidate caps the step loop *before* that tick's frame,
         while a status candidate (mid-interval delivery) caps it after.
         """
-        plan = self.plans[w]
-        st = self.states[w]
+        plan = self.plan
         best_time = None
         best_hits: list[tuple[str, str]] = []
-        if st.locked != plan.locked0:
+        if self.locked != plan.locked0:
             for oracle, toggled in plan.led_oracles:
                 poll = _next_grid(plan.poll_base, oracle.period, after)
                 if best_time is None or poll < best_time:
@@ -1126,89 +1004,83 @@ class _FrameEngine:
                                   f"physical state changed: expected "
                                   f"{oracle.expected!r}, observed "
                                   f"{toggled!r}")]
-        hot = plan.hot_by_state[st.locked]
+        hot = plan.hot_by_state[self.locked]
         if hot:
             status_tick = _next_grid(plan.status_base, plan.status_period,
                                      after)
-            status_time = status_tick + plan.status_durs[st.locked]
+            status_time = status_tick + plan.status_durs[self.locked]
             if best_time is None or status_time < best_time:
                 best_time = status_time
-                frame = plan.status_frames[st.locked]
+                frame = plan.status_frames[self.locked]
                 best_hits = [(oracle.name, _ack_description(frame))
                              for oracle in hot]
         if (best_time is not None and best_time <= plan.deadline
                 and best_time <= plan.natural_end):
-            st.pending_time = best_time
-            st.pending_hits = best_hits
+            self.pending_time = best_time
+            self.pending_hits = best_hits
             cap = -((plan.first_tx - best_time) // plan.interval)
-            self.limit_step[w] = min(plan.natural_steps, max(0, cap))
+            self.limit_step = min(plan.natural_steps, max(0, cap))
         else:
-            st.pending_time = None
-            st.pending_hits = []
-            self.limit_step[w] = plan.natural_steps
+            self.pending_time = None
+            self.pending_hits = []
+            self.limit_step = plan.natural_steps
 
     # ------------------------------------------------------------------
     # World completion
     # ------------------------------------------------------------------
-    def _recent_rows(self, w: int) -> list[tuple[int, int, bytes]]:
-        """The world's recent window as (time, id, payload), oldest
-        first."""
-        maxlen = self.plans[w].recent_maxlen
+    def _recent_rows(self) -> list[tuple[int, int, bytes]]:
+        """The recent window as (time, id, payload), oldest first."""
+        maxlen = self.plan.recent_maxlen
         rows: list[tuple[int, int, bytes]] = []
-        for source, lo, hi in reversed(self.states[w].recent):
+        for source, lo, hi in reversed(self.recent):
             take = min(hi - lo, maxlen - len(rows))
             rows.extend(source[i] for i in range(hi - 1, hi - 1 - take, -1))
         rows.reverse()
         return rows
 
-    def _window(self, w: int):
-        plan = self.plans[w]
-        rows = self._recent_rows(w)
-        frames = tuple(trusted_frame(can_id, data, plan.extended, False)
+    def _window(self):
+        extended = self.plan.extended
+        rows = self._recent_rows()
+        frames = tuple(trusted_frame(can_id, data, extended, False)
                        for _, can_id, data in rows)
         times = tuple(time for time, _, _ in rows)
         return frames, times
 
-    def _finish_finding(self, w: int, time: int,
-                        hits: list[tuple[str, str]]) -> None:
-        plan = self.plans[w]
-        frames, times = self._window(w)
+    def _finish_finding(self, time: int,
+                        hits: list[tuple[str, str]]) -> FuzzResult:
+        plan = self.plan
+        frames, times = self._window()
         findings = [Finding(time=time, oracle=name, description=desc,
                             recent_frames=frames, recent_times=times)
                     for name, desc in hits]
         if plan.journal is not None:
             for finding in findings:
                 plan.journal.append({"type": "finding",
-                                     "frames_sent": int(self.sent[w]),
+                                     "frames_sent": int(self.sent),
                                      "finding": finding_to_dict(finding)})
-        self._assemble(w, ended_at=time, findings=findings,
-                       stop_reason=f"finding from oracle "
-                                   f"{findings[0].oracle!r}")
-        self.states[w].finished = True
+        return self._assemble(ended_at=time, findings=findings,
+                              stop_reason=f"finding from oracle "
+                                          f"{findings[0].oracle!r}")
 
-    def _finalize_natural(self, w: int) -> None:
-        st = self.states[w]
-        plan = self.plans[w]
-        if st.pending_time is not None:
-            self._finish_finding(w, st.pending_time, st.pending_hits)
-            return
-        self._assemble(w, ended_at=plan.natural_end, findings=[],
-                       stop_reason=plan.natural_reason)
-        st.finished = True
+    def _finalize_natural(self) -> FuzzResult:
+        if self.pending_time is not None:
+            return self._finish_finding(self.pending_time, self.pending_hits)
+        plan = self.plan
+        return self._assemble(ended_at=plan.natural_end, findings=[],
+                              stop_reason=plan.natural_reason)
 
-    def _assemble(self, w: int, *, ended_at: int, findings: list[Finding],
-                  stop_reason: str) -> None:
-        plan = self.plans[w]
-        # The bench's BCM ends where the scalar run would leave it.
-        st = self.states[w]
-        plan.bcm.locked = st.locked
-        plan.bcm._ack_counter = st.counter
+    def _assemble(self, *, ended_at: int, findings: list[Finding],
+                  stop_reason: str) -> FuzzResult:
+        plan = self.plan
+        # The bench's BCM ends where the reference run would leave it.
+        plan.bcm.locked = self.locked
+        plan.bcm._ack_counter = self.counter
         result = FuzzResult(
             name=plan.name,
             seed_label=plan.seed_label,
             started_at=plan.started_at,
             ended_at=ended_at,
-            frames_sent=int(self.sent[w]),
+            frames_sent=int(self.sent),
             findings=list(plan.findings0) + findings,
             write_errors=dict(plan.write_errors0),
             stop_reason=stop_reason,
@@ -1222,20 +1094,20 @@ class _FrameEngine:
                                  "findings": len(result.findings),
                                  "stop_reason": stop_reason})
             plan.journal.save_result(result.to_dict())
-        plan.result = result
+        return result
 
-    def _write_checkpoint(self, w: int, tick: int) -> None:
-        plan = self.plans[w]
+    def _write_checkpoint(self, tick: int) -> None:
+        plan = self.plan
         recent = [[time,
                    frame_to_dict(trusted_frame(can_id, data, plan.extended,
                                                False))]
-                  for time, can_id, data in self._recent_rows(w)]
+                  for time, can_id, data in self._recent_rows()]
         state = {
             "format": 1,
             "kind": "frame",
             "name": plan.name,
             "started_at": plan.started_at,
-            "frames_sent": int(self.sent[w]),
+            "frames_sent": int(self.sent),
             "frames_skipped": plan.base_skipped,
             "sim_now": tick,
             "next_tx_time": tick + plan.interval,
@@ -1247,618 +1119,351 @@ class _FrameEngine:
             "generator": {
                 "kind": "random",
                 "generated": plan.base_generated
-                + int(self.sent[w]) - plan.base_frames,
-                "rng": rng_state_to_json(self.rng.getstate(w)),
+                + int(self.sent) - plan.base_frames,
+                "rng": rng_state_to_json(self.rng.getstate(0)),
             },
         }
         if plan.jitter_json is not None:
             state["jitter_rng"] = plan.jitter_json
         plan.journal.append({"type": "progress",
-                             "frames_sent": int(self.sent[w]),
+                             "frames_sent": int(self.sent),
                              "sim_now": tick,
                              "findings": 0})
         plan.journal.save_checkpoint(state)
 
 
-class BatchUdsCampaign:
-    """Run many independent UDS campaigns with one lockstep engine.
+def _run_uds_world(campaign: UdsFuzzCampaign, bench,
+                   resume_state: dict | None) -> FuzzResult:
+    """``campaign._execute`` with the analytic exchange as the wire.
 
-    The request-level counterpart of :class:`BatchCampaign`: each world
-    keeps its real bench objects (generator, server, client, ECU,
-    kernel) and the campaign's own probe / recovery / checkpoint logic
-    runs unmodified; only the transport walk between sending a request
-    and taking its response is replaced by the closed-form delivery
-    arithmetic in :class:`_UdsEngine`.
-
-    Args:
-        campaigns: the worlds to run, each a fully built
-            :class:`~repro.fuzz.uds_campaign.UdsFuzzCampaign` (the
-            usual source is a
-            :class:`~repro.testbench.factory.UdsBenchFactory`, which
-            pins its bench on ``campaign.bench``).
-        benches: optional explicit bench per campaign; defaults to
-            each campaign's ``bench`` attribute.
-        resume_states: optional per-world checkpoint dicts (the
-            :meth:`UdsFuzzCampaign._state_dict` schema) for
-            kill-resume; ``None`` entries start from scratch.
-
-    :meth:`run` returns one :class:`FuzzResult` per campaign, in input
-    order, bit-identical to the scalar campaigns' -- results, journal
-    records, checkpoints and kill-resume all match.  Worlds that fail
-    the :func:`plan_uds_world` proof (or outgrow
-    :data:`SAFE_UDS_REQUEST` mid-run) run on the scalar kernel
-    transparently; :attr:`fallback_reasons` maps input index to the
-    violated rule.
-    """
-
-    def __init__(self, campaigns, *, benches=None, resume_states=None) -> None:
-        self.campaigns = list(campaigns)
-        if not self.campaigns:
-            raise ValueError("BatchUdsCampaign needs at least one campaign")
-        count = len(self.campaigns)
-        if benches is None:
-            benches = [getattr(c, "bench", None) for c in self.campaigns]
-        self.benches = list(benches)
-        if resume_states is None:
-            resume_states = [None] * count
-        self.resume_states = list(resume_states)
-        if len(self.benches) != count or len(self.resume_states) != count:
-            raise ValueError("benches/resume_states must match campaigns")
-        self.fallback_reasons: dict[int, str] = {}
-
-    def run(self) -> list[FuzzResult]:
-        results: list[FuzzResult | None] = [None] * len(self.campaigns)
-        admitted: list[int] = []
-        for index, campaign in enumerate(self.campaigns):
-            bench = self.benches[index]
-            try:
-                if bench is None:
-                    raise ScalarFallback("campaign carries no bench "
-                                         "reference")
-                plan_uds_world(index, campaign, bench,
-                               self.resume_states[index])
-                admitted.append(index)
-            except ScalarFallback as exc:
-                self.fallback_reasons[index] = str(exc)
-        for index, reason in self.fallback_reasons.items():
-            result = self.campaigns[index]._execute(
-                self.resume_states[index])
-            result.fallback_reasons = [reason]
-            results[index] = result
-        if admitted:
-            engine = _UdsEngine(self, admitted)
-            engine.run()
-            for slot, index in enumerate(admitted):
-                results[index] = engine.results[slot]
-            for index, reason in engine.bail_reasons.items():
-                self.fallback_reasons[index] = reason
-                results[index].fallback_reasons = [reason]
-        return results
-
-
-class _UdsWorld:
-    """One admitted world's live objects plus engine-side flags."""
-
-    __slots__ = ("index", "slot", "campaign", "client", "server", "ecu",
-                 "sim", "clock", "timing", "captured", "analytic", "done",
-                 "step")
-
-
-class _UdsEngine:
-    """The request-level lockstep loop over admitted UDS worlds.
-
-    Two instance attributes are patched per world: ``client.request``
-    becomes an analytic closure that mirrors the full ISO-TP exchange
-    (counters, segmentation residuals, clock) without queueing a single
-    kernel event, and ``server._respond`` becomes a capture list so the
-    handler's reply is read back instead of transmitted.  Everything
-    else -- the generator's belief machine, the server's service
-    handlers (including the seeded defects), the campaign's probe /
-    silence / recovery / checkpoint logic, the kernel clock itself --
-    is the real object graph, which is what makes bit-identical results
-    cheap to argue: the engine only ever *skips wire time*, it never
-    reimplements behaviour.
+    Two instance attributes are patched while the campaign's own loop
+    runs: ``client.request`` becomes a closure that mirrors the full
+    ISO-TP exchange (counters, segmentation residuals, clock) without
+    queueing a single kernel event, and ``server._respond`` becomes a
+    capture list so the handler's reply is read back instead of
+    transmitted.  Everything else -- the generator and its RNG, the
+    server's service handlers (including the seeded defects), the
+    campaign's probe / silence / recovery / checkpoint logic, the
+    kernel clock itself -- is the real object graph, which is what
+    makes bit-identical results cheap to argue: the exchange only ever
+    *skips wire time*, it never reimplements behaviour.  Both patches
+    come off in ``finally``, so a run that raises (a kill) leaves the
+    objects as it found them.
 
     The derivation the closure relies on (validated against the
-    scalar transport): frames chain on the bus at exact delivery ticks
-    (arbitration of a queued frame happens inside the completion
+    reference transport): frames chain on the bus at exact delivery
+    ticks (arbitration of a queued frame happens inside the completion
     callback), consecutive frames pace at the decoded STmin of 1 ms,
-    and the scalar client's poll loop returns at the first 1 ms
-    boundary at or after the response delivery.  Worlds whose requests
-    outgrow :data:`SAFE_UDS_REQUEST` are unpatched mid-run at a
-    request boundary -- where analytic and scalar state are exactly
-    equal -- and finish on the real kernel.
+    and the reference client's poll loop returns at the first 1 ms
+    boundary at or after the response delivery.  A request longer than
+    :data:`SAFE_UDS_REQUEST`, or one that finds kernel events pending,
+    *bails*: the exchange uninstalls itself -- analytic and reference
+    state are exactly equal between exchanges -- and hands this request
+    and the rest of the run to the real :meth:`UdsClient.request`; the
+    reason lands on the result's ``fallback_reasons``.
+
+    The collaborators are bound once, before ``_execute`` restores a
+    checkpoint: at ~30 µs per whole analytic exchange, the attribute
+    walks and property descriptors of a straightforward transcription
+    are themselves a measurable fraction of the budget.  Restore
+    rebinds none of them (it replaces ``client._responses``, which is
+    read per call, and the server's DID store, which the exchange
+    never reads).
     """
+    bail_reasons: list[str] = []
+    captured: list[bytes] = []
 
-    def __init__(self, owner: BatchUdsCampaign, indices: list[int]) -> None:
-        self.results: list[FuzzResult | None] = [None] * len(indices)
-        self.bail_reasons: dict[int, str] = {}
-        # Wire-time memos, shared between worlds whose timing and
-        # addressing agree (every world from one bench factory): common
-        # traffic -- probes, session sweeps, flow controls, NRC and
-        # seed responses -- is stuffed once for the whole batch.  Keyed
-        # by (bitrate, data_bitrate, client tx id, server tx id); the
-        # value triple is (single-frame request payload -> ticks,
-        # single-frame response message -> ticks, (id, frame data) ->
-        # ticks for multi-frame pieces).
-        self._dur_groups: dict[tuple, tuple[dict, dict, dict]] = {}
-        self.worlds: list[_UdsWorld] = []
-        for slot, index in enumerate(indices):
-            campaign = owner.campaigns[index]
-            world = _UdsWorld()
-            world.index = index
-            world.slot = slot
-            world.campaign = campaign
-            world.client = campaign.client
-            world.server = campaign.server
-            world.ecu = campaign.server.ecu
-            world.sim = campaign.sim
-            world.clock = campaign.sim.clock
-            world.timing = owner.benches[index].bus.timing
-            world.captured = []
-            world.analytic = True
-            world.done = False
-            self.worlds.append(world)
-        # Replicate _execute's prologue per world: the start/resume
-        # journal record and checkpoint restore happen before the RNG
-        # transplant because restoring calls the generator's own
-        # ``_rng.setstate``.
-        for world in self.worlds:
-            campaign = world.campaign
-            state = owner.resume_states[world.index]
-            journal = campaign.journal
-            if state is None:
-                campaign._started_at = campaign.sim.now
-                if journal is not None:
-                    journal.append({"type": "start", "name": campaign.name,
-                                    "kind": "uds",
-                                    "started_at": campaign._started_at})
-            else:
-                campaign._restore(state)
-                if journal is not None:
-                    journal.append({"type": "resume", "kind": "uds",
-                                    "requests_sent": campaign.requests_sent,
-                                    "generation": journal.generation})
-            campaign._stop_reason = ""
-        self.rng = BatchRandom([state_from_random(w.campaign.generator._rng)
-                                for w in self.worlds])
-        for world in self.worlds:
-            world.campaign.generator._rng = BatchRandomView(
-                self.rng, world.slot)
-            self._install(world)
-            world.step = self._make_step(world)
+    def respond(message):
+        captured.append(bytes(message))
 
-    #: Requests each live world advances per scheduler turn.  Worlds
-    #: are independent, so the round-robin can be cache-blocked: one
-    #: world's whole object graph stays hot for a run of requests
-    #: instead of being evicted by 255 siblings between single steps.
-    #: The stride changes visit order only -- every per-world stream
-    #: (RNG, journal, checkpoints) is untouched by scheduling.
-    STRIDE = 64
+    client = campaign.client
+    server = campaign.server
+    ce = client.endpoint
+    se = server.endpoint
+    ecu = server.ecu
+    sim = campaign.sim
+    clock = sim.clock
+    queue = sim._queue
+    run_until = sim.run_until
+    on_request = server._on_request
+    on_response = client._on_response
+    take_matching = client._take_matching
+    ce_tx = ce.tx_id
+    se_tx = se.tx_id
+    bitrate = bench.bus.timing.bitrate
+    # Wire-time memos for this run: single-frame request payload ->
+    # ticks, single-frame response message -> ticks, and (id, frame
+    # data) -> ticks for multi-frame pieces.  Common traffic -- probes,
+    # session sweeps, flow controls, NRC and seed responses -- is
+    # stuffed once per run; a memo kept across runs would grow by about
+    # one entry per fresh request and mostly miss.
+    sf_request_ticks: dict[bytes, int] = {}
+    sf_response_ticks: dict[bytes, int] = {}
+    piece_ticks: dict[tuple[int, bytes], int] = {}
+    fc_from_server = _wire_ticks(se_tx, _UDS_FLOW_CONTROL, bitrate)
+    fc_from_client = _wire_ticks(ce_tx, _UDS_FLOW_CONTROL, bitrate)
+    running = EcuState.RUNNING
+    ms = MS
 
-    def run(self) -> None:
-        live = list(self.worlds)
-        stride = self.STRIDE
-        while live:
-            for world in live:
-                step = world.step
-                for _ in range(stride):
-                    step()
-                    if world.done:
-                        break
-            done = [world for world in live if world.done]
-            for world in done:
-                live.remove(world)
-                self._finish(world)
+    def piece(can_id, data):
+        """Memoised wire time of one multi-frame piece."""
+        key = (can_id, data)
+        ticks = piece_ticks.get(key)
+        if ticks is None:
+            ticks = piece_ticks[key] = _wire_ticks(can_id, data, bitrate)
+        return ticks
 
-    # -- patch management ----------------------------------------------
-    def _install(self, world: _UdsWorld) -> None:
-        """Patch one world's ``client.request`` / ``server._respond``.
+    def uninstall():
+        client.__dict__.pop("request", None)
+        server.__dict__.pop("_respond", None)
 
-        The replacement request function is a closure with every hot
-        collaborator pre-bound: at ~30 µs per whole analytic exchange,
-        the attribute walks (``world.campaign.sim.clock``...) and
-        property descriptors (``tx_idle``, ``running``) of a
-        straightforward transcription are themselves a measurable
-        fraction of the budget.  Binding happens after the restore
-        prologue, so rebound restore-time objects (the client's
-        response list is replaced by ``load_state``) are read fresh
-        per call instead.
-        """
-        captured = world.captured
+    def bail(reason, payload, timeout):
+        uninstall()
+        bail_reasons.append(reason)
+        return client.request(payload, timeout)
 
-        def respond(message):
-            captured.append(bytes(message))
+    def request(payload, timeout=None):
+        payload = bytes(payload)
+        length = len(payload)
+        if length > SAFE_UDS_REQUEST:
+            return bail(f"request of {length} bytes exceeds the analytic "
+                        f"segmentation cap of {SAFE_UDS_REQUEST} bytes",
+                        payload, timeout)
+        if queue._heap:
+            return bail("pending kernel events at a request boundary",
+                        payload, timeout)
+        if not payload:
+            raise ValueError("a UDS request needs at least the SID "
+                             "byte")
+        if timeout is None:
+            timeout = client.timeout
+        t0 = clock._now
+        deadline = t0 + timeout
+        if ce._tx_payload is not None:  # not tx_idle
+            # A transfer stuck by a dead target: the reference client
+            # aborts it before sending the next request.
+            ce.abort_tx()
+            client.aborted_requests += 1
+        stale = client._responses
+        if stale:
+            client.stale_responses += len(stale)
+            stale.clear()
+        sid = payload[0]
+        alive = ecu.state is running
 
-        client = world.client
-        server = world.server
-        ce = client.endpoint
-        se = server.endpoint
-        ecu = world.ecu
-        sim = world.sim
-        clock = world.clock
-        queue = sim._queue
-        run_until = sim.run_until
-        on_request = server._on_request
-        on_response = client._on_response
-        take_matching = client._take_matching
-        ce_tx = ce.tx_id
-        se_tx = se.tx_id
-        timing = world.timing
-        bitrate = timing.bitrate
-        group_key = (bitrate, timing.data_bitrate, ce_tx, se_tx)
-        group = self._dur_groups.get(group_key)
-        if group is None:
-            group = self._dur_groups[group_key] = ({}, {}, {})
-        sf_request_ticks, sf_response_ticks, piece_ticks = group
-        fc_from_server = _wire_ticks(se_tx, _UDS_FLOW_CONTROL, bitrate)
-        fc_from_client = _wire_ticks(ce_tx, _UDS_FLOW_CONTROL, bitrate)
-        running = EcuState.RUNNING
-        ms = MS
-
-        def piece(can_id, data):
-            """Memoised wire time of one multi-frame piece."""
-            key = (can_id, data)
-            ticks = piece_ticks.get(key)
+        # Request leg: single frame, or first frame / flow control
+        # / paced consecutive frames.  Only the terminal transport
+        # state is materialised; intermediate segmentation states
+        # are never observable at request boundaries.
+        if length <= 7:
+            ce.messages_sent += 1
+            ticks = sf_request_ticks.get(payload)
             if ticks is None:
-                ticks = piece_ticks[key] = _wire_ticks(can_id, data,
-                                                       bitrate)
-            return ticks
-
-        def request(payload, timeout=None):
-            payload = bytes(payload)
-            if not payload:
-                raise ValueError("a UDS request needs at least the SID "
-                                 "byte")
-            if timeout is None:
-                timeout = client.timeout
-            t0 = clock._now
-            deadline = t0 + timeout
-            if ce._tx_payload is not None:  # not tx_idle
-                # A transfer stuck by a dead target: the scalar client
-                # aborts it before sending the next request.
-                ce.abort_tx()
-                client.aborted_requests += 1
-            stale = client._responses
-            if stale:
-                client.stale_responses += len(stale)
-                stale.clear()
-            sid = payload[0]
-            alive = ecu.state is running
-            length = len(payload)
-
-            # Request leg: single frame, or first frame / flow control
-            # / paced consecutive frames.  Only the terminal transport
-            # state is materialised; intermediate segmentation states
-            # are never observable at request boundaries.
-            if length <= 7:
-                ce.messages_sent += 1
-                ticks = sf_request_ticks.get(payload)
-                if ticks is None:
-                    ticks = sf_request_ticks[payload] = _wire_ticks(
-                        ce_tx, bytes((length,)) + payload, bitrate)
-                t_deliver = t0 + ticks
-            else:
-                first = bytes((0x10 | (length >> 8), length & 0xFF)) \
-                    + payload[:6]
-                t_deliver = t0 + piece(ce_tx, first)
-                if not alive:
-                    # The dead target drops the first frame: no flow
-                    # control arrives, the client stays stuck
-                    # mid-segmentation until the next request aborts it.
-                    ce._tx_payload = payload
-                    ce._tx_offset = 6
-                    ce._tx_sequence = 1
-                    if queue._heap:
-                        run_until(deadline)
-                    elif deadline > clock._now:
-                        clock._now = deadline
-                    return UdsResponse(None)
-                cf_count = -(-(length - 6) // 7)
-                t_control = t_deliver + fc_from_server
-                ce._peer_st_min = ms
-                ce._peer_block_size = 0
-                ce._tx_frames_until_fc = 0
-                last_cf = bytes((0x20 | (cf_count % 16),)) \
-                    + payload[6 + 7 * (cf_count - 1):]
-                ce.messages_sent += 1
-                ce._tx_payload = None
-                ce._tx_offset = length
-                ce._tx_sequence = (1 + cf_count) % 16
-                se._rx_buffer = bytearray(payload)
-                se._rx_expected = 0
-                se._rx_sequence = (1 + cf_count) % 16
-                se._rx_cfs_in_block = cf_count - 1
-                t_deliver = (t_control + (cf_count - 1) * ms
-                             + piece(ce_tx, last_cf))
-            if t_deliver > deadline:
-                raise RuntimeError(
-                    "analytic UDS request overran the client timeout; "
-                    "the plan_uds_world admission bound is unsound")
-
-            # Server leg: advance the real clock to the delivery tick
-            # first -- the handlers read ``sim.now`` (security seeds,
-            # the stall gate) and schedule real events (the commanded
-            # reset).  With an empty event heap ``run_until`` reduces
-            # to a clock assignment (no events fire, the fired counter
-            # gains zero), so the common case is a direct write.
-            t_response = None
-            if alive:
-                if queue._heap:
-                    run_until(t_deliver)
-                elif t_deliver > clock._now:
-                    clock._now = t_deliver
-                se.messages_received += 1
-                captured.clear()
-                on_request(payload)
-                for message in captured:
-                    if ecu.state is not running:
-                        # The handler crashed the ECU before its reply
-                        # left: the server-side send fails at the
-                        # controller.
-                        se.errors += 1
-                        continue
-                    rlen = len(message)
-                    if rlen <= 7:
-                        se.messages_sent += 1
-                        ticks = sf_response_ticks.get(message)
-                        if ticks is None:
-                            ticks = sf_response_ticks[message] = \
-                                _wire_ticks(se_tx,
-                                            bytes((rlen,)) + message,
-                                            bitrate)
-                        t_arrive = t_deliver + ticks
-                    else:
-                        first = bytes((0x10 | (rlen >> 8), rlen & 0xFF)) \
-                            + message[:6]
-                        t_first = t_deliver + piece(se_tx, first)
-                        t_control = t_first + fc_from_client
-                        cf_count = -(-(rlen - 6) // 7)
-                        last_cf = bytes((0x20 | (cf_count % 16),)) \
-                            + message[6 + 7 * (cf_count - 1):]
-                        se._peer_st_min = ms
-                        se._peer_block_size = 0
-                        se._tx_frames_until_fc = 0
-                        se.messages_sent += 1
-                        se._tx_payload = None
-                        se._tx_offset = rlen
-                        se._tx_sequence = (1 + cf_count) % 16
-                        ce._rx_buffer = bytearray(message)
-                        ce._rx_expected = 0
-                        ce._rx_sequence = (1 + cf_count) % 16
-                        ce._rx_cfs_in_block = cf_count - 1
-                        t_arrive = (t_control + (cf_count - 1) * ms
-                                    + piece(se_tx, last_cf))
-                    if t_arrive > deadline:
-                        raise RuntimeError(
-                            "analytic UDS response overran the client "
-                            "timeout; the plan_uds_world admission "
-                            "bound is unsound")
-                    ce.messages_received += 1
-                    on_response(message)  # respond() captured bytes
-                    if t_response is None:
-                        t_response = t_arrive
-
-            if t_response is None:
+                ticks = sf_request_ticks[payload] = _wire_ticks(
+                    ce_tx, bytes((length,)) + payload, bitrate)
+            t_deliver = t0 + ticks
+        else:
+            first = bytes((0x10 | (length >> 8), length & 0xFF)) \
+                + payload[:6]
+            t_deliver = t0 + piece(ce_tx, first)
+            if not alive:
+                # The dead target drops the first frame: no flow
+                # control arrives, the client stays stuck
+                # mid-segmentation until the next request aborts it.
+                ce._tx_payload = payload
+                ce._tx_offset = 6
+                ce._tx_sequence = 1
                 if queue._heap:
                     run_until(deadline)
                 elif deadline > clock._now:
                     clock._now = deadline
                 return UdsResponse(None)
-            # The scalar poll loop advances in 1 ms slices from t0 and
-            # takes the response at the first boundary at or past its
-            # delivery (the final slice may be shorter than 1 ms).
-            boundary = t0 - ms * ((t0 - t_response) // ms)
-            if boundary > deadline:
-                boundary = deadline
+            cf_count = -(-(length - 6) // 7)
+            t_control = t_deliver + fc_from_server
+            ce._peer_st_min = ms
+            ce._peer_block_size = 0
+            ce._tx_frames_until_fc = 0
+            last_cf = bytes((0x20 | (cf_count % 16),)) \
+                + payload[6 + 7 * (cf_count - 1):]
+            ce.messages_sent += 1
+            ce._tx_payload = None
+            ce._tx_offset = length
+            ce._tx_sequence = (1 + cf_count) % 16
+            se._rx_buffer = bytearray(payload)
+            se._rx_expected = 0
+            se._rx_sequence = (1 + cf_count) % 16
+            se._rx_cfs_in_block = cf_count - 1
+            t_deliver = (t_control + (cf_count - 1) * ms
+                         + piece(ce_tx, last_cf))
+        if t_deliver > deadline:
+            raise RuntimeError(
+                "analytic UDS request overran the client timeout; "
+                "the plan_uds_world admission bound is unsound")
+
+        # Server leg: advance the real clock to the delivery tick
+        # first -- the handlers read ``sim.now`` (security seeds,
+        # the stall gate) and schedule real events (the commanded
+        # reset).  With an empty event heap ``run_until`` reduces
+        # to a clock assignment (no events fire, the fired counter
+        # gains zero), so the common case is a direct write.
+        t_response = None
+        if alive:
             if queue._heap:
-                run_until(boundary)
-            elif boundary > clock._now:
-                clock._now = boundary
-            matched = take_matching(sid)
-            if matched is not None:
-                return UdsResponse(matched)
-            return UdsResponse(None)
-
-        world.server._respond = respond
-        world.client.request = request
-
-    def _release(self, world: _UdsWorld) -> None:
-        world.client.__dict__.pop("request", None)
-        world.server.__dict__.pop("_respond", None)
-        rng = random.Random()
-        rng.setstate(world.campaign.generator._rng.getstate())
-        world.campaign.generator._rng = rng
-
-    def _bail(self, world: _UdsWorld, reason: str) -> None:
-        self._release(world)
-        world.analytic = False
-        self.bail_reasons[world.index] = reason
-
-    def _finish(self, world: _UdsWorld) -> None:
-        campaign = world.campaign
-        if world.analytic:
-            self._release(world)
-        result = campaign._build_result()
-        journal = campaign.journal
-        if journal is not None:
-            journal.append({"type": "end",
-                            "requests_sent": campaign.requests_sent,
-                            "stop_reason": campaign._stop_reason})
-            journal.save_result(result.to_dict())
-        self.results[world.slot] = result
-
-    # -- the campaign step (UdsFuzzCampaign._execute's loop body) ------
-    def _make_step(self, world: _UdsWorld):
-        """Build one world's step closure.
-
-        The transcription of ``UdsFuzzCampaign._execute``'s loop body,
-        with the per-iteration constants pre-bound (admission pins the
-        exact campaign type, so inlining ``_limit_reached`` and the
-        response properties is faithful by construction).  Bound after
-        the restore prologue: everything captured here -- the recent
-        deque, the NRC counter dict, ``_started_at`` -- is only
-        mutated, never rebound, from then on.  ``client.request`` stays
-        a live attribute read so a mid-run bail (which unpatches it)
-        switches the same closure onto the real transport.
-        """
-        campaign = world.campaign
-        generator = campaign.generator
-        next_request = generator.next_request
-        observe = generator.observe
-        client = world.client
-        sim = world.sim
-        queue = sim._queue
-        run_until = sim.run_until
-        run_for = sim.run_for
-        clock = world.clock
-        recent_append = campaign._recent.append
-        probe_alive = campaign._probe_alive
-        record_silence = campaign._record_silence
-        recover_target = campaign._recover_target
-        # A journal is fixed at construction; without one the campaign's
-        # _maybe_checkpoint is a proven no-op, so the step can skip the
-        # call entirely.
-        maybe_checkpoint = (campaign._maybe_checkpoint
-                            if campaign.journal is not None else None)
-        nrc_counts = campaign.nrc_counts
-        nrc_counts_get = nrc_counts.get
-        limits = campaign.limits
-        max_frames = limits.max_frames
-        max_duration = limits.max_duration
-        stop_on_finding = limits.stop_on_finding
-        started_at = campaign._started_at
-        interval = campaign.interval
-        reset_settle = campaign.reset_settle
-        bail = self._bail
-
-        def step() -> None:
-            if max_frames is not None \
-                    and campaign.requests_sent >= max_frames:
-                campaign._stop_reason = "request limit reached"
-                world.done = True
-                return
-            if max_duration is not None \
-                    and clock._now - started_at >= max_duration:
-                campaign._stop_reason = "time limit reached"
-                world.done = True
-                return
-            request = next_request()
-            if world.analytic:
-                if len(request) > SAFE_UDS_REQUEST:
-                    bail(world, f"request of {len(request)} bytes "
-                                "exceeds the analytic segmentation cap")
-                elif queue._heap:
-                    bail(world, "pending kernel events at a request "
-                                "boundary")
-            sent_at = clock._now
-            response = client.request(request)
-            campaign.requests_sent += 1
-            recent_append((sent_at, request))
-            observe(request, response)
-            # The branches below read response.message once and
-            # reproduce the timed_out / positive / nrc properties
-            # inline.
-            message = response.message
-            if message is None:
-                campaign.timeouts += 1
-                if not probe_alive():
-                    record_silence(request)
-                    if stop_on_finding:
-                        campaign._stop_reason = ("finding from oracle "
-                                                 "'uds-liveness'")
-                        world.done = True
-                        return
-                    recover_target()
-            elif message and message[0] != 0x7F:
-                campaign.positives += 1
-                if request[0] == 0x11:
-                    run_for(reset_settle)
-            elif len(message) >= 3:
-                nrc = message[2]
-                nrc_counts[nrc] = nrc_counts_get(nrc, 0) + 1
-            if interval:
-                # run_until with an empty event heap reduces to a
-                # clock assignment (nothing fires), so pacing is a
-                # direct write unless a commanded reset or a bailed
-                # world's transport left real events pending.
-                if queue._heap:
-                    run_until(clock._now + interval)
+                run_until(t_deliver)
+            elif t_deliver > clock._now:
+                clock._now = t_deliver
+            se.messages_received += 1
+            captured.clear()
+            on_request(payload)
+            for message in captured:
+                if ecu.state is not running:
+                    # The handler crashed the ECU before its reply
+                    # left: the server-side send fails at the
+                    # controller.
+                    se.errors += 1
+                    continue
+                rlen = len(message)
+                if rlen <= 7:
+                    se.messages_sent += 1
+                    ticks = sf_response_ticks.get(message)
+                    if ticks is None:
+                        ticks = sf_response_ticks[message] = \
+                            _wire_ticks(se_tx,
+                                        bytes((rlen,)) + message,
+                                        bitrate)
+                    t_arrive = t_deliver + ticks
                 else:
-                    clock._now = clock._now + interval
-            if maybe_checkpoint is not None:
-                maybe_checkpoint()
+                    first = bytes((0x10 | (rlen >> 8), rlen & 0xFF)) \
+                        + message[:6]
+                    t_first = t_deliver + piece(se_tx, first)
+                    t_control = t_first + fc_from_client
+                    cf_count = -(-(rlen - 6) // 7)
+                    last_cf = bytes((0x20 | (cf_count % 16),)) \
+                        + message[6 + 7 * (cf_count - 1):]
+                    se._peer_st_min = ms
+                    se._peer_block_size = 0
+                    se._tx_frames_until_fc = 0
+                    se.messages_sent += 1
+                    se._tx_payload = None
+                    se._tx_offset = rlen
+                    se._tx_sequence = (1 + cf_count) % 16
+                    ce._rx_buffer = bytearray(message)
+                    ce._rx_expected = 0
+                    ce._rx_sequence = (1 + cf_count) % 16
+                    ce._rx_cfs_in_block = cf_count - 1
+                    t_arrive = (t_control + (cf_count - 1) * ms
+                                + piece(se_tx, last_cf))
+                if t_arrive > deadline:
+                    raise RuntimeError(
+                        "analytic UDS response overran the client "
+                        "timeout; the plan_uds_world admission "
+                        "bound is unsound")
+                ce.messages_received += 1
+                on_response(message)  # respond() captured bytes
+                if t_response is None:
+                    t_response = t_arrive
 
-        return step
+        if t_response is None:
+            if queue._heap:
+                run_until(deadline)
+            elif deadline > clock._now:
+                clock._now = deadline
+            return UdsResponse(None)
+        # The reference client polls in 1 ms slices from t0 and
+        # takes the response at the first boundary at or past its
+        # delivery (the final slice may be shorter than 1 ms).
+        boundary = t0 - ms * ((t0 - t_response) // ms)
+        if boundary > deadline:
+            boundary = deadline
+        if queue._heap:
+            run_until(boundary)
+        elif boundary > clock._now:
+            clock._now = boundary
+        matched = take_matching(sid)
+        if matched is not None:
+            return UdsResponse(matched)
+        return UdsResponse(None)
+
+    server._respond = respond
+    client.request = request
+    try:
+        result = campaign._execute(resume_state)
+    finally:
+        uninstall()
+    result.fallback_reasons = bail_reasons
+    return result
 
 
-def run_shard_batch(factory, specs, *, journal_infos=None,
-                    checkpoint_every: int | None = None):
-    """Run one worker's batch of shard specs through a batch engine.
+def run_world(campaign, resume_state: dict | None = None) -> FuzzResult:
+    """Run one campaign to completion on the fast path when proven exact.
 
-    The batched analogue of a scalar shard run: per spec, the journal
-    decides where the world continues
-    (:func:`~repro.fuzz.campaign.resume_point`, the rule
-    :func:`~repro.fuzz.campaign.resume_campaign` applies), then all
-    live worlds advance in one :class:`BatchCampaign` (frame-level
-    shards) or :class:`BatchUdsCampaign` (request-level UDS shards).
-    Worlds that fell back to the scalar kernel carry a ``"scalar
+    The one entry point behind ``FuzzCampaign.run``,
+    ``UdsFuzzCampaign.run`` and
+    :func:`~repro.fuzz.campaign.resume_campaign`.  A campaign with no
+    pinned bench (``campaign.bench``) runs on ``campaign._execute``, the
+    reference kernel, and records no reason.  Otherwise the prover of
+    its layer decides: an admitted frame world runs on
+    :class:`_FrameEngine`, an admitted UDS world on
+    :func:`_run_uds_world`, and any other world on ``_execute`` with
+    the violated rule on ``fallback_reasons``.  ``resume_state`` is a
+    checkpoint dict (the campaign's ``_state_dict`` schema), or
+    ``None`` for a fresh run.
+    """
+    bench = getattr(campaign, "bench", None)
+    if bench is None:
+        return campaign._execute(resume_state)
+    try:
+        if isinstance(campaign, UdsFuzzCampaign):
+            plan_uds_world(campaign, bench, resume_state)
+            plan = None
+        else:
+            plan = plan_frame_world(campaign, bench, resume_state)
+    except ScalarFallback as exc:
+        result = campaign._execute(resume_state)
+        result.fallback_reasons = [str(exc)]
+        return result
+    if plan is None:
+        return _run_uds_world(campaign, bench, resume_state)
+    return _FrameEngine(plan).run()
+
+
+def run_shard_batch(factory, specs, *, journal_infos=None):
+    """Run one worker's chunk of shard specs, one world after another.
+
+    The body of every sharded worker, whatever the chunk size.  Per
+    spec, a journalled shard continues where its journal says
+    (:func:`~repro.fuzz.campaign.resume_campaign`: a saved result short
+    circuits, a checkpoint resumes, otherwise attempt zero), and the
+    campaign is built just before it runs through :func:`run_world`.
+    Each of the world's ``fallback_reasons`` becomes a ``"scalar
     fallback: ..."`` warning so
-    :class:`~repro.fuzz.parallel.ShardedResult` can surface the reason.
+    :class:`~repro.fuzz.parallel.ShardedResult` can surface it.
 
     Args:
-        factory: pickleable campaign factory (``spec -> FuzzCampaign``).
-        specs: the :class:`~repro.fuzz.parallel.ShardSpec` list for
-            this worker.
+        factory: pickleable campaign factory (``spec -> campaign``).
+        specs: the :class:`~repro.fuzz.parallel.ShardSpec` chunk.
         journal_infos: per-spec ``(store_factory, shard_dir,
             checkpoint_every)`` tuples (or ``None`` entries / ``None``
             for no durability), the shape
             :class:`~repro.fuzz.parallel.ShardedCampaign` ships.
-        checkpoint_every: override applied to every journalled world.
 
     Returns:
         ``[(FuzzResult, warnings), ...]`` aligned with ``specs``.
     """
-    specs = list(specs)
     if journal_infos is None:
         journal_infos = [None] * len(specs)
-    out: list[tuple[FuzzResult, list[str]] | None] = [None] * len(specs)
-    campaigns = []
-    resume_states = []
-    slots = []
-    journals = []
-    for slot, (spec, info) in enumerate(zip(specs, journal_infos)):
-        journal = None
-        state = None
-        if info is not None:
-            store_factory, shard_dir, info_every = info
+    out = []
+    for spec, info in zip(specs, journal_infos):
+        if info is None:
+            result, warnings = factory(spec).run(), []
+        else:
+            store_factory, shard_dir, checkpoint_every = info
             journal = CampaignJournal(
                 (store_factory or DirectoryStore)(shard_dir))
-            saved, state = resume_point(journal)
-            if saved is not None:
-                out[slot] = (saved, list(journal.warnings))
-                continue
-        campaign = factory(spec)
-        if journal is not None:
-            every = checkpoint_every
-            if every is None:
-                every = info_every
-            campaign.attach_journal(journal, checkpoint_every=every)
-        campaigns.append(campaign)
-        resume_states.append(state)
-        slots.append(slot)
-        journals.append(journal)
-    if campaigns:
-        batch_class = (BatchUdsCampaign
-                       if isinstance(campaigns[0], UdsFuzzCampaign)
-                       else BatchCampaign)
-        batch = batch_class(campaigns, resume_states=resume_states)
-        results = batch.run()
-        for pos, (slot, journal, result) in enumerate(
-                zip(slots, journals, results)):
-            warnings = list(journal.warnings) if journal is not None else []
-            reason = batch.fallback_reasons.get(pos)
-            if reason is not None:
-                warnings.append(f"{FALLBACK_WARNING_PREFIX}{reason}")
-            out[slot] = (result, warnings)
+            result = resume_campaign(journal, lambda: factory(spec),
+                                     checkpoint_every=checkpoint_every)
+            warnings = list(journal.warnings)
+        warnings += [f"{FALLBACK_WARNING_PREFIX}{reason}"
+                     for reason in result.fallback_reasons]
+        out.append((result, warnings))
     return out

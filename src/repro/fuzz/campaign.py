@@ -162,8 +162,15 @@ class FuzzCampaign:
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> FuzzResult:
-        """Execute the campaign to completion and return the record."""
-        return self._execute(None)
+        """Execute the campaign to completion and return the record.
+
+        A campaign that pins its bench (``self.bench``) runs on the
+        fast path when the prover admits it
+        (:func:`repro.fuzz.batch.run_world`); any other runs on
+        :meth:`_execute`, the reference kernel.
+        """
+        from repro.fuzz.batch import run_world
+        return run_world(self)
 
     @classmethod
     def resume(cls, journal: "CampaignJournal | str",
@@ -501,8 +508,11 @@ def resume_campaign(journal: "CampaignJournal | str", build: Callable,
     :meth:`repro.fuzz.uds_campaign.UdsFuzzCampaign.resume`: ``build``
     deterministically reconstructs the campaign object (any class with
     ``attach_journal`` and ``_execute``), which continues from
-    :func:`resume_point`.
+    :func:`resume_point` through :func:`repro.fuzz.batch.run_world`,
+    the same fast-path choice :meth:`FuzzCampaign.run` makes.
     """
+    from repro.fuzz.batch import run_world
+
     if not isinstance(journal, CampaignJournal):
         journal = CampaignJournal(journal)
     saved, state = resume_point(journal)
@@ -510,4 +520,4 @@ def resume_campaign(journal: "CampaignJournal | str", build: Callable,
         return saved
     campaign = build()
     campaign.attach_journal(journal, checkpoint_every=checkpoint_every)
-    return campaign._execute(state)
+    return run_world(campaign, state)

@@ -382,26 +382,15 @@ def _run_shards(conn, factory: CampaignFactory,
     """Worker body for one chunk of shards; returns
     ``([(result_json, warnings), ...],)`` aligned with ``specs``.
 
-    One spec runs on the scalar simulator, a longer chunk as one batch
-    (:func:`repro.fuzz.batch.run_shard_batch`).  A shard with a journal
-    info -- ``(store_factory, shard_dir, checkpoint_every)`` -- resumes
-    from whatever its journal kept of the previous attempt.
+    The shards run one after another
+    (:func:`repro.fuzz.batch.run_shard_batch`), each on the fast path
+    when its prover admits it.  A shard with a journal info --
+    ``(store_factory, shard_dir, checkpoint_every)`` -- resumes from
+    whatever its journal kept of the previous attempt.
     """
-    if len(specs) > 1:
-        from repro.fuzz.batch import run_shard_batch
-        pairs = run_shard_batch(factory, specs, journal_infos=journal_infos)
-    elif journal_infos[0] is None:
-        pairs = [(factory(specs[0]).run(), [])]
-    else:
-        store_factory, shard_dir, checkpoint_every = journal_infos[0]
-        journal = CampaignJournal(
-            (store_factory or DirectoryStore)(shard_dir))
-        result = FuzzCampaign.resume(
-            journal, lambda: factory(specs[0]),
-            checkpoint_every=checkpoint_every)
-        pairs = [(result, journal.warnings)]
-    return ([(result.to_json(), list(warnings))
-             for result, warnings in pairs],)
+    from repro.fuzz.batch import run_shard_batch
+    pairs = run_shard_batch(factory, specs, journal_infos=journal_infos)
+    return ([(result.to_json(), warnings) for result, warnings in pairs],)
 
 
 @dataclass
@@ -572,10 +561,10 @@ class ShardedResult:
 
     @property
     def fallback_reasons(self) -> dict[int, str]:
-        """Shard index -> why the batch engine ran it on the scalar
+        """Shard index -> why its prover sent it to the reference
         kernel, parsed from the ``"scalar fallback: ..."`` warnings
-        :func:`repro.fuzz.batch.run_shard_batch` attaches.  Empty for
-        unbatched runs and for batches every world was admitted to."""
+        :func:`repro.fuzz.batch.run_shard_batch` attaches.  Empty when
+        every shard was admitted to the fast path or pins no bench."""
         prefix = _FALLBACK_WARNING_PREFIX
         return {outcome.index: warning[len(prefix):]
                 for outcome in self.outcomes
@@ -614,7 +603,7 @@ class ShardedResult:
         fallbacks = self.fallback_reasons
         if fallbacks:
             lines.append(f"  {len(fallbacks)} scalar-fallback shard(s) "
-                         f"(ran outside the batch engine):")
+                         f"(ran on the reference kernel):")
             for index, reason in sorted(fallbacks.items()):
                 lines.append(f"    [shard {index}] {reason}")
         durability = self.warning_count - len(fallbacks)
@@ -687,15 +676,14 @@ class ShardedCampaign:
             use to open their journal backend (default
             :class:`DirectoryStore`; chaos tests inject a
             :class:`FaultyStore` builder here).
-        batch_size: shards per worker process.  ``1`` (the default)
-            runs each shard through the scalar simulator as before;
-            larger values hand chunks of shards to the batch engines
-            (:mod:`repro.fuzz.batch`), which produce
-            bit-identical results at a fraction of the interpreter
-            cost.  A batched worker's hang deadline scales with its
-            chunk size.  A fault is charged to every shard in the
-            chunk (the parent cannot tell which one caused it), and
-            each shard that faulted retries alone.
+        batch_size: shards per worker process -- IPC chunking only.
+            Every shard runs the same way whatever the chunk size
+            (its own campaign's ``run``, on the fast path when the
+            prover admits it); a larger chunk amortises one worker's
+            spawn and reply over more shards.  A chunk's hang deadline
+            scales with its size.  A fault is charged to every shard
+            in the chunk (the parent cannot tell which one caused it),
+            and each shard that faulted retries alone.
         terminate_grace: seconds a worker gets to exit -- after its
             result, or after SIGTERM -- before SIGKILL.
     """
@@ -841,8 +829,11 @@ class ShardedCampaign:
     def run_serial(self) -> ShardedResult:
         """Run every shard inline, in shard order, in this process.
 
-        The benchmark baseline, and the reference the parallel path
+        The benchmark baseline, and the reference the worker-pool path
         must match bit for bit (:meth:`ShardedResult.fingerprint`).
+        Each shard runs through the same body a worker runs, fast path
+        included, so this checks the process layer; the kernel
+        reference is each campaign's ``_execute``.
         """
         started = time.perf_counter()
         outcomes = []

@@ -88,10 +88,11 @@ def _finding_from_dict(item: dict, requests: dict | None = None) -> Finding:
 finding_to_dict = _finding_to_dict
 finding_from_dict = _finding_from_dict
 
-#: Warning prefix the batch engine attaches to worlds it degraded to
-#: the scalar kernel.  Shared by the producers (``run_shard_batch``)
-#: and the consumers (``ShardedResult.fallback_reasons``, CLI reports)
-#: so the reason survives the warning round-trip intact.
+#: Warning prefix a sharded run attaches to worlds the fast-path
+#: prover sent to the reference kernel.  Shared by the producer
+#: (``run_shard_batch``) and the consumers
+#: (``ShardedResult.fallback_reasons``, CLI reports) so the reason
+#: survives the warning round-trip intact.
 FALLBACK_WARNING_PREFIX = "scalar fallback: "
 
 
@@ -113,10 +114,13 @@ class FuzzResult:
     #: Health telemetry keyed by oracle name (bus-down events, backoff
     #: and quarantine counters) from oracles exposing ``health_dict``.
     health: dict = field(default_factory=dict)
-    #: Why a batch engine ran this world on the scalar kernel instead
-    #: (empty when the world was admitted or never batched).  Run-side
+    #: Why ``run()`` / ``resume_campaign`` ran this world on the
+    #: reference kernel ``_execute`` instead of its fast path: the
+    #: prover's violated rule, or the UDS exchange's mid-run bail.
+    #: Empty when the fast path ran the whole world, when the campaign
+    #: pins no bench, and for results loaded from a journal.  Run-side
     #: diagnostics only: deliberately excluded from :meth:`to_dict` so
-    #: batched and scalar runs keep identical fingerprints.
+    #: both kernels keep identical fingerprints.
     fallback_reasons: list = field(default_factory=list)
 
     @property

@@ -109,8 +109,15 @@ class UdsFuzzCampaign:
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> FuzzResult:
-        """Execute the campaign to completion and return the record."""
-        return self._execute(None)
+        """Execute the campaign to completion and return the record.
+
+        As :meth:`repro.fuzz.campaign.FuzzCampaign.run`: a campaign
+        that pins its bench runs on the analytic exchange when the
+        prover admits it (:func:`repro.fuzz.batch.run_world`), any
+        other on :meth:`_execute`, the reference kernel.
+        """
+        from repro.fuzz.batch import run_world
+        return run_world(self)
 
     @classmethod
     def resume(cls, journal: "CampaignJournal | str",

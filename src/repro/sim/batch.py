@@ -1,26 +1,28 @@
-"""Vectorised multi-world kernel primitives.
+"""Word-stream primitives for the block-stepped frame engine.
 
 The scalar :class:`~repro.sim.kernel.Simulator` dispatches one Python
 closure per event; a fuzz campaign fires two to three events per frame,
 which caps throughput near the interpreter's call rate.  This module
-holds the random-number primitive that lets independent campaign worlds
-skip that dispatch:
+holds the random-number primitive that lets a campaign world skip that
+dispatch:
 
-- :class:`BatchRandom`: W CPython-``random.Random``-compatible MT19937
-  streams stored as struct-of-arrays word buffers.  Draw emulation is
-  *bit-exact*: ``randbelow``/``randbytes8`` consume exactly the 32-bit
-  words CPython's ``_randbelow``/``randbytes`` would, including
-  rejection re-draws, so a world's stream can be exported back into a
-  ``random.Random`` at any frame boundary (:meth:`BatchRandom.getstate`)
-  and continue scalar bit-identically.  :meth:`BatchRandom.peek` and
-  :meth:`BatchRandom.commit` hand one world's upcoming words out as a
+- :class:`BatchRandom`: CPython-``random.Random``-compatible MT19937
+  streams stored as word buffers.  :meth:`BatchRandom.peek` and
+  :meth:`BatchRandom.commit` hand a world's upcoming words out as a
   block, so a caller can parse many draws at once and consume exactly
-  the words they used.
-- :class:`BatchRandomView`: a ``random.Random`` facade over one world's
-  stream, for scalar generator code.
+  the words they used; the stream can be exported back into a
+  ``random.Random`` at any word boundary (:meth:`BatchRandom.getstate`)
+  and continue scalar bit-identically.  The frame engine in
+  :mod:`repro.fuzz.batch` runs one world per instance.
 
-Nothing here knows about CAN or campaigns; the analytic campaign model
-that drives these streams lives in :mod:`repro.fuzz.batch`.
+Two older pieces have no caller in the package and remain only while
+the benchmark's tracer (``bench/layers.py``) still wraps them by name:
+the multi-world vector API (``next_words``, ``randbelow``,
+``randbytes8``), which emulates ``_randbelow``/``randbytes`` over many
+worlds at once, and :class:`BatchRandomView`, a ``random.Random``
+facade over one world's stream.  Both go when that wrapper list does.
+
+Nothing here knows about CAN or campaigns.
 """
 
 from __future__ import annotations
@@ -329,12 +331,11 @@ class BatchRandom:
 class BatchRandomView:
     """A ``random.Random``-compatible facade over one world's stream.
 
-    The frame-level engine consumes :class:`BatchRandom` words through
-    vectorised bulk calls; the request-level UDS engine instead hands
-    each world's *generator object* a view of its own stream, so the
-    scalar generator code runs unmodified while the words still come
-    from (and are accounted against) the shared batch state.  Every
-    method reproduces CPython's word consumption exactly -- including
+    Hands scalar generator code a view of one :class:`BatchRandom`
+    world, so the words come from (and are accounted against) the
+    shared batch state.  No caller in the package uses it (see the
+    module docstring).  Every method reproduces CPython's word
+    consumption exactly -- including
     ``getrandbits(0)`` drawing nothing and ``_randbelow`` rejection
     redraws -- so :meth:`getstate` stays exportable at any boundary and
     a ``random.Random`` seeded with it continues bit-identically.

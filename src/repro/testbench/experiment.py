@@ -10,9 +10,10 @@ increased to 1959 seconds."
 :class:`UnlockExperiment` runs N independent trials per BCM check
 mode; each trial is a fresh bench, a fresh fuzzer stream and a
 campaign that stops at the first unlock acknowledgement.  Trials run
-on the batch frame engine (:class:`~repro.fuzz.batch.BatchCampaign`),
-whose results are bit-identical to the scalar kernel's; a trial its
-prover cannot admit runs scalar and names the rule in its outcome.
+through ``FuzzCampaign.run``, which puts an admitted world on the
+block-stepped frame engine (:mod:`repro.fuzz.batch`), bit-identical to
+the reference kernel; a trial its prover cannot admit runs on the
+reference kernel and names the rule in its outcome.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
-from repro.fuzz.batch import BatchCampaign
 from repro.fuzz.campaign import CampaignLimits, FuzzCampaign
 from repro.fuzz.config import FuzzConfig
 from repro.fuzz.coverage import expected_unlock_seconds
@@ -40,8 +40,8 @@ class TrialOutcome:
     unlocked: bool
     seconds_to_unlock: float | None
     frames_sent: int
-    #: The batch prover's rule that sent the trial to the scalar
-    #: kernel, or ``None`` when the batch engine ran it.
+    #: The prover's rule that sent the trial to the reference kernel,
+    #: or ``None`` when the frame engine ran it.
     fallback_reason: str | None = None
 
 
@@ -53,7 +53,8 @@ class TableVRow:
     check_mode: str
     times_seconds: tuple[float, ...]
     timeouts: int
-    #: ``"trial k: rule"`` for each trial that ran scalar.
+    #: ``"trial k: rule"`` for each trial that ran on the reference
+    #: kernel.
     fallback_reasons: tuple[str, ...] = ()
 
     @property
@@ -146,8 +147,7 @@ class UnlockExperiment:
     def run_trial(self, trial: int) -> TrialOutcome:
         """One independent blind-fuzz trial on a fresh bench."""
         campaign = self.build_trial(trial)
-        batch = BatchCampaign([campaign])
-        result = batch.run()[0]
+        result = campaign.run()
         unlocked = not campaign.bench.bcm.locked
         return TrialOutcome(
             trial=trial,
@@ -155,7 +155,8 @@ class UnlockExperiment:
             seconds_to_unlock=(result.first_finding_seconds
                                if unlocked else None),
             frames_sent=result.frames_sent,
-            fallback_reason=batch.fallback_reasons.get(0))
+            fallback_reason=(result.fallback_reasons[0]
+                             if result.fallback_reasons else None))
 
     # ------------------------------------------------------------------
     # Full row

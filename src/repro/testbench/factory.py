@@ -97,8 +97,8 @@ class UnlockBenchFactory:
             name=f"unlock-{self.check_mode}-shard{spec.index}",
             channel=channel)
         # Pin the bench on the campaign: it keeps the world alive for
-        # the campaign's lifetime and lets the batch engine
-        # (repro.fuzz.batch) find the target it must model.
+        # the campaign's lifetime and lets run() take the fast path
+        # (repro.fuzz.batch) once the prover has checked the target.
         campaign.bench = bench
         return campaign
 
@@ -153,8 +153,8 @@ class UdsBenchFactory:
             recent_window=self.recent_window,
             name=f"uds-shard{spec.index}")
         # Pin the bench on the campaign: it keeps the world alive for
-        # the campaign's lifetime and lets the batch engine
-        # (repro.fuzz.batch) prove the world it must model.
+        # the campaign's lifetime and lets run() take the fast path
+        # (repro.fuzz.batch) once the prover has checked the world.
         campaign.bench = bench
         return campaign
 

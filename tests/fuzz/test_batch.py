@@ -1,13 +1,13 @@
-"""Scalar-vs-batch parity for the block-stepped frame engine.
+"""Reference-vs-fast-path parity for the block-stepped frame engine.
 
-The batch engine's whole contract is *bit-identical* results: the same
+The fast path's whole contract is *bit-identical* results: the same
 seeds must produce the same ``FuzzResult.to_dict()`` whether a world
-runs through the scalar event kernel or the block-stepped frame
-engine, including every journal artefact (record stream, checkpoint
-file, result file) and every resume path.  These tests pin that
-contract across finding kinds, payload check modes, limit shapes,
-recent-window sizes, block boundaries, durability and the sharded
-runner's batched workers.
+runs through the reference event kernel (``campaign._execute``) or,
+through ``run()``, on the block-stepped frame engine, including every
+journal artefact (record stream, checkpoint file, result file) and
+every resume path.  These tests pin that contract across finding
+kinds, payload check modes, limit shapes, recent-window sizes, block
+boundaries, durability and the sharded runner's workers.
 """
 
 import functools
@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fuzz import batch as batch_engine
-from repro.fuzz.batch import BatchCampaign, run_shard_batch
-from repro.fuzz.campaign import CampaignLimits, FuzzCampaign, resume_campaign
+from repro.fuzz.batch import run_shard_batch
+from repro.fuzz.campaign import CampaignLimits, FuzzCampaign
 from repro.fuzz.config import FuzzConfig
 from repro.fuzz.durability import CampaignJournal, DirectoryStore, scan_records
 from repro.fuzz.generator import RandomFrameGenerator
@@ -30,6 +30,8 @@ from repro.sim.clock import MS
 from repro.testbench.bcm import STATUS_ID, UNLOCK_ACK_ID
 from repro.testbench.bench import UnlockTestbench
 from repro.testbench.factory import UnlockBenchFactory, _unlock_ack
+
+from .reference import reference_resume, reference_shards
 
 
 def build_world(kind, seed, mode="byte", max_frames=4000, recent_window=32):
@@ -98,36 +100,29 @@ class TestFreshParity:
 
     def test_results_bit_identical_across_kinds(self, monkeypatch):
         twins = [build_world(*case) for case in self.CASES]
-        scalar = [campaign.run().to_dict() for campaign in twins]
+        reference = [campaign._execute(None).to_dict() for campaign in twins]
         worlds = [build_world(*case) for case in self.CASES]
-        batch = BatchCampaign(worlds)
-        batched = [result.to_dict() for result in batch.run()]
-        assert batch.fallback_reasons == {}
-        for case, want, got in zip(self.CASES, scalar, batched):
-            assert got == want, case
-        # The batched bench's BCM ends where the scalar run leaves it.
+        for case, want, world in zip(self.CASES, reference, worlds):
+            result = world.run()
+            assert result.fallback_reasons == [], case
+            assert result.to_dict() == want, case
+        # The fast path leaves the bench's BCM where the reference run
+        # leaves it.
         for case, twin, world in zip(self.CASES, twins, worlds):
             assert bcm_state(world) == bcm_state(twin), case
-        assert scalar[-1]["findings"]
-        assert scalar[-1]["findings"][0]["recent_frames"] == []
+        assert reference[-1]["findings"]
+        assert reference[-1]["findings"][0]["recent_frames"] == []
         # Block boundaries: a block size equal to a world's frame count
         # puts its last frame -- the finding frame of an ack finding,
         # the step limit of every other world -- on a block's last
         # frame; one frame per block, a few frames per block, and a
         # block longer than every world cover the rest.
-        sizes = sorted({result["frames_sent"] for result in scalar})
+        sizes = sorted({result["frames_sent"] for result in reference})
         for size in sizes + [1, 7, 10 ** 6]:
             monkeypatch.setattr(batch_engine, "BLOCK_FRAMES", size)
-            again = BatchCampaign([build_world(*case)
-                                   for case in self.CASES]).run()
-            for case, want, got in zip(self.CASES, scalar, again):
-                assert got.to_dict() == want, (case, size)
-
-    def test_results_come_back_in_input_order(self):
-        campaigns = [build_world("ack", seed) for seed in (3, 1)]
-        names = [campaign.name for campaign in campaigns]
-        results = BatchCampaign(campaigns).run()
-        assert [result.name for result in results] == names
+            for case, want in zip(self.CASES, reference):
+                got = build_world(*case).run().to_dict()
+                assert got == want, (case, size)
 
 
 class TestScalarFallback:
@@ -146,48 +141,38 @@ class TestScalarFallback:
             campaign.bench = bench
             return campaign
 
-        scalar = build(5).run().to_dict()
-        batch = BatchCampaign([build(5)])
-        assert batch.run()[0].to_dict() == scalar
-        assert 0 in batch.fallback_reasons
-        assert "jitter" in batch.fallback_reasons[0]
+        reference = build(5)._execute(None).to_dict()
+        result = build(5).run()
+        assert result.to_dict() == reference
+        assert len(result.fallback_reasons) == 1
+        assert "jitter" in result.fallback_reasons[0]
 
     def test_mixed_eligible_and_fallback_worlds(self):
-        campaigns = [build_world("ack", 0)]
-        bench = UnlockTestbench(seed=9)
-        bench.power_on(settle_seconds=0.5)
-        adapter = bench.attacker_adapter()
-        odd = FuzzCampaign(bench.sim, adapter,
-                           RandomFrameGenerator(FuzzConfig(),
-                                                random.Random(9)),
-                           limits=CampaignLimits(max_frames=300),
-                           interval=1 * MS, interval_jitter=50,
-                           rng=random.Random(10), name="odd")
-        odd.bench = bench
-        campaigns.append(odd)
-        twins = [build_world("ack", 0).run().to_dict()]
-        bench2 = UnlockTestbench(seed=9)
-        bench2.power_on(settle_seconds=0.5)
-        adapter2 = bench2.attacker_adapter()
-        odd2 = FuzzCampaign(bench2.sim, adapter2,
-                            RandomFrameGenerator(FuzzConfig(),
-                                                 random.Random(9)),
-                            limits=CampaignLimits(max_frames=300),
-                            interval=1 * MS, interval_jitter=50,
-                            rng=random.Random(10), name="odd")
-        odd2.bench = bench2
-        twins.append(odd2.run().to_dict())
-        # An unbounded recent window (the scalar deque keeps every
-        # frame) is a named scalar rule.
-        campaigns.append(build_world("ack", 4, recent_window=None))
-        twins.append(build_world("ack", 4, recent_window=None)
-                     .run().to_dict())
-        batch = BatchCampaign(campaigns)
-        results = [result.to_dict() for result in batch.run()]
-        assert results == twins
-        assert list(batch.fallback_reasons) == [1, 2]
-        assert batch.fallback_reasons[2] == ("unbounded recent window "
-                                             "runs scalar")
+        def odd():
+            bench = UnlockTestbench(seed=9)
+            bench.power_on(settle_seconds=0.5)
+            adapter = bench.attacker_adapter()
+            campaign = FuzzCampaign(
+                bench.sim, adapter,
+                RandomFrameGenerator(FuzzConfig(), random.Random(9)),
+                limits=CampaignLimits(max_frames=300), interval=1 * MS,
+                interval_jitter=50, rng=random.Random(10), name="odd")
+            campaign.bench = bench
+            return campaign
+
+        # An admitted world, a jittered one, and an unbounded recent
+        # window (the reference deque keeps every frame), which is a
+        # named rule of its own.
+        builds = [lambda: build_world("ack", 0), odd,
+                  lambda: build_world("ack", 4, recent_window=None)]
+        reasons = []
+        for build in builds:
+            result = build().run()
+            assert result.to_dict() == build()._execute(None).to_dict()
+            reasons.append(result.fallback_reasons)
+        assert reasons[0] == []
+        assert len(reasons[1]) == 1
+        assert reasons[2] == ["unbounded recent window runs scalar"]
 
 
 def journal_spec(index, max_frames=1200):
@@ -245,8 +230,8 @@ class TestJournalParity:
             for spec in specs:
                 journal = CampaignJournal(DirectoryStore(
                     str(tmp_path / f"{tag}/scalar/shard-{spec.index:04d}")))
-                FuzzCampaign.resume(journal, lambda spec=spec: build(spec),
-                                    checkpoint_every=every)
+                reference_resume(journal, lambda spec=spec: build(spec),
+                                 checkpoint_every=every)
             infos = [(None, str(tmp_path / f"{tag}/batch/shard-"
                                            f"{s.index:04d}"), every)
                      for s in specs]
@@ -268,8 +253,8 @@ class TestJournalParity:
                             batch_store.read(CampaignJournal.CHECKPOINT)))
 
     def test_kill_resume_matches_scalar_resume_both_ways(self, tmp_path):
-        # The resume contract: a batch resume of a surviving journal
-        # equals a *scalar resume* of the same journal (the protocol
+        # The resume contract: a fast-path resume of a surviving journal
+        # equals a *reference resume* of the same journal (the protocol
         # rebuilds the target fresh, so neither necessarily equals the
         # uninterrupted run when commands preceded the checkpoint).
         # Checkpoints every 1040 frames leave shard 0's finding (frame
@@ -279,15 +264,15 @@ class TestJournalParity:
         for every in (500, 1040):
             source = tmp_path / f"full-{every}"
             journal = CampaignJournal(DirectoryStore(str(source)))
-            FuzzCampaign.resume(journal, lambda: journal_build(spec),
-                                checkpoint_every=every)
+            reference_resume(journal, lambda: journal_build(spec),
+                             checkpoint_every=every)
             assert DirectoryStore(str(source)).exists(
                 CampaignJournal.CHECKPOINT)
             ctl, bat = tmp_path / f"ctl-{every}", tmp_path / f"bat-{every}"
             for target in (ctl, bat):
                 shutil.copytree(source, target)
                 DirectoryStore(str(target)).remove(CampaignJournal.RESULT)
-            control = resume_campaign(
+            control = reference_resume(
                 CampaignJournal(DirectoryStore(str(ctl))),
                 lambda: journal_build(spec), checkpoint_every=every)
             pairs = run_shard_batch(
@@ -297,7 +282,7 @@ class TestJournalParity:
             assert read_records(bat) == read_records(ctl)
             kinds = [record["type"] for record in read_records(bat)]
             assert kinds.count("resume") == 1
-            # A second batch resume of the now-completed batch journal
+            # A second resume of the now-completed journal
             # short-circuits to the saved result.
             again = run_shard_batch(
                 journal_build, [spec],
@@ -312,14 +297,33 @@ class TestShardedBatching:
     LIMITS = CampaignLimits(max_frames=4000)
 
     def test_batched_run_fingerprints_like_serial(self):
-        serial = ShardedCampaign(UnlockBenchFactory(), shards=4,
-                                 limits=self.LIMITS,
-                                 master_seed=11, jobs=2).run_serial()
-        batched = ShardedCampaign(UnlockBenchFactory(), shards=4,
-                                  limits=self.LIMITS, master_seed=11,
-                                  jobs=2, batch_size=2).run()
-        assert batched.ok
-        assert batched.fingerprint() == serial.fingerprint()
+        serial_run = ShardedCampaign(UnlockBenchFactory(), shards=4,
+                                     limits=self.LIMITS,
+                                     master_seed=11, jobs=2)
+        serial = serial_run.run_serial()
+        reference = reference_shards(UnlockBenchFactory(), serial_run)
+        assert {o.index: o.result.to_dict()
+                for o in serial.outcomes} == reference
+        for batch_size in (1, 64):
+            batched = ShardedCampaign(UnlockBenchFactory(), shards=4,
+                                      limits=self.LIMITS, master_seed=11,
+                                      jobs=2, batch_size=batch_size).run()
+            assert batched.ok
+            assert batched.fingerprint() == serial.fingerprint()
+            assert batched.fallback_reasons == {}
+
+    def test_rejected_shards_surface_their_rule(self):
+        # Every shard runs through the prover whatever the chunk size,
+        # so a rejected one reports its rule as a shard warning.
+        limits = CampaignLimits(max_frames=300, stop_on_finding=False)
+        sharded = ShardedCampaign(UnlockBenchFactory(), shards=2,
+                                  limits=limits, master_seed=11)
+        serial = sharded.run_serial()
+        rule = "continue-after-finding campaigns run scalar"
+        assert serial.fallback_reasons == {0: rule, 1: rule}
+        assert {o.index: o.result.to_dict()
+                for o in serial.outcomes} == reference_shards(
+                    UnlockBenchFactory(), sharded)
 
     def test_batched_journal_rerun_skips_completed(self, tmp_path):
         first = ShardedCampaign(UnlockBenchFactory(), shards=4,
@@ -353,23 +357,22 @@ class TestHypothesisParity:
             min_size=2, max_size=4, unique=True))
         max_frames = data.draw(st.integers(min_value=50, max_value=1500))
         kind = data.draw(st.sampled_from(["ack", "led", "factory"]))
-        scalar = [build_world(kind, seed % 1000, max_frames=max_frames)
-                  .run().to_dict() for seed in seeds]
-        batch = BatchCampaign(
-            [build_world(kind, seed % 1000, max_frames=max_frames)
-             for seed in seeds])
-        batched = [result.to_dict() for result in batch.run()]
-        assert batch.fallback_reasons == {}
-        assert batched == scalar
+        for seed in seeds:
+            want = build_world(kind, seed % 1000, max_frames=max_frames)
+            result = build_world(kind, seed % 1000,
+                                 max_frames=max_frames).run()
+            assert result.fallback_reasons == []
+            assert result.to_dict() == want._execute(None).to_dict()
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=500),
            checkpoint_every=st.integers(min_value=100, max_value=600))
     def test_kill_resume_of_batched_run(self, tmp_path_factory, seed,
                                         checkpoint_every):
-        # Run BATCHED with a journal, simulate a kill by dropping the
-        # final result, then resume -- batch and scalar resumes of the
-        # surviving journal must agree exactly.
+        # Run on the fast path with a journal, simulate a kill by
+        # dropping the final result, then resume -- fast-path and
+        # reference resumes of the surviving journal must agree
+        # exactly.
         tmp_path = tmp_path_factory.mktemp("batch-resume")
         spec = ShardSpec(index=0, shard_count=4, master_seed=seed,
                          seed=derive_shard_seed(seed, 0),
@@ -384,7 +387,7 @@ class TestHypothesisParity:
         shutil.copytree(batch_dir, tmp_path / "ctl")
         store.remove(CampaignJournal.RESULT)
         DirectoryStore(str(tmp_path / "ctl")).remove(CampaignJournal.RESULT)
-        control = resume_campaign(
+        control = reference_resume(
             CampaignJournal(DirectoryStore(str(tmp_path / "ctl"))),
             lambda: journal_build(spec),
             checkpoint_every=checkpoint_every)

@@ -1,13 +1,14 @@
-"""Scalar-vs-batch parity for the request-level UDS lockstep engine.
+"""Reference-vs-fast-path parity for the analytic UDS exchange.
 
 The contract is the same one :mod:`tests.fuzz.test_batch` pins for
 frame-level worlds, lifted to request/response granularity: a
 :class:`~repro.fuzz.uds_campaign.UdsFuzzCampaign` world must produce
 bit-identical results, journal records, checkpoints and resume
-behaviour whether it runs on the scalar event kernel or inside
-:class:`~repro.fuzz.batch.BatchUdsCampaign` -- and any world the
-two-track admission prover cannot prove eligible must fall back to the
-scalar kernel with a recorded reason, never a wrong result.
+behaviour whether it runs on the reference event kernel
+(``campaign._execute``) or, through ``run()``, on the analytic
+exchange -- and any world the admission prover cannot prove eligible
+must run on the reference kernel with a recorded reason, never a
+wrong result.
 """
 
 import json
@@ -16,17 +17,18 @@ import shutil
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fuzz.batch import (BatchUdsCampaign, ScalarFallback, plan_world,
-                              plan_uds_world, run_shard_batch)
-from repro.fuzz.campaign import CampaignLimits, resume_campaign
+from repro.fuzz.batch import (ScalarFallback, plan_frame_world,
+                              plan_uds_world, run_shard_batch, run_world)
+from repro.fuzz.campaign import CampaignLimits
 from repro.fuzz.coverage import ProtocolStateCoverage
 from repro.fuzz.durability import CampaignJournal, DirectoryStore, scan_records
 from repro.fuzz.parallel import ShardSpec, ShardedCampaign, derive_shard_seed
-from repro.fuzz.uds_campaign import UdsFuzzCampaign
 from repro.testbench.factory import UdsBenchFactory, UnlockBenchFactory
 
+from .reference import reference_resume, reference_shards
+
 #: stop_on_finding=False: worlds hunt the full budget, which exercises
-#: the recovery path (power cycle + settle) inside the lockstep engine.
+#: the recovery path (power cycle + settle) under the analytic exchange.
 KEEP_GOING = UdsBenchFactory(stop_on_finding=False)
 FIRST_FINDING = UdsBenchFactory()
 
@@ -48,52 +50,49 @@ def fingerprint(campaign, result):
     }
 
 
-def run_scalar(factory, spec):
+def run_reference(factory, spec):
     campaign = factory(spec)
-    result = campaign.run()
+    result = campaign._execute(None)
     return fingerprint(campaign, result)
 
 
-def run_batch(factory, specs):
-    campaigns = [factory(spec) for spec in specs]
-    batch = BatchUdsCampaign(campaigns)
-    results = batch.run()
-    prints = [fingerprint(campaign, result)
-              for campaign, result in zip(campaigns, results)]
-    return prints, batch
+def run_fast(factory, spec):
+    """The world through ``run()``: its fingerprint and fallback
+    reasons."""
+    campaign = factory(spec)
+    result = campaign.run()
+    return fingerprint(campaign, result), result.fallback_reasons
 
 
 class TestFreshParity:
     def test_keep_going_worlds_bit_identical(self):
-        specs = [uds_spec(i, max_frames=300) for i in range(4)]
-        scalar = [run_scalar(KEEP_GOING, spec) for spec in specs]
-        batched, batch = run_batch(KEEP_GOING, specs)
-        assert batch.fallback_reasons == {}
-        assert batched == scalar
+        for spec in [uds_spec(i, max_frames=300) for i in range(4)]:
+            assert run_fast(KEEP_GOING, spec) == (
+                run_reference(KEEP_GOING, spec), [])
 
     def test_stop_on_finding_worlds_bit_identical(self):
-        specs = [uds_spec(i, max_frames=250) for i in range(3)]
-        scalar = [run_scalar(FIRST_FINDING, spec) for spec in specs]
-        batched, batch = run_batch(FIRST_FINDING, specs)
-        assert batch.fallback_reasons == {}
-        assert batched == scalar
-
-    def test_results_come_back_in_input_order(self):
-        specs = [uds_spec(i, max_frames=120) for i in (2, 0)]
-        campaigns = [FIRST_FINDING(spec) for spec in specs]
-        names = [campaign.name for campaign in campaigns]
-        results = BatchUdsCampaign(campaigns).run()
-        assert [result.name for result in results] == names
+        for spec in [uds_spec(i, max_frames=250) for i in range(3)]:
+            assert run_fast(FIRST_FINDING, spec) == (
+                run_reference(FIRST_FINDING, spec), [])
 
 
 class TestProver:
     def test_dispatcher_routes_by_campaign_layer(self):
+        # Each layer's prover admits its own world and rejects the
+        # other layer's by campaign type; run_world routes each to its
+        # kernel, so neither records a reason.
         uds = FIRST_FINDING(uds_spec(0, max_frames=50))
-        assert plan_world(0, uds, uds.bench, None) is None
+        assert plan_uds_world(uds, uds.bench, None) is None
+        with pytest.raises(ScalarFallback, match="not FuzzCampaign"):
+            plan_frame_world(uds, uds.bench, None)
         frame = UnlockBenchFactory()(ShardSpec(
             index=0, shard_count=1, master_seed=0, seed=0,
             limits=CampaignLimits(max_frames=100)))
-        assert plan_world(0, frame, frame.bench, None) is not None
+        assert plan_frame_world(frame, frame.bench, None) is not None
+        with pytest.raises(ScalarFallback, match="not UdsFuzzCampaign"):
+            plan_uds_world(frame, frame.bench, None)
+        for campaign in (uds, frame):
+            assert run_world(campaign).fallback_reasons == []
 
     @pytest.mark.parametrize("mutate, reason", [
         (lambda c: setattr(c, "_reset_target", lambda: None),
@@ -111,29 +110,26 @@ class TestProver:
         campaign = FIRST_FINDING(uds_spec(0, max_frames=50))
         mutate(campaign)
         with pytest.raises(ScalarFallback, match=reason):
-            plan_uds_world(0, campaign, campaign.bench, None)
+            plan_uds_world(campaign, campaign.bench, None)
 
     def test_fallback_world_still_matches_its_scalar_twin(self):
         # With stop_on_finding the recovery hook never fires, so the
-        # hooked twin behaves exactly like the scalar baseline -- the
-        # engine must reject it (unmodelled hook) yet return the same
-        # bits via the scalar kernel, alongside an admitted world.
+        # hooked world behaves exactly like the reference baseline --
+        # the prover must reject it (unmodelled hook) yet run() must
+        # return the same bits via the reference kernel; the admitted
+        # world beside it records no reason.
         def hooked(spec):
             campaign = FIRST_FINDING(spec)
             campaign._reset_target = lambda: None
             return campaign
 
-        specs = [uds_spec(0, max_frames=200), uds_spec(1, max_frames=200)]
-        twins = [run_scalar(hooked, specs[0]),
-                 run_scalar(FIRST_FINDING, specs[1])]
-        campaigns = [hooked(specs[0]), FIRST_FINDING(specs[1])]
-        batch = BatchUdsCampaign(campaigns)
-        results = batch.run()
-        assert list(batch.fallback_reasons) == [0]
-        assert "reset-target" in batch.fallback_reasons[0]
-        prints = [fingerprint(campaign, result)
-                  for campaign, result in zip(campaigns, results)]
-        assert prints == twins
+        spec = uds_spec(0, max_frames=200)
+        got, reasons = run_fast(hooked, spec)
+        assert got == run_reference(hooked, spec)
+        assert len(reasons) == 1 and "reset-target" in reasons[0]
+        spec = uds_spec(1, max_frames=200)
+        assert run_fast(FIRST_FINDING, spec) == (
+            run_reference(FIRST_FINDING, spec), [])
 
 
 def read_records(directory):
@@ -149,8 +145,8 @@ class TestJournalParity:
         for spec in specs:
             journal = CampaignJournal(DirectoryStore(
                 str(tmp_path / f"scalar/shard-{spec.index:04d}")))
-            UdsFuzzCampaign.resume(journal, lambda spec=spec:
-                                   KEEP_GOING(spec), checkpoint_every=100)
+            reference_resume(journal, lambda spec=spec: KEEP_GOING(spec),
+                             checkpoint_every=100)
         infos = [(None, str(tmp_path / f"batch/shard-{s.index:04d}"), 100)
                  for s in specs]
         run_shard_batch(KEEP_GOING, specs, journal_infos=infos)
@@ -182,7 +178,7 @@ class TestJournalParity:
         shutil.copytree(batch_dir, tmp_path / "ctl")
         self.kill(batch_dir)
         self.kill(tmp_path / "ctl")
-        control = resume_campaign(
+        control = reference_resume(
             CampaignJournal(DirectoryStore(str(tmp_path / "ctl"))),
             lambda: KEEP_GOING(spec), checkpoint_every=100)
         resumed = run_shard_batch(
@@ -198,14 +194,14 @@ class TestJournalParity:
         spec = uds_spec(1, max_frames=300)
         scalar_dir = tmp_path / "ctl"
         journal = CampaignJournal(DirectoryStore(str(scalar_dir)))
-        UdsFuzzCampaign.resume(journal, lambda: KEEP_GOING(spec),
-                               checkpoint_every=100)
+        reference_resume(journal, lambda: KEEP_GOING(spec),
+                         checkpoint_every=100)
         assert DirectoryStore(str(scalar_dir)).exists(
             CampaignJournal.CHECKPOINT)
         shutil.copytree(scalar_dir, tmp_path / "bat")
         self.kill(scalar_dir)
         self.kill(tmp_path / "bat")
-        control = resume_campaign(
+        control = reference_resume(
             CampaignJournal(DirectoryStore(str(scalar_dir))),
             lambda: KEEP_GOING(spec), checkpoint_every=100)
         resumed = run_shard_batch(
@@ -226,15 +222,20 @@ class TestShardedBatching:
     LIMITS = CampaignLimits(max_frames=250)
 
     def test_batched_uds_run_fingerprints_like_serial(self):
-        serial = ShardedCampaign(UdsBenchFactory(), shards=4,
-                                 limits=self.LIMITS,
-                                 master_seed=11, jobs=2).run_serial()
-        batched = ShardedCampaign(UdsBenchFactory(), shards=4,
-                                  limits=self.LIMITS, master_seed=11,
-                                  jobs=2, batch_size=2).run()
-        assert batched.ok
-        assert batched.fingerprint() == serial.fingerprint()
-        assert batched.fallback_reasons == {}
+        serial_run = ShardedCampaign(UdsBenchFactory(), shards=4,
+                                     limits=self.LIMITS,
+                                     master_seed=11, jobs=2)
+        serial = serial_run.run_serial()
+        reference = reference_shards(UdsBenchFactory(), serial_run)
+        assert {o.index: o.result.to_dict()
+                for o in serial.outcomes} == reference
+        for batch_size in (1, 64):
+            batched = ShardedCampaign(UdsBenchFactory(), shards=4,
+                                      limits=self.LIMITS, master_seed=11,
+                                      jobs=2, batch_size=batch_size).run()
+            assert batched.ok
+            assert batched.fingerprint() == serial.fingerprint()
+            assert batched.fallback_reasons == {}
 
 
 class TestCoverageVectorisation:
@@ -278,22 +279,21 @@ class TestHypothesisParity:
         max_frames = data.draw(st.integers(min_value=40, max_value=350))
         master = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
         factory = data.draw(st.sampled_from([KEEP_GOING, FIRST_FINDING]))
-        specs = [uds_spec(i, max_frames=max_frames, master=master)
-                 for i in indexes]
-        scalar = [run_scalar(factory, spec) for spec in specs]
-        batched, batch = run_batch(factory, specs)
-        assert batch.fallback_reasons == {}
-        assert batched == scalar
+        for index in indexes:
+            spec = uds_spec(index, max_frames=max_frames, master=master)
+            assert run_fast(factory, spec) == (
+                run_reference(factory, spec), [])
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=500),
            checkpoint_every=st.integers(min_value=40, max_value=200))
     def test_kill_resume_parity_both_directions(self, tmp_path_factory,
                                                 seed, checkpoint_every):
-        # One full batched journalled run, killed by dropping the saved
-        # result, then resumed by BOTH engines from identical copies:
-        # the scalar resume is the specification the batch resume must
-        # reproduce byte-for-byte, records included.
+        # One full fast-path journalled run, killed by dropping the
+        # saved result, then resumed by BOTH kernels from identical
+        # copies: the reference resume is the specification the
+        # fast-path resume must reproduce byte-for-byte, records
+        # included.
         tmp_path = tmp_path_factory.mktemp("uds-resume")
         spec = uds_spec(0, max_frames=300, master=seed)
         batch_dir = tmp_path / "bat"
@@ -305,7 +305,7 @@ class TestHypothesisParity:
         shutil.copytree(batch_dir, tmp_path / "ctl")
         store.remove(CampaignJournal.RESULT)
         DirectoryStore(str(tmp_path / "ctl")).remove(CampaignJournal.RESULT)
-        control = resume_campaign(
+        control = reference_resume(
             CampaignJournal(DirectoryStore(str(tmp_path / "ctl"))),
             lambda: KEEP_GOING(spec), checkpoint_every=checkpoint_every)
         resumed = run_shard_batch(

@@ -228,7 +228,7 @@ class TestKillResume:
 
     def test_kill_resume_is_bit_identical(self, tmp_path):
         spec = make_spec(seed=3)
-        baseline = FACTORY(spec).run().to_dict()
+        baseline = FACTORY(spec)._execute(None).to_dict()
 
         campaign = FACTORY(spec)
         journal = CampaignJournal(tmp_path)
@@ -244,6 +244,10 @@ class TestKillResume:
         campaign._maybe_checkpoint = killing_checkpoint
         with pytest.raises(self.Kill):
             campaign.run()
+        # The kill unwound through the fast path, which unpatched the
+        # bench's client and server on the way out.
+        assert "request" not in vars(campaign.client)
+        assert "_respond" not in vars(campaign.server)
         checkpoint = journal.load_checkpoint()
         assert checkpoint is not None
         assert checkpoint["kind"] == "uds"

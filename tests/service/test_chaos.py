@@ -36,9 +36,10 @@ EAGER = RetryPolicy(attempts=1, backoff=0.0, sleep=_no_sleep)
 
 
 def baseline(seed: int, max_frames: int = 400) -> dict:
-    """The uninterrupted run every chaos outcome must match."""
+    """The uninterrupted reference-kernel run every chaos outcome must
+    match."""
     spec = JobSpec(job_id="baseline", seed=seed, max_frames=max_frames)
-    return UdsBenchFactory()(shard_spec_for(spec)).run().to_dict()
+    return UdsBenchFactory()(shard_spec_for(spec))._execute(None).to_dict()
 
 
 class TestWorkerSigkill:

@@ -27,11 +27,12 @@ EAGER = RetryPolicy(attempts=1, backoff=0.0, sleep=_no_sleep)
 
 def direct_fingerprint(**fields) -> str:
     """The bit-identical baseline: the same spec run straight through
-    the bench factory, no service, no journal, no interruptions."""
+    the bench factory on the reference kernel, no service, no journal,
+    no interruptions."""
     spec = JobSpec(**fields)
     campaign = UdsBenchFactory(
         stop_on_finding=spec.stop_on_finding)(shard_spec_for(spec))
-    return result_fingerprint(campaign.run().to_dict())
+    return result_fingerprint(campaign._execute(None).to_dict())
 
 
 class TestCompletion:

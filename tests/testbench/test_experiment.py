@@ -3,24 +3,23 @@
 These run real blind-fuzz trials at the paper's 1 frame/ms rate in
 simulated time; seeds are fixed so the suite stays fast (the selected
 trials unlock within a few hundred simulated seconds).  Trials run on
-the batch frame engine; the parity tests run each trial's world
-through the scalar kernel too.
+the frame engine's fast path; the parity tests run each trial's world
+through the reference kernel (``campaign._execute``) too.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.fuzz.batch import BatchCampaign
 from repro.sim.clock import MS, SECOND
 from repro.testbench.experiment import (ROW_LABELS, TableVRow,
                                         TrialOutcome, UnlockExperiment)
 
 
 def scalar_outcome(experiment, trial):
-    """The trial's outcome with its world run on the scalar kernel."""
+    """The trial's outcome with its world run on the reference kernel."""
     campaign = experiment.build_trial(trial)
-    result = campaign.run()
+    result = campaign._execute(None)
     unlocked = not campaign.bench.bcm.locked
     return TrialOutcome(
         trial=trial, unlocked=unlocked,
@@ -106,11 +105,11 @@ class TestEngineParity:
         experiment = UnlockExperiment(check_mode=mode, seed=seed,
                                       trial_timeout_seconds=cap)
         twin = experiment.build_trial(trial)
-        want = twin.run().to_dict()
+        want = twin._execute(None).to_dict()
         world = experiment.build_trial(trial)
-        batch = BatchCampaign([world])
-        assert batch.run()[0].to_dict() == want
-        assert batch.fallback_reasons == {}
+        result = world.run()
+        assert result.to_dict() == want
+        assert result.fallback_reasons == []
         bcm, other = world.bench.bcm, twin.bench.bcm
         assert (bcm.locked, bcm._ack_counter) == (other.locked,
                                                   other._ack_counter)
