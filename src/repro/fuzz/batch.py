@@ -26,11 +26,14 @@ kernel:
 - **UDS requests.**  The campaign's own loop
   (``UdsFuzzCampaign._execute``) runs on the real bench objects --
   the generator with its own RNG, the server's service handlers, the
-  probe / recovery / checkpoint logic -- while :func:`_run_uds_world`
-  stands in for the wire: it installs a closed-form ISO-TP exchange on
-  ``client.request`` and ``server._respond``, which replaces the poll
-  loop and segmentation events between sending a request and taking
-  its response.
+  probe / recovery / checkpoint logic -- while
+  :func:`install_uds_exchange` stands in for the wire: it puts a
+  closed-form ISO-TP exchange on ``client.request`` and
+  ``server._respond``, which replaces the poll loop and segmentation
+  events between sending a request and taking its response.  The UDS
+  replay track (:mod:`repro.uds.replay`) installs the same exchange
+  on every replayed world its bench check (:func:`check_uds_bench`)
+  admits.
 
 The contract is **bit-identical results**: an admitted world returns
 the same :meth:`~repro.fuzz.session.FuzzResult.to_dict` payload, and
@@ -46,6 +49,7 @@ rules are documented on the two provers and in DESIGN.md §15-§16.
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
 import numpy as np
 
@@ -478,25 +482,14 @@ def _wire_ticks(can_id: int, data: bytes, bitrate: int) -> int:
     return -(-bits * SECOND // bitrate)  # ceiling division
 
 
-def plan_uds_world(campaign: UdsFuzzCampaign, bench,
-                   resume_state: dict | None) -> None:
-    """Prove one UDS campaign eligible for the analytic exchange.
+def check_uds_bench(bench, dids: dict[int, bytes] | None = None) -> None:
+    """Prove one diagnostic bench fits the analytic exchange, or raise.
 
-    Same philosophy as :func:`plan_frame_world`: every rule guards an
-    assumption the analytic exchange model makes, and any violation
-    raises :class:`ScalarFallback` so the world runs on the reference
-    kernel instead -- the worst case is the old speed, never a wrong
-    result.  The rules, by layer:
-
-    campaign -- plain :class:`~repro.fuzz.uds_campaign.UdsFuzzCampaign`
-    with no reset-target hook, driving exactly the bench's own server
-    and client, with a settle window that covers a commanded reboot
-    (response + 10 ms reset delay + boot) so the event queue is always
-    drained at request boundaries.
-
-    generator -- exactly :class:`~repro.uds.stategen.UdsStateGenerator`
-    (wrapping generators, such as the chaos drills' throttles and crash
-    points, keep the reference kernel).
+    The bench half of the UDS admission proof, run by both callers of
+    :func:`install_uds_exchange`: :func:`plan_uds_world` for a
+    campaign and the UDS replay track (:mod:`repro.uds.replay`) for
+    every pristine replay world.  Any violation raises
+    :class:`ScalarFallback`.  The rules, by layer:
 
     target -- a plain :class:`~repro.ecu.base.Ecu` that is running,
     carries no fault models, watchdog, cyclic tasks, receive guard or
@@ -507,11 +500,16 @@ def plan_uds_world(campaign: UdsFuzzCampaign, bench,
     parameters (block size 0, STmin 1 ms), a distinct request/response
     id pair, and a client timeout that undercuts ISO-TP supervision
     (so a transfer stuck by a dead target is always aborted by the
-    next request before its N_Bs timer fires) yet still covers the
-    worst-case segmented exchange the engine will ever model -- the
-    response can never race the deadline.
+    next request before its N_Bs timer fires).
 
     bus -- uninstrumented, idle, exactly the two diagnostic nodes.
+
+    DID store -- the client timeout covers the worst-case segmented
+    exchange the engine will ever model (a request at the
+    segmentation cap answered by the longest response the server can
+    build), so the response can never race the deadline.  ``dids``
+    stands in for the server's store when a checkpoint is about to
+    replace it.
     """
     from repro.ecu.base import Ecu
     from repro.testbench.diag import DiagTestbench
@@ -520,23 +518,10 @@ def plan_uds_world(campaign: UdsFuzzCampaign, bench,
     def fail(reason: str):
         raise ScalarFallback(reason)
 
-    c = campaign
-    if type(c) is not UdsFuzzCampaign:
-        fail(f"campaign type {type(c).__name__} is not UdsFuzzCampaign")
-    if c._reset_target is not None:
-        fail("campaign has a reset-target hook")
-    generator = c.generator
-    if type(generator) is not UdsStateGenerator:
-        fail(f"generator type {type(generator).__name__} not modelled")
     if not isinstance(bench, DiagTestbench):
         fail(f"bench type {type(bench).__name__} is not DiagTestbench")
-    if bench.sim is not c.sim:
-        fail("campaign and bench disagree about the simulator")
-    if bench.server is not c.server or bench.client is not c.client:
-        fail("campaign endpoints are not the bench's")
-
-    server = c.server
-    client = c.client
+    server = bench.server
+    client = bench.client
     ecu = server.ecu
     if type(ecu) is not Ecu:
         fail(f"target ECU type {type(ecu).__name__} is specialised")
@@ -590,11 +575,55 @@ def plan_uds_world(campaign: UdsFuzzCampaign, bench,
         if node.counters.bus_off_latched:
             fail(f"controller {node.name!r} is bus-off")
 
-    # The worst-case exchange the engine will ever model -- a request
-    # at the segmentation cap answered by the longest response the
-    # server can build -- must land strictly inside the client timeout,
-    # so an analytic delivery can never race the scalar poll deadline.
-    dids = server.data_identifiers
+    if dids is None:
+        dids = server.data_identifiers
+    longest = max([len(v) for v in dids.values()] + [SCRATCH_BUFFER_SIZE])
+    worst = bus.timing.worst_case_duration(dlc=8, extended=False)
+    request_cfs = -(-(SAFE_UDS_REQUEST - 6) // 7)
+    response_cfs = max(1, -(-(3 + longest - 6) // 7))
+    exchange = ((3 * worst + (request_cfs - 1) * MS)
+                + (3 * worst + (response_cfs - 1) * MS))
+    if client.timeout <= exchange + MS:
+        fail("client timeout cannot absorb a worst-case segmented "
+             "exchange")
+
+
+def plan_uds_world(campaign: UdsFuzzCampaign, bench,
+                   resume_state: dict | None) -> None:
+    """Prove one UDS campaign eligible for the analytic exchange.
+
+    Same philosophy as :func:`plan_frame_world`: every rule guards an
+    assumption the analytic exchange model makes, and any violation
+    raises :class:`ScalarFallback` so the world runs on the reference
+    kernel instead -- the worst case is the old speed, never a wrong
+    result.  The bench must pass :func:`check_uds_bench` (target,
+    transport, bus and DID store; a resumed run's store is the
+    checkpoint's).  The campaign's own rules:
+
+    campaign -- plain :class:`~repro.fuzz.uds_campaign.UdsFuzzCampaign`
+    with no reset-target hook, driving exactly the bench's own server
+    and client, with a settle window that covers a commanded reboot
+    (response + 10 ms reset delay + boot) so the event queue is always
+    drained at request boundaries, pristine counters and a quiescent
+    event queue.
+
+    generator -- exactly :class:`~repro.uds.stategen.UdsStateGenerator`
+    (wrapping generators, such as the chaos drills' throttles and crash
+    points, keep the reference kernel).
+    """
+    def fail(reason: str):
+        raise ScalarFallback(reason)
+
+    c = campaign
+    if type(c) is not UdsFuzzCampaign:
+        fail(f"campaign type {type(c).__name__} is not UdsFuzzCampaign")
+    if c._reset_target is not None:
+        fail("campaign has a reset-target hook")
+    generator = c.generator
+    if type(generator) is not UdsStateGenerator:
+        fail(f"generator type {type(generator).__name__} not modelled")
+
+    dids = None
     if resume_state is not None:
         if resume_state.get("kind") != "uds":
             fail("resume state comes from a non-UDS campaign")
@@ -605,16 +634,12 @@ def plan_uds_world(campaign: UdsFuzzCampaign, bench,
                         for key, value in saved.items()}
             except (AttributeError, TypeError, ValueError) as exc:
                 fail(f"resume state DID store unreadable: {exc!r}")
-    longest = max([len(v) for v in dids.values()] + [SCRATCH_BUFFER_SIZE])
-    worst = bus.timing.worst_case_duration(dlc=8, extended=False)
-    request_cfs = -(-(SAFE_UDS_REQUEST - 6) // 7)
-    response_cfs = max(1, -(-(3 + longest - 6) // 7))
-    exchange = ((3 * worst + (request_cfs - 1) * MS)
-                + (3 * worst + (response_cfs - 1) * MS))
-    if client.timeout <= exchange + MS:
-        fail("client timeout cannot absorb a worst-case segmented "
-             "exchange")
-    if c.reset_settle < 11 * MS + ecu.boot_time:
+    check_uds_bench(bench, dids)
+    if bench.sim is not c.sim:
+        fail("campaign and bench disagree about the simulator")
+    if bench.server is not c.server or bench.client is not c.client:
+        fail("campaign endpoints are not the bench's")
+    if c.reset_settle < 11 * MS + c.server.ecu.boot_time:
         fail("reset settle does not cover a commanded reboot")
 
     if resume_state is None and (c.requests_sent or c.timeouts
@@ -1132,23 +1157,26 @@ class _FrameEngine:
         plan.journal.save_checkpoint(state)
 
 
-def _run_uds_world(campaign: UdsFuzzCampaign, bench,
-                   resume_state: dict | None) -> FuzzResult:
-    """``campaign._execute`` with the analytic exchange as the wire.
+def install_uds_exchange(bench, memos: dict,
+                         on_bail: Callable[[str], None]
+                         ) -> Callable[[], None]:
+    """Put the analytic exchange on one bench; return its uninstaller.
 
-    Two instance attributes are patched while the campaign's own loop
-    runs: ``client.request`` becomes a closure that mirrors the full
-    ISO-TP exchange (counters, segmentation residuals, clock) without
-    queueing a single kernel event, and ``server._respond`` becomes a
-    capture list so the handler's reply is read back instead of
-    transmitted.  Everything else -- the generator and its RNG, the
-    server's service handlers (including the seeded defects), the
-    campaign's probe / silence / recovery / checkpoint logic, the
-    kernel clock itself -- is the real object graph, which is what
-    makes bit-identical results cheap to argue: the exchange only ever
-    *skips wire time*, it never reimplements behaviour.  Both patches
-    come off in ``finally``, so a run that raises (a kill) leaves the
-    objects as it found them.
+    Two instance attributes are patched: ``client.request`` becomes a
+    closure that mirrors the full ISO-TP exchange (counters,
+    segmentation residuals, clock) without queueing a single kernel
+    event, and ``server._respond`` becomes a capture list so the
+    handler's reply is read back instead of transmitted.  Everything
+    else -- the caller's loop, the server's service handlers
+    (including the seeded defects), the kernel clock itself -- is the
+    real object graph, which is what makes exactness cheap to argue:
+    the exchange only ever *skips wire time*, it never reimplements
+    behaviour.  The caller must have proven the bench with
+    :func:`check_uds_bench` and must call the returned uninstaller
+    (idempotent) in a ``finally``, so nothing that raises leaves the
+    bench patched.  Two callers exist: :func:`_run_uds_world` (a
+    campaign's ``_execute``) and the UDS replay track
+    (:class:`~repro.uds.replay.UdsReplayer`, once per replayed world).
 
     The derivation the closure relies on (validated against the
     reference transport): frames chain on the bus at exact delivery
@@ -1158,30 +1186,33 @@ def _run_uds_world(campaign: UdsFuzzCampaign, bench,
     boundary at or after the response delivery.  A request longer than
     :data:`SAFE_UDS_REQUEST`, or one that finds kernel events pending,
     *bails*: the exchange uninstalls itself -- analytic and reference
-    state are exactly equal between exchanges -- and hands this request
-    and the rest of the run to the real :meth:`UdsClient.request`; the
-    reason lands on the result's ``fallback_reasons``.
+    state are exactly equal between exchanges -- hands the request to
+    the real :meth:`UdsClient.request`, and reports the rule to
+    ``on_bail``.
 
-    The collaborators are bound once, before ``_execute`` restores a
-    checkpoint: at ~30 µs per whole analytic exchange, the attribute
-    walks and property descriptors of a straightforward transcription
-    are themselves a measurable fraction of the budget.  Restore
-    rebinds none of them (it replaces ``client._responses``, which is
-    read per call, and the server's DID store, which the exchange
-    never reads).
+    ``memos`` holds the wire-time memos, keyed by link (request id,
+    response id, bitrate): single-frame request payload -> ticks,
+    single-frame response message -> ticks, and (id, frame data) ->
+    ticks for multi-frame pieces.  The caller decides how long they
+    live -- one run of a campaign, one replayer's probes.  The
+    collaborators are bound once per install: at ~30 µs per whole
+    analytic exchange, the attribute walks and property descriptors of
+    a straightforward transcription are themselves a measurable
+    fraction of the budget.  A campaign's checkpoint restore rebinds
+    none of them (it replaces ``client._responses``, which is read per
+    call, and the server's DID store, which the exchange never reads).
     """
-    bail_reasons: list[str] = []
     captured: list[bytes] = []
 
     def respond(message):
         captured.append(bytes(message))
 
-    client = campaign.client
-    server = campaign.server
+    client = bench.client
+    server = bench.server
     ce = client.endpoint
     se = server.endpoint
     ecu = server.ecu
-    sim = campaign.sim
+    sim = bench.sim
     clock = sim.clock
     queue = sim._queue
     run_until = sim.run_until
@@ -1191,17 +1222,14 @@ def _run_uds_world(campaign: UdsFuzzCampaign, bench,
     ce_tx = ce.tx_id
     se_tx = se.tx_id
     bitrate = bench.bus.timing.bitrate
-    # Wire-time memos for this run: single-frame request payload ->
-    # ticks, single-frame response message -> ticks, and (id, frame
-    # data) -> ticks for multi-frame pieces.  Common traffic -- probes,
-    # session sweeps, flow controls, NRC and seed responses -- is
-    # stuffed once per run; a memo kept across runs would grow by about
-    # one entry per fresh request and mostly miss.
-    sf_request_ticks: dict[bytes, int] = {}
-    sf_response_ticks: dict[bytes, int] = {}
-    piece_ticks: dict[tuple[int, bytes], int] = {}
-    fc_from_server = _wire_ticks(se_tx, _UDS_FLOW_CONTROL, bitrate)
-    fc_from_client = _wire_ticks(ce_tx, _UDS_FLOW_CONTROL, bitrate)
+    link = (ce_tx, se_tx, bitrate)
+    memo = memos.get(link)
+    if memo is None:
+        memo = memos[link] = ({}, {}, {},
+                              _wire_ticks(se_tx, _UDS_FLOW_CONTROL, bitrate),
+                              _wire_ticks(ce_tx, _UDS_FLOW_CONTROL, bitrate))
+    (sf_request_ticks, sf_response_ticks, piece_ticks,
+     fc_from_server, fc_from_client) = memo
     running = EcuState.RUNNING
     ms = MS
 
@@ -1219,7 +1247,7 @@ def _run_uds_world(campaign: UdsFuzzCampaign, bench,
 
     def bail(reason, payload, timeout):
         uninstall()
-        bail_reasons.append(reason)
+        on_bail(reason)
         return client.request(payload, timeout)
 
     def request(payload, timeout=None):
@@ -1298,7 +1326,7 @@ def _run_uds_world(campaign: UdsFuzzCampaign, bench,
         if t_deliver > deadline:
             raise RuntimeError(
                 "analytic UDS request overran the client timeout; "
-                "the plan_uds_world admission bound is unsound")
+                "the check_uds_bench admission bound is unsound")
 
         # Server leg: advance the real clock to the delivery tick
         # first -- the handlers read ``sim.now`` (security seeds,
@@ -1356,7 +1384,7 @@ def _run_uds_world(campaign: UdsFuzzCampaign, bench,
                 if t_arrive > deadline:
                     raise RuntimeError(
                         "analytic UDS response overran the client "
-                        "timeout; the plan_uds_world admission "
+                        "timeout; the check_uds_bench admission "
                         "bound is unsound")
                 ce.messages_received += 1
                 on_response(message)  # respond() captured bytes
@@ -1386,6 +1414,23 @@ def _run_uds_world(campaign: UdsFuzzCampaign, bench,
 
     server._respond = respond
     client.request = request
+    return uninstall
+
+
+def _run_uds_world(campaign: UdsFuzzCampaign, bench,
+                   resume_state: dict | None) -> FuzzResult:
+    """``campaign._execute`` with the analytic exchange as the wire.
+
+    The exchange stays installed for the whole run, bails included on
+    the result's ``fallback_reasons``, and comes off in ``finally`` so
+    a run that raises (a kill) leaves the bench as it found it.  Its
+    wire-time memos live for this run: common traffic -- probes,
+    session sweeps, flow controls, NRC and seed responses -- is
+    stuffed once per run, while a memo kept across runs would grow by
+    about one entry per fresh request and mostly miss.
+    """
+    bail_reasons: list[str] = []
+    uninstall = install_uds_exchange(bench, {}, bail_reasons.append)
     try:
         result = campaign._execute(resume_state)
     finally:

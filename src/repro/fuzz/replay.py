@@ -26,10 +26,14 @@ keeps a prefix tree of :class:`~repro.sim.snapshot.Snapshot`
 checkpoints keyed by transmission steps.  A probe restores the deepest
 cached ancestor of its candidate and only simulates the suffix.
 Verdict parity with the fresh-build :class:`Replayer` is structural: a
-checkpoint is the exact world a fresh replay of that prefix would have
-produced (same steps, same pacing, same powered-on start state), and
-the simulator is deterministic, so continuing from the restored
-checkpoint and continuing from a fresh rebuild are bit-identical.
+checkpoint is exactly the world a fresh replay of that prefix would
+have produced (same steps, same pacing, same powered-on start state),
+and the simulator is deterministic, so continuing from the restored
+checkpoint and continuing from a fresh rebuild are bit-identical.  A
+UDS world stepped on the analytic exchange (see
+:meth:`StepReplayer._attach`) equals one stepped on the wire in every
+state a verdict reads; its bus statistics are the one exception, as
+the exchange moves no frame over the bus.
 """
 
 from __future__ import annotations
@@ -73,6 +77,11 @@ class ConfirmationReport:
         }
 
 
+def _nothing_to_undo() -> None:
+    """The undo of a world that :meth:`StepReplayer._attach` left as
+    it was."""
+
+
 class StepReplayer:
     """Replays step sequences against freshly built targets.
 
@@ -104,12 +113,35 @@ class StepReplayer:
 
     def _run(self, path: Sequence[Hashable]) -> bool:
         """Replay ``path`` on a fresh target; True if it fails."""
-        sim, endpoint, failed = self._target_factory()
+        world = self._target_factory()
+        sim, endpoint, failed = world
         self.replays += 1
-        for step in path:
-            self._step(sim, endpoint, step)
-        sim.run_for(self.settle)
-        return bool(failed())
+        detach = self._attach(world, True)
+        try:
+            for step in path:
+                self._step(sim, endpoint, step)
+            sim.run_for(self.settle)
+            return bool(failed())
+        finally:
+            detach()
+
+    def _attach(self, world, pristine: bool) -> Callable[[], None]:
+        """Ready ``world`` for its steps; return the callable undoing it.
+
+        Called on every world a probe steps on: ``pristine`` is True
+        for a fresh factory build (or the first restore of a cached
+        root) and False for a world restored from a checkpoint or
+        resumed after one was captured.  The undo runs before every
+        capture and when the probe ends, raising or not, so
+        checkpoints and callers never see what the hook put on.  The
+        frame track needs nothing; the UDS track installs the analytic
+        exchange here.
+        """
+        return _nothing_to_undo
+
+    def stats(self) -> dict:
+        """Counter snapshot for reports (JSON-ready)."""
+        return {"replays": self.replays}
 
     def minimize(self, trace: Sequence, *, max_tests: int = 10_000,
                  stats: MinimizeStats | None = None) -> list:
@@ -244,11 +276,13 @@ class PrefixCache:
     of its candidate's step path and simulates only the remaining
     suffix.
 
-    Checkpoints follow a *second-touch* policy: a capture costs about
-    as much wall clock as a restore -- some fifteen frame steps on the
-    car, two or three request steps on the diagnostic bench -- and
-    every stored checkpoint holds memory, so it is only worth paying
-    on a prefix that is actually shared between probes.  The
+    Checkpoints follow a *second-touch* policy: a capture costs more
+    wall clock than a restore, and both cost many steps -- on a 2-core
+    x86_64 box about 1.0 ms and 0.7 ms on the car (16 and 11 frame
+    steps), 0.18 ms and 0.09 ms on the diagnostic bench (14 and 7
+    request steps on the analytic exchange) -- and every stored
+    checkpoint holds memory, so it is only worth paying on a prefix
+    that is actually shared between probes.  The
     first probe through a path merely indexes it in the tree; a later
     probe that walks the same step again (proving the prefix shared)
     drops a checkpoint there, at most one per ``checkpoint_stride``
@@ -292,7 +326,8 @@ class PrefixCache:
 
     def _run(self, path: Sequence[Hashable]) -> bool:
         root = self._root
-        if root.snapshot is None:
+        pristine = root.snapshot is None
+        if pristine:
             root.snapshot = capture(self._target_factory(), label="root")
             self.snapshots_taken += 1
         # Deepest ancestor of the candidate that still holds a
@@ -316,16 +351,22 @@ class PrefixCache:
         # Simulate (and index) the suffix.
         node = best_node
         since_checkpoint = 0
-        for key in path[best_depth:]:
-            node, shared = node.walk(key)
-            self._step(sim, endpoint, key)
-            since_checkpoint += 1
-            if (shared and node.snapshot is None
-                    and since_checkpoint >= self._stride):
-                self._store(node, capture(world))
-                since_checkpoint = 0
-        sim.run_for(self.settle)
-        return bool(failed())
+        detach = self._attach(world, pristine)
+        try:
+            for key in path[best_depth:]:
+                node, shared = node.walk(key)
+                self._step(sim, endpoint, key)
+                since_checkpoint += 1
+                if (shared and node.snapshot is None
+                        and since_checkpoint >= self._stride):
+                    detach()
+                    self._store(node, capture(world))
+                    detach = self._attach(world, False)
+                    since_checkpoint = 0
+            sim.run_for(self.settle)
+            return bool(failed())
+        finally:
+            detach()
 
     def _store(self, node: _PrefixNode, snap: Snapshot) -> None:
         node.snapshot = snap
@@ -342,10 +383,9 @@ class PrefixCache:
         """Checkpoints currently held (excluding the root)."""
         return len(self._lru)
 
-    def stats(self) -> dict[str, int]:
-        """Counter snapshot for reports (JSON-ready)."""
+    def stats(self) -> dict:
         return {
-            "replays": self.replays,
+            **super().stats(),
             "restores": self.restores,
             f"{self.unit}_restored": self.steps_restored,
             f"{self.unit}_simulated": self.steps_simulated,

@@ -19,7 +19,10 @@ ride-out.  :class:`UdsReplayer` rebuilds a fresh bench per probe;
 cache.  Keying the tree by pre-rewrite bytes is sound because pacing
 is a fixed grid and rewriting is a deterministic function of the
 restored world, so identical recorded prefixes reproduce identical
-worlds.
+worlds.  Exchanges skip wire time: a bench the track admits steps on
+the analytic exchange of the fuzzing fast path
+(:func:`~repro.fuzz.batch.install_uds_exchange`), with the verdicts a
+replay on the simulated wire gives.
 
 Both are ddmin-ready: ``probe`` is a ``still_fails`` predicate over
 request sequences, and ``minimize`` shrinks a finding's
@@ -81,6 +84,64 @@ class UdsReplayer(StepReplayer):
         self.reset_settle = reset_settle
         self.key_algorithm = key_algorithm
         self.keys_rewritten = 0
+        #: Each rule that kept an exchange off the wire, once: a bench
+        #: the bench check rejected, or a request that bailed.
+        self.fallback_reasons: list[str] = []
+        #: The exchange's wire-time memos, shared by every probe.
+        self._wire_memos: dict = {}
+        #: Whether the last pristine world was admitted to the exchange.
+        self._on_exchange = False
+
+    def _attach(self, world, pristine: bool) -> Callable[[], None]:
+        """Install the analytic exchange on an admitted world.
+
+        Admission is decided on each pristine world (:meth:`_admit`);
+        a world restored from the cache descends from the pristine
+        root and inherits its verdict.  An admitted world steps on
+        :func:`~repro.fuzz.batch.install_uds_exchange`, with this
+        replayer's memos; any other steps on the real
+        :meth:`UdsClient.request`.
+        """
+        if pristine:
+            self._on_exchange = self._admit(world)
+        if not self._on_exchange:
+            return super()._attach(world, pristine)
+        from repro.fuzz.batch import install_uds_exchange
+        return install_uds_exchange(world[2].__self__, self._wire_memos,
+                                    self._fall_back)
+
+    def _admit(self, world) -> bool:
+        """May the analytic exchange serve ``world``?
+
+        Only when its failure probe is a ``failed``, ``crashed`` or
+        ``hung`` method bound to the
+        :class:`~repro.testbench.diag.DiagTestbench` that owns its
+        client: those read ECU and server state only, never the bus
+        statistics the exchange leaves untouched.  That bench must
+        also pass :func:`~repro.fuzz.batch.check_uds_bench`; a
+        rejection names its rule in :attr:`fallback_reasons`.
+        """
+        from repro.fuzz.batch import ScalarFallback, check_uds_bench
+        from repro.testbench.diag import DiagTestbench
+
+        sim, client, failed = world
+        bench = getattr(failed, "__self__", None)
+        if (type(bench) is not DiagTestbench or bench.client is not client
+                or bench.sim is not sim
+                or getattr(failed, "__func__", None) not in (
+                    DiagTestbench.failed, DiagTestbench.crashed,
+                    DiagTestbench.hung)):
+            return False
+        try:
+            check_uds_bench(bench)
+        except ScalarFallback as exc:
+            self._fall_back(str(exc))
+            return False
+        return True
+
+    def _fall_back(self, reason: str) -> None:
+        if reason not in self.fallback_reasons:
+            self.fallback_reasons.append(reason)
 
     def _rewrite(self, request: bytes, client: UdsClient) -> bytes:
         """Re-derive a sendKey's key byte from this replay's seed."""
@@ -115,13 +176,18 @@ class UdsReplayer(StepReplayer):
         """Replay a finding's witness-plus-window request record."""
         return self.probe(finding.recent_requests)
 
+    def stats(self) -> dict:
+        return {**super().stats(), "keys_rewritten": self.keys_rewritten,
+                "fallback_reasons": list(self.fallback_reasons)}
+
 
 class UdsSnapshotReplayer(PrefixCache, UdsReplayer):
     """A :class:`UdsReplayer` resuming probes from cached checkpoints.
 
     The bench is built once; see
     :class:`~repro.fuzz.replay.PrefixCache` for the checkpoint policy
-    and counters.  :meth:`stats` also reports ``keys_rewritten``.
+    and counters.  :meth:`stats` also reports ``keys_rewritten`` and
+    ``fallback_reasons``.
     """
 
     def __init__(self, target_factory: UdsTargetFactory, *,
@@ -143,9 +209,6 @@ class UdsSnapshotReplayer(PrefixCache, UdsReplayer):
     @property
     def requests_simulated(self) -> int:
         return self.steps_simulated
-
-    def stats(self) -> dict[str, int]:
-        return {**super().stats(), "keys_rewritten": self.keys_rewritten}
 
 
 def confirm_uds_findings(findings: list[Finding],

@@ -2,7 +2,10 @@
 
 ``run()`` and ``resume_campaign`` take the fast path whenever the
 prover admits a world, so a twin that checks them must call the
-reference kernel, ``campaign._execute``, directly.
+reference kernel, ``campaign._execute``, directly.  UDS replay takes
+the analytic exchange whenever its track admits a world, so a replay
+twin builds the same bench with a failure probe the track does not
+admit.
 """
 
 from repro.fuzz.campaign import resume_point
@@ -25,3 +28,16 @@ def reference_shards(factory, sharded):
     reference kernel in this process."""
     return {spec.index: factory(spec)._execute(None).to_dict()
             for spec in sharded._specs}
+
+
+def reference_uds_target(factory):
+    """``factory``'s UDS replay target on the real client.
+
+    The same bench, with its failure probe wrapped: the replay track
+    admits only a bench's own ``failed``/``crashed``/``hung`` method,
+    so every request of every probe crosses the simulated wire.
+    """
+    def build():
+        sim, client, failed = factory()
+        return sim, client, lambda: failed()
+    return build

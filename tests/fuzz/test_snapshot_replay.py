@@ -6,7 +6,9 @@ twin answers -- same probe verdicts, same minimised traces, same probe
 counts -- while reusing cached prefix checkpoints instead of
 rebuilding the target.  The parity and cache-policy checks run on both
 tracks of the one replay engine: CAN frames against the unlock bench
-and UDS requests against the diagnostic bench.
+and UDS requests against the diagnostic bench, the latter both on the
+analytic exchange (the default) and on the real client (the reference
+twin).
 """
 
 import pytest
@@ -25,6 +27,8 @@ from repro.uds.server import (BOOTLOADER_SCRATCH_DID, HANG_SESSION_SUB,
                               SCRATCH_BUFFER_SIZE)
 from repro.uds.stategen import KEY_ALGORITHMS
 from repro.vehicle.database import BODY_COMMAND_ID, UNLOCK_COMMAND
+
+from .reference import reference_uds_target
 
 
 def bench_factory():
@@ -103,6 +107,12 @@ class RequestTrack(Track):
                {"key_algorithm": len(KEY_ALGORITHMS)})
 
 
+class ReferenceRequestTrack(RequestTrack):
+    """The request track on the real client, request for request."""
+
+    factory = staticmethod(reference_uds_target(UdsReplayFactory(seed=0)))
+
+
 def generated_trace_parity(track):
     """Property test: probe verdicts on ``track`` match a fresh build.
 
@@ -171,6 +181,12 @@ class TestUdsParity(ParityCases):
     track = RequestTrack
     test_probe_parity_on_generated_traces = generated_trace_parity(
         RequestTrack)
+
+
+class TestUdsReferenceParity(ParityCases):
+    track = ReferenceRequestTrack
+    test_probe_parity_on_generated_traces = generated_trace_parity(
+        ReferenceRequestTrack)
 
 
 class CachingCases:
@@ -265,6 +281,10 @@ class TestCaching(CachingCases):
 
 class TestUdsCaching(CachingCases):
     track = RequestTrack
+
+
+class TestUdsReferenceCaching(CachingCases):
+    track = ReferenceRequestTrack
 
 
 class TestRecordedPacing:
