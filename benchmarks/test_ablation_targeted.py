@@ -32,6 +32,11 @@ def time_to_unlock(trial: int, targeted: bool) -> float:
     streams = RandomStreams(77).fork(f"{'t' if targeted else 'b'}{trial}")
     rng = streams.stream("fuzzer")
     if targeted:
+        # Power-on traffic holds only the BCM's status id; watch the bus
+        # while the owner locks the car once, as an attacker sniffing a
+        # real vehicle would, so the command and its ack are "known".
+        bench.app.press_lock()
+        bench.run_seconds(0.5)
         known = observed_ids(bench.monitor.stamped)
         generator = TargetedFrameGenerator(known, FuzzConfig.full_range(),
                                            rng)

@@ -8,26 +8,14 @@ that workflow: capture, id statistics, per-byte profiling and capture
 diffing.
 """
 
-from repro.analysis.busload import (
-    LoadSample,
-    load_timeline,
-    mean_frame_rate,
-    peak_load,
-)
 from repro.analysis.bytefield import ByteFieldProfile, profile_id
 from repro.analysis.capture import BusCapture
 from repro.analysis.diffing import CaptureDiff, diff_captures
-from repro.analysis.idstats import IdPeriodicity, id_periodicities, observed_ids
+from repro.analysis.idstats import observed_ids
 
 __all__ = [
     "BusCapture",
-    "LoadSample",
-    "load_timeline",
-    "peak_load",
-    "mean_frame_rate",
     "observed_ids",
-    "IdPeriodicity",
-    "id_periodicities",
     "ByteFieldProfile",
     "profile_id",
     "CaptureDiff",

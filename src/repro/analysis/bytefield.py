@@ -34,11 +34,6 @@ class ByteFieldProfile:
     length_values: tuple[int, ...]
     positions: tuple[BytePositionProfile, ...]
 
-    def changing_positions(self) -> tuple[int, ...]:
-        """Positions that carry live data (non-constant)."""
-        return tuple(p.position for p in self.positions
-                     if p.classification != "constant")
-
 
 def _classify(values: list[int]) -> str:
     distinct = set(values)

@@ -11,8 +11,7 @@ from collections import deque
 
 from repro.can.bus import CanBus
 from repro.can.frame import CanFrame, TimestampedFrame
-from repro.can.log import TraceRecord, format_candump, format_paper_table
-from repro.sim.clock import SECOND
+from repro.can.log import TraceRecord, format_paper_table
 
 
 class BusCapture:
@@ -67,16 +66,6 @@ class BusCapture:
     def records(self) -> list[TraceRecord]:
         return [TraceRecord.from_stamped(s) for s in self._frames]
 
-    def between(self, start_seconds: float,
-                end_seconds: float) -> list[TimestampedFrame]:
-        """Frames with ``start <= t < end`` (seconds)."""
-        start = start_seconds * SECOND
-        end = end_seconds * SECOND
-        return [s for s in self._frames if start <= s.time < end]
-
-    def for_id(self, can_id: int) -> list[TimestampedFrame]:
-        return [s for s in self._frames if s.frame.can_id == can_id]
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
@@ -86,6 +75,3 @@ class BusCapture:
         if head is not None:
             records = records[:head]
         return format_paper_table(records)
-
-    def as_candump(self) -> str:
-        return format_candump(self.records())

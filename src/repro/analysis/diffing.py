@@ -22,11 +22,6 @@ class ByteChange:
     baseline_values: tuple[int, ...]
     observed_values: tuple[int, ...]
 
-    @property
-    def new_values(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.observed_values)
-                            - set(self.baseline_values)))
-
 
 @dataclass(frozen=True)
 class CaptureDiff:
@@ -36,11 +31,6 @@ class CaptureDiff:
     vanished_ids: tuple[int, ...]
     changed_bytes: dict[int, tuple[ByteChange, ...]] = field(
         default_factory=dict)
-
-    @property
-    def candidate_ids(self) -> tuple[int, ...]:
-        """Ids most likely carrying the feature: new, or changed."""
-        return tuple(sorted(set(self.new_ids) | set(self.changed_bytes)))
 
 
 def _value_sets(stamped: list[TimestampedFrame]

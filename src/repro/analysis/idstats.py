@@ -1,73 +1,15 @@
-"""Identifier statistics: which ids live on the bus, and how often.
+"""Identifier statistics: which ids live on the bus.
 
 The first step of the paper's targeted-fuzzing recommendation
 ("fuzzing around known message ids monitored on the CAN bus") is
-exactly :func:`observed_ids`; :func:`id_periodicities` recovers cycle
-times, separating cyclic status traffic from event messages.
+exactly :func:`observed_ids`.
 """
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
-
 from repro.can.frame import TimestampedFrame
-from repro.sim.clock import MS
-
-
-@dataclass(frozen=True)
-class IdPeriodicity:
-    """Timing profile of one identifier."""
-
-    can_id: int
-    count: int
-    median_interval_ms: float | None
-    jitter_ms: float | None
-
-    @property
-    def is_cyclic(self) -> bool:
-        """Heuristic: enough samples and jitter small next to the period."""
-        if self.count < 5 or self.median_interval_ms is None:
-            return False
-        if self.jitter_ms is None:
-            return False
-        return self.jitter_ms <= max(1.0, 0.25 * self.median_interval_ms)
 
 
 def observed_ids(stamped: list[TimestampedFrame]) -> tuple[int, ...]:
     """Distinct identifiers in a capture, sorted."""
     return tuple(sorted({s.frame.can_id for s in stamped}))
-
-
-def id_periodicities(
-        stamped: list[TimestampedFrame]) -> dict[int, IdPeriodicity]:
-    """Per-id arrival statistics from a capture."""
-    arrivals: dict[int, list[int]] = {}
-    for item in stamped:
-        arrivals.setdefault(item.frame.can_id, []).append(item.time)
-    profiles: dict[int, IdPeriodicity] = {}
-    for can_id, times in arrivals.items():
-        if len(times) < 2:
-            profiles[can_id] = IdPeriodicity(
-                can_id=can_id, count=len(times),
-                median_interval_ms=None, jitter_ms=None)
-            continue
-        intervals = [(b - a) / MS for a, b in zip(times, times[1:])]
-        median = statistics.median(intervals)
-        jitter = (statistics.median(
-            abs(i - median) for i in intervals))
-        profiles[can_id] = IdPeriodicity(
-            can_id=can_id, count=len(times),
-            median_interval_ms=median, jitter_ms=jitter)
-    return profiles
-
-
-def new_ids(baseline: list[TimestampedFrame],
-            observed: list[TimestampedFrame]) -> tuple[int, ...]:
-    """Identifiers present in ``observed`` but not in ``baseline``.
-
-    The quickest reverse-engineering filter: operate a feature,
-    capture, and see which event ids appeared.
-    """
-    base = {s.frame.can_id for s in baseline}
-    return tuple(sorted({s.frame.can_id for s in observed} - base))

@@ -20,7 +20,6 @@ from repro.can.adapter import AdapterStatus, PcanStyleAdapter
 from repro.can.bus import BusStats, CanBus
 from repro.can.channel import (
     AdversarialChannel,
-    BabblingIdiot,
     ChannelConfig,
     ChannelVerdict,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "BusStats",
     "CanController",
     "AdversarialChannel",
-    "BabblingIdiot",
     "ChannelConfig",
     "ChannelVerdict",
     "PcanStyleAdapter",

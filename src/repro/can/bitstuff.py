@@ -11,7 +11,6 @@ rather than using a worst-case formula.
 
 from __future__ import annotations
 
-from repro.can.crc import bytes_to_bits, crc15, int_to_bits
 from repro.can.frame import CanFrame
 
 #: Bits after the stuffed region: CRC delimiter, ACK slot, ACK delimiter,
@@ -25,10 +24,9 @@ INTERFRAME_BITS = 3
 # Fast path: table-driven CRC and stuff counting
 #
 # The bus computes a frame duration for every transmission, and a fuzz
-# campaign transmits millions of frames; the bit-by-bit reference
-# implementation below is kept for clarity and as the property-test
-# oracle, while the hot path processes whole payload bytes through
-# precomputed tables.
+# campaign transmits millions of frames, so whole payload bytes go
+# through precomputed tables; the bit-by-bit reference the property
+# tests check this against is in tests/can/reference.py.
 # ----------------------------------------------------------------------
 from repro.can.crc import CRC15_MASK, CRC15_POLY
 
@@ -279,13 +277,14 @@ def _crc_and_stuff_from(register: int, state: int, stuffed: int,
 
 
 def _classic_wire_bits(frame: CanFrame) -> int:
-    """``frame_bit_length(frame, include_ifs=False)`` in one call.
+    """On-wire bit count of a classic frame, stuffing included and
+    interframe space excluded.
 
     Header construction and the stuffing walk fused together for
     :meth:`CanFrame.wire_bit_lengths` -- the once-per-transmitted-frame
-    hot path, where the extra call layers of the public function are
-    measurable.  (``len(data)`` is the DLC: remote frames carry no data
-    and their ``dlc`` property is likewise the payload length.)
+    hot path, where extra call layers are measurable.  (``len(data)``
+    is the DLC: remote frames carry no data and their ``dlc`` property
+    is likewise the payload length.)
     """
     data = frame.data
     rtr = 1 if frame.remote else 0
@@ -313,89 +312,6 @@ def _classic_header(frame: CanFrame) -> tuple[int, int]:
     # SOF(0) id(11) RTR IDE(0) r0(0) DLC(4)
     value = (frame.can_id << 7) | (rtr << 6) | frame.dlc
     return value, 19
-
-
-def frame_stuffable_bits(frame: CanFrame) -> list[int]:
-    """The frame's bits from SOF through CRC, before stuffing.
-
-    Classic CAN only; FD frames use a different CRC and stuffing scheme
-    and are handled by :func:`fd_frame_bit_length` as an approximation.
-    """
-    if frame.fd:
-        raise ValueError("frame_stuffable_bits models classic CAN only")
-    bits: list[int] = [0]  # start of frame (dominant)
-    rtr = 1 if frame.remote else 0
-    if frame.extended:
-        bits += int_to_bits(frame.can_id >> 18, 11)   # base identifier
-        bits += [1, 1]                                # SRR, IDE (recessive)
-        bits += int_to_bits(frame.can_id & 0x3FFFF, 18)
-        bits += [rtr, 0, 0]                           # RTR, r1, r0
-    else:
-        bits += int_to_bits(frame.can_id, 11)
-        bits += [rtr, 0, 0]                           # RTR, IDE, r0
-    bits += int_to_bits(frame.dlc, 4)
-    if not frame.remote:
-        bits += bytes_to_bits(frame.data)
-    bits += int_to_bits(crc15(bits), 15)
-    return bits
-
-
-def count_stuff_bits(bits: list[int]) -> int:
-    """Number of stuff bits the transmitter inserts into ``bits``.
-
-    Stuff bits themselves participate in the run-length counting, which
-    is why this walks the sequence statefully instead of counting
-    five-bit runs arithmetically.
-    """
-    stuffed = 0
-    run_value = None
-    run_length = 0
-    for bit in bits:
-        if bit == run_value:
-            run_length += 1
-        else:
-            run_value = bit
-            run_length = 1
-        if run_length == 5:
-            stuffed += 1
-            # The inserted stuff bit is the complement and starts a new run.
-            run_value = 1 - bit
-            run_length = 1
-    return stuffed
-
-
-def frame_bit_length(frame: CanFrame, *, include_ifs: bool = True) -> int:
-    """Total on-wire bit count of a classic frame, including stuffing.
-
-    Args:
-        include_ifs: include the 3-bit interframe space; the bus model
-            uses ``True`` so back-to-back frames are spaced correctly.
-    """
-    if frame.fd:
-        raise ValueError(
-            "FD frames split into two bit-rate phases; "
-            "use fd_frame_bit_length()"
-        )
-    value, width = _classic_header(frame)
-    data = frame.data  # validated empty for remote frames
-    _, stuffed = _crc_and_stuff(value, width, data)
-    length = (width + len(data) * 8 + 15 + stuffed + FRAME_TAIL_BITS)
-    if include_ifs:
-        length += INTERFRAME_BITS
-    return length
-
-
-def frame_bit_length_reference(frame: CanFrame, *,
-                               include_ifs: bool = True) -> int:
-    """Bit-by-bit reference for :func:`frame_bit_length`.
-
-    Kept as the property-test oracle for the table-driven fast path.
-    """
-    bits = frame_stuffable_bits(frame)
-    length = len(bits) + count_stuff_bits(bits) + FRAME_TAIL_BITS
-    if include_ifs:
-        length += INTERFRAME_BITS
-    return length
 
 
 def fd_frame_bit_length(frame: CanFrame, *, include_ifs: bool = True) -> tuple[int, int]:

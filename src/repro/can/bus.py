@@ -130,10 +130,6 @@ class CanBus:
         self._taps.append(tap)
         self._taps_snapshot = tuple(self._taps)
 
-    def remove_tap(self, tap: Tap) -> None:
-        self._taps.remove(tap)
-        self._taps_snapshot = tuple(self._taps)
-
     def add_error_tap(self, tap: ErrorTap) -> None:
         """Observe error frames (used by error-frame oracles)."""
         self._error_taps.append(tap)
@@ -198,14 +194,6 @@ class CanBus:
                 return
         self._had_contention = False
         self._start(node, frame)
-
-    def _contenders(self) -> list[tuple[CanController, CanFrame]]:
-        contenders = []
-        for node in self._nodes:
-            frame = node.peek_tx()
-            if frame is not None:
-                contenders.append((node, frame))
-        return contenders
 
     def _arbitrate(self) -> None:
         if self._busy:

@@ -1,54 +1,11 @@
 """CRC-15 as specified by Bosch CAN 2.0 (polynomial 0x4599).
 
 The CRC covers the frame from the start-of-frame bit through the end of
-the data field.  We keep a bit-level implementation (rather than a
-byte-table one) because the covered region is not byte-aligned: the
-identifier, control bits and DLC all feed the register bit by bit.
+the data field.  :mod:`repro.can.bitstuff` computes it a byte at a time
+through a table built from these parameters.
 """
-
-from __future__ import annotations
-
-from collections.abc import Iterable
 
 CRC15_POLY = 0x4599
 """Generator polynomial x^15 + x^14 + x^10 + x^8 + x^7 + x^4 + x^3 + 1."""
 
 CRC15_MASK = 0x7FFF
-
-
-def crc15(bits: Iterable[int]) -> int:
-    """CRC-15 of a bit sequence (each element 0 or 1), per CAN 2.0 §3.1.1.
-
-    >>> crc15([])
-    0
-    """
-    register = 0
-    for bit in bits:
-        if bit not in (0, 1):
-            raise ValueError(f"bit values must be 0 or 1, got {bit!r}")
-        msb = (register >> 14) & 1
-        register = (register << 1) & CRC15_MASK
-        if bit ^ msb:
-            register ^= CRC15_POLY
-    return register
-
-
-def bytes_to_bits(data: bytes) -> list[int]:
-    """Explode bytes into bits, most-significant bit first."""
-    bits: list[int] = []
-    for byte in data:
-        bits.extend((byte >> shift) & 1 for shift in range(7, -1, -1))
-    return bits
-
-
-def int_to_bits(value: int, width: int) -> list[int]:
-    """The ``width`` least-significant bits of ``value``, MSB first.
-
-    >>> int_to_bits(0b101, 4)
-    [0, 1, 0, 1]
-    """
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    if value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return [(value >> shift) & 1 for shift in range(width - 1, -1, -1)]

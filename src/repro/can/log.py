@@ -1,6 +1,6 @@
 """Trace record formats.
 
-Three formats are provided:
+Captures are written in three formats:
 
 - the paper's Table II layout (``Time (ms) | Id | Length | Data``),
 - Linux ``candump -l`` log lines (interoperable with can-utils),
@@ -13,7 +13,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from repro.can.frame import CanFrame, TimestampedFrame
+from repro.can.frame import TimestampedFrame
 from repro.sim.clock import MS, SECOND
 
 
@@ -38,9 +38,6 @@ class TraceRecord:
             extended=stamped.frame.extended,
             channel=stamped.channel or "can0",
         )
-
-    def to_frame(self) -> CanFrame:
-        return CanFrame(self.can_id, self.data, extended=self.extended)
 
 
 def format_paper_table(records: list[TraceRecord]) -> str:
@@ -73,37 +70,6 @@ def format_candump(records: list[TraceRecord]) -> str:
     return "\n".join(lines)
 
 
-def parse_candump(text: str) -> list[TraceRecord]:
-    """Parse ``candump -l`` lines back into records.
-
-    Lines that do not match the format raise ``ValueError`` with the
-    offending line, because silently skipping capture data would
-    corrupt downstream statistics.
-    """
-    records = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            time_part, channel, frame_part = line.split()
-            seconds = float(time_part.strip("()"))
-            id_hex, payload_hex = frame_part.split("#")
-            can_id = int(id_hex, 16)
-            data = bytes.fromhex(payload_hex) if payload_hex else b""
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"malformed candump line: {line!r}") from exc
-        records.append(TraceRecord(
-            time_ms=seconds * SECOND / MS,
-            can_id=can_id,
-            length=len(data),
-            data=data,
-            extended=len(id_hex) > 3,
-            channel=channel,
-        ))
-    return records
-
-
 def format_csv(records: list[TraceRecord]) -> str:
     """Render records as CSV with a header row."""
     buffer = io.StringIO()
@@ -118,19 +84,3 @@ def format_csv(records: list[TraceRecord]) -> str:
             rec.channel,
         ])
     return buffer.getvalue()
-
-
-def parse_csv(text: str) -> list[TraceRecord]:
-    """Parse CSV produced by :func:`format_csv`."""
-    reader = csv.DictReader(io.StringIO(text))
-    records = []
-    for row in reader:
-        data = bytes.fromhex(row["data_hex"]) if row["data_hex"] else b""
-        records.append(TraceRecord(
-            time_ms=float(row["time_ms"]),
-            can_id=int(row["id_hex"], 16),
-            length=int(row["length"]),
-            data=data,
-            channel=row.get("channel", "can0"),
-        ))
-    return records

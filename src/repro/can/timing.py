@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.can.bitstuff import (FRAME_TAIL_BITS, INTERFRAME_BITS,
-                                fd_frame_bit_length, frame_bit_length)
+from repro.can.bitstuff import FRAME_TAIL_BITS, INTERFRAME_BITS
 from repro.can.frame import CanFrame
 from repro.sim.clock import SECOND
 from repro.sim.snapshot import shared_by_reference
@@ -64,11 +63,6 @@ class BitTiming:
     def __deepcopy__(self, memo: dict) -> "BitTiming":
         return self
 
-    @property
-    def bit_time_us(self) -> float:
-        """Duration of one nominal bit in microseconds."""
-        return SECOND / self.bitrate
-
     def bits_to_ticks(self, bits: int, *, data_phase: bool = False) -> int:
         """Duration of ``bits`` in clock ticks, rounded up."""
         rate = self.bitrate
@@ -87,8 +81,8 @@ class BitTiming:
         random fuzz stream of unique frames hits this cache on every
         transmission after warm-up (an int-keyed dict hit, with no
         frame hashing).  Frames are immutable, so neither cache ever
-        invalidates.  Results are identical to
-        :meth:`frame_duration_uncached`.
+        invalidates.  Results are identical to the from-scratch oracle
+        in ``tests/can/reference.py``.
         """
         bits = frame._wire_bits
         if bits is None:
@@ -106,21 +100,6 @@ class BitTiming:
         if data_phase:
             ticks += self.bits_to_ticks(data_phase, data_phase=True)
         return ticks
-
-    def frame_duration_uncached(self, frame: CanFrame, *,
-                                include_ifs: bool = True) -> int:
-        """On-wire duration computed from scratch (no memoisation).
-
-        The pre-cache code path, kept as the equivalence oracle for
-        :meth:`frame_duration` and as the benchmark baseline.
-        """
-        if frame.fd:
-            arb_bits, data_bits = fd_frame_bit_length(
-                frame, include_ifs=include_ifs)
-            return (self.bits_to_ticks(arb_bits)
-                    + self.bits_to_ticks(data_bits, data_phase=True))
-        return self.bits_to_ticks(
-            frame_bit_length(frame, include_ifs=include_ifs))
 
     def error_frame_duration(self) -> int:
         """Duration of an active error frame plus interframe space."""
@@ -146,18 +125,6 @@ class BitTiming:
         if include_ifs:
             bits += INTERFRAME_BITS
         return self.bits_to_ticks(bits)
-
-    def duration_table(self, frames, *, include_ifs: bool = True) -> list[int]:
-        """Exact on-wire durations for a family of frames, in order.
-
-        Bulk extraction for table-driven schedulers: the batch engine
-        precomputes one entry per possible response payload (e.g. all
-        256 ack counter values) so rare-event handling never calls back
-        into per-frame timing code.  Entries are exactly
-        :meth:`frame_duration` of each frame.
-        """
-        return [self.frame_duration(frame, include_ifs=include_ifs)
-                for frame in frames]
 
 
 #: The paper's bus rate ("a common transmission speed used in cars is

@@ -11,7 +11,7 @@ its ``(seed, schedule)`` pair.
 
 from repro.chaos.clock import SkewedClock
 from repro.chaos.controller import ChaosController
-from repro.chaos.network import ChaosProxy, hostile_strikes
+from repro.chaos.network import ChaosProxy
 from repro.chaos.runner import ChaosReport, run_chaos_drill
 from repro.chaos.schedule import ChaosSchedule
 from repro.chaos.storage import ChaosStoreFactory
@@ -29,7 +29,6 @@ __all__ = [
     "HogFactory",
     "SkewedClock",
     "ThrottledUdsFactory",
-    "hostile_strikes",
     "register_chaos_kinds",
     "run_chaos_drill",
 ]

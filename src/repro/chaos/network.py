@@ -17,46 +17,13 @@ seeded per-connection draws:
 
 The draw sequence comes from ``random.Random(seed)`` in connection-
 accept order, so a sequential client reproduces the exact same
-behaviour sequence from the same seed.  :func:`hostile_strikes` holds
-the raw malformed byte-strings the hostile-client tests and the proxy
-share.
+behaviour sequence from the same seed.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-
-
-#: Raw request bytes hostile-client tests throw at the API, mapped to
-#: ``(raw, status, sheds)``: the deterministic status code the server
-#: must answer with, and whether the strike is dropped by the parser's
-#: shed counters (as opposed to reaching routing and failing
-#: validation there).
-def hostile_strikes(max_body_bytes: int = 1 << 20
-                    ) -> dict[str, tuple[bytes, int, bool]]:
-    return {
-        "bad-request-line": (b"\x00\xff-garbage\r\n\r\n", 400, True),
-        "missing-length-body": (
-            b"POST /jobs HTTP/1.1\r\n\r\n", 400, False),
-        "garbage-length": (
-            b"POST /jobs HTTP/1.1\r\nContent-Length: banana\r\n\r\n{}",
-            400, True),
-        "negative-length": (
-            b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
-            400, True),
-        "short-body": (
-            b"POST /jobs HTTP/1.1\r\nContent-Length: 50\r\n\r\n{}",
-            400, True),
-        "oversized": (
-            ("POST /jobs HTTP/1.1\r\nContent-Length: "
-             f"{max_body_bytes + 1}\r\n\r\n").encode("ascii"),
-            413, True),
-        "pipelined-junk": (
-            b"GET /status HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
-            b"\x01\x02\x03 trailing junk that must be ignored",
-            200, False),
-    }
 
 
 class ChaosProxy:

@@ -153,7 +153,3 @@ class CanAuthenticator:
         modulus = 1 << (8 * self.counter_bytes)
         ahead = (counter - self._last_rx_counter) % modulus
         return 1 <= ahead <= self.counter_window
-
-    def resync(self) -> None:
-        """Receiver-side resync after its ECU reboots."""
-        self._last_rx_counter = -1

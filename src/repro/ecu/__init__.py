@@ -18,8 +18,6 @@ from repro.ecu.faults import (
     FaultModel,
     Vulnerability,
     dlc_mismatch_trigger,
-    id_and_payload_trigger,
-    payload_byte_trigger,
 )
 from repro.ecu.modes import OperatingMode, ModeManager
 from repro.ecu.supervisor import DiagnosticTroubleCode, EcuSupervisor
@@ -31,8 +29,6 @@ __all__ = [
     "FaultModel",
     "FaultEffect",
     "Vulnerability",
-    "payload_byte_trigger",
-    "id_and_payload_trigger",
     "dlc_mismatch_trigger",
     "OperatingMode",
     "ModeManager",

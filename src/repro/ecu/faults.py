@@ -75,36 +75,6 @@ class FaultModel:
 # ----------------------------------------------------------------------
 # Trigger builders for the defect classes the paper discusses
 # ----------------------------------------------------------------------
-def payload_byte_trigger(can_id: int, position: int,
-                         value: int) -> Trigger:
-    """Fires on a specific byte value at a position in a specific id.
-
-    This is the shape of the bench unlock check ("testing for a
-    specific byte value in byte position one in a message with a
-    specific id", §VI).
-    """
-    def trigger(frame: CanFrame) -> bool:
-        return (frame.can_id == can_id
-                and len(frame.data) > position
-                and frame.data[position] == value)
-    return trigger
-
-
-def id_and_payload_trigger(can_id: int, payload: bytes, *,
-                           require_length: bool = False) -> Trigger:
-    """Fires on an id with a payload prefix (optionally exact length).
-
-    ``require_length`` models the paper's hardened variant: "when the
-    code was changed to include a test for the length of the data
-    packet, the mean time increased".
-    """
-    def trigger(frame: CanFrame) -> bool:
-        if frame.can_id != can_id:
-            return False
-        if require_length and len(frame.data) != len(payload):
-            return False
-        return frame.data[:len(payload)] == payload
-    return trigger
 
 
 def dlc_mismatch_trigger(can_id: int, expected_length: int) -> Trigger:
@@ -117,22 +87,4 @@ def dlc_mismatch_trigger(can_id: int, expected_length: int) -> Trigger:
     def trigger(frame: CanFrame) -> bool:
         return (frame.can_id == can_id
                 and len(frame.data) < expected_length)
-    return trigger
-
-
-def random_sensitivity_trigger(can_id_mask: int, can_id_code: int,
-                               byte_xor_target: int) -> Trigger:
-    """Fires when the XOR of all payload bytes hits a target value for
-    a masked id range -- a diffuse defect with no simple signature,
-    used in tests to confirm the fuzzer finds non-obvious conditions.
-    """
-    def trigger(frame: CanFrame) -> bool:
-        if (frame.can_id & can_id_mask) != can_id_code:
-            return False
-        if not frame.data:
-            return False
-        xor = 0
-        for byte in frame.data:
-            xor ^= byte
-        return xor == byte_xor_target
     return trigger

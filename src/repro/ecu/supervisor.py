@@ -110,23 +110,6 @@ class EcuSupervisor:
     # ------------------------------------------------------------------
     # Service-tool surface
     # ------------------------------------------------------------------
-    def clear_dtcs(self) -> int:
-        """UDS ClearDiagnosticInformation: wipe codes, leave limp-home.
-
-        Returns the number of codes cleared.  The bus-off escalation
-        counter restarts, matching a real module's behaviour after a
-        service clear.
-        """
-        cleared = len(self.dtcs)
-        self.dtcs.clear()
-        self.bus_off_count = 0
-        return cleared
-
-    def service_reset(self) -> int:
-        """Clear codes *and* leave limp-home (full service action)."""
-        cleared = self.clear_dtcs()
-        self.ecu.exit_limp_home()
-        return cleared
 
     def state_digest(self) -> str:
         """Deterministic summary for snapshot/determinism parity tests."""

@@ -38,7 +38,6 @@ from repro.fuzz.durability import (
 from repro.fuzz.coverage import (
     ProtocolStateCoverage,
     combination_count,
-    coverage_fraction,
     expected_frames_to_hit,
     time_to_exhaust_seconds,
 )
@@ -52,11 +51,9 @@ from repro.fuzz.generator import (
     BitWalkGenerator,
     FrameGenerator,
     RandomFrameGenerator,
-    SweepGenerator,
     TargetedFrameGenerator,
 )
-from repro.fuzz.minimize import (MinimizeStats, minimize_frame_bytes,
-                                 minimize_trace)
+from repro.fuzz.minimize import MinimizeStats, minimize_trace
 from repro.fuzz.mutator import MutationalGenerator
 from repro.fuzz.parallel import (
     CampaignFactory,
@@ -72,13 +69,9 @@ from repro.fuzz.parallel import (
 from repro.fuzz.replay import Replayer, SnapshotReplayer
 from repro.fuzz.oracle import (
     AckMessageOracle,
-    CompositeOracle,
-    ErrorFrameOracle,
     Finding,
     Oracle,
     PhysicalStateOracle,
-    SignalRangeOracle,
-    SilenceOracle,
 )
 from repro.fuzz.session import FuzzResult
 from repro.fuzz.uds_campaign import UdsFuzzCampaign
@@ -90,7 +83,6 @@ __all__ = [
     "RandomFrameGenerator",
     "TargetedFrameGenerator",
     "BitWalkGenerator",
-    "SweepGenerator",
     "MutationalGenerator",
     "FuzzCampaign",
     "UdsFuzzCampaign",
@@ -105,19 +97,13 @@ __all__ = [
     "Oracle",
     "Finding",
     "AckMessageOracle",
-    "SilenceOracle",
-    "ErrorFrameOracle",
     "PhysicalStateOracle",
-    "SignalRangeOracle",
-    "CompositeOracle",
     "ByteColumnStats",
     "byte_position_means",
     "combination_count",
     "time_to_exhaust_seconds",
-    "coverage_fraction",
     "expected_frames_to_hit",
     "minimize_trace",
-    "minimize_frame_bytes",
     "MinimizeStats",
     "Replayer",
     "SnapshotReplayer",

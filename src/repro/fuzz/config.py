@@ -24,7 +24,7 @@ control via the bit-walk generator parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.can.frame import MAX_DATA_CLASSIC, MAX_DATA_FD, MAX_STANDARD_ID
 from repro.sim.clock import MS
@@ -121,10 +121,6 @@ class FuzzConfig:
         pool = self.identifier_pool()
         return len(pool)
 
-    @property
-    def byte_count(self) -> int:
-        return self.byte_max - self.byte_min + 1
-
     # ------------------------------------------------------------------
     # Convenience constructors
     # ------------------------------------------------------------------
@@ -137,16 +133,6 @@ class FuzzConfig:
     def targeted(cls, ids: tuple[int, ...], **overrides) -> "FuzzConfig":
         """Fuzz only around known identifiers (§VII's recommended mode)."""
         return cls(id_choices=tuple(ids), **overrides)
-
-    @classmethod
-    def single_message(cls, can_id: int, length: int,
-                       **overrides) -> "FuzzConfig":
-        """Fuzz one message id at its specification length."""
-        return cls(id_choices=(can_id,), dlc_choices=(length,), **overrides)
-
-    def with_interval(self, interval: int) -> "FuzzConfig":
-        """A copy transmitting every ``interval`` ticks."""
-        return replace(self, interval=interval)
 
     def describe(self) -> list[tuple[str, str, str]]:
         """Rows of (item, range, description) -- Table III's layout."""

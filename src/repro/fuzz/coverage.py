@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 
 import numpy as np
 
@@ -51,27 +50,6 @@ def time_to_exhaust_seconds(combinations: int,
     if interval_ticks <= 0:
         raise ValueError("interval_ticks must be positive")
     return combinations * interval_ticks / SECOND
-
-
-def coverage_fraction(frames_sent: int, combinations: int) -> float:
-    """Expected fraction of the space touched by uniform random draws.
-
-    With replacement, the expected coverage after ``n`` uniform draws
-    from a space of size ``m`` is ``1 - (1 - 1/m)^n``.  Evaluated as
-    ``-expm1(n * log1p(-1/m))``: the textbook form rounds ``1 - 1/m``
-    to exactly ``1.0`` once ``m`` exceeds ~2^53 (e.g. the 11-bit-id +
-    8-byte space) and reports zero coverage regardless of ``n``.
-    """
-    if combinations <= 0:
-        raise ValueError("combinations must be positive")
-    if frames_sent < 0:
-        raise ValueError("frames_sent must be >= 0")
-    if frames_sent == 0:
-        return 0.0
-    if combinations == 1:
-        # log1p(-1.0) is a domain error; one draw covers the space.
-        return 1.0
-    return -math.expm1(frames_sent * math.log1p(-1.0 / combinations))
 
 
 def expected_frames_to_hit(hit_probability: float) -> float:
@@ -134,24 +112,6 @@ def expected_unlock_seconds(*, require_exact_dlc: bool = False,
     return frames * interval_ticks / SECOND
 
 
-def birthday_collision_probability(frames_sent: int,
-                                   combinations: int) -> float:
-    """Probability at least one duplicate frame was generated.
-
-    Useful when arguing whether a sweep beats random sampling for a
-    small space (ablation commentary).
-    """
-    if combinations <= 0:
-        raise ValueError("combinations must be positive")
-    if frames_sent <= 1:
-        return 0.0
-    if frames_sent > combinations:
-        return 1.0
-    log_no_collision = sum(
-        math.log1p(-i / combinations) for i in range(frames_sent))
-    return 1.0 - math.exp(log_no_collision)
-
-
 class ProtocolStateCoverage:
     """Coverage over ``(service, sub_function, nrc, session)`` tuples.
 
@@ -189,9 +149,8 @@ class ProtocolStateCoverage:
         unsigned digits) and deduplicated in a single ``np.unique``
         pass.  An exchange is new coverage iff its key is absent from
         the map *and* it is the first occurrence of that key within
-        the batch -- exactly what the sequential loop reports.  The
-        loop survives as :meth:`_reference_record_batch`, the parity
-        oracle and benchmark baseline.
+        the batch -- exactly what the sequential loop reports; that
+        loop is the parity oracle in ``tests/fuzz/reference.py``.
         """
         rows = np.asarray([[int(s), int(f), int(n), int(x)]
                            for s, f, n, x in exchanges], dtype=np.int64)
@@ -213,12 +172,6 @@ class ProtocolStateCoverage:
                    int(rows[i, 3]))
             self._counts[key] = self._counts.get(key, 0) + int(counts[j])
         return [bool(flag) for flag in flags]
-
-    def _reference_record_batch(self, exchanges) -> list[bool]:
-        """Pre-vectorisation implementation of :meth:`record_batch`,
-        kept as the equivalence oracle and benchmark baseline."""
-        return [self.record(service, sub_function, nrc, session)
-                for service, sub_function, nrc, session in exchanges]
 
     @property
     def tuples_seen(self) -> int:

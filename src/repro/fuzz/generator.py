@@ -1,6 +1,6 @@
 """Fuzz frame generators.
 
-Four strategies, all behind the :class:`FrameGenerator` protocol:
+Three strategies, all behind the :class:`FrameGenerator` protocol:
 
 - :class:`RandomFrameGenerator` -- the paper's random bytes generator:
   uniform id, uniform DLC, uniform payload bytes (what produced the
@@ -10,14 +10,12 @@ Four strategies, all behind the :class:`FrameGenerator` protocol:
 - :class:`BitWalkGenerator` -- the Fig 3 UI's deterministic mode:
   "a variation on a single bit in a single message, to every bit in
   every message".
-- :class:`SweepGenerator` -- exhaustive enumeration of a small
-  id x payload space (the §V combinatorics made executable).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, Protocol
+from typing import Protocol
 
 from repro.can.frame import CanFrame, fd_round_size, trusted_frame
 from repro.fuzz.config import FuzzConfig
@@ -29,25 +27,6 @@ class FrameGenerator(Protocol):
 
     def next_frame(self) -> CanFrame:
         """Produce the next frame to inject."""
-        ...
-
-
-class ResumableGenerator(Protocol):
-    """A generator whose position can be checkpointed and restored.
-
-    Durable campaign checkpoints call :meth:`state_dict` after every
-    checkpoint interval and :meth:`load_state` on a freshly built
-    generator during resume; a correct implementation guarantees the
-    restored generator emits exactly the frames the exporting one
-    would have emitted next.
-    """
-
-    def state_dict(self) -> dict:
-        """JSON-ready snapshot of the generator's position."""
-        ...
-
-    def load_state(self, state: dict) -> None:
-        """Restore a position exported by :meth:`state_dict`."""
         ...
 
 
@@ -179,67 +158,3 @@ class BitWalkGenerator:
     def load_state(self, state: dict) -> None:
         self._cursor = state.get("cursor", 0) % self.total_bits
         self.generated = state.get("generated", 0)
-
-
-class SweepGenerator:
-    """Exhaustive enumeration of a small message space.
-
-    Iterates every (id, payload) combination for fixed-length payloads
-    -- usable only for the tiny spaces §V's arithmetic says are
-    tractable (one payload byte: 2^19 combinations).  Raises
-    :class:`StopIteration` from :meth:`next_frame` when complete, which
-    the campaign treats as a clean end of input.
-    """
-
-    def __init__(self, ids: tuple[int, ...] | range,
-                 payload_length: int, *,
-                 byte_min: int = 0, byte_max: int = 255) -> None:
-        if payload_length < 0:
-            raise ValueError("payload_length must be >= 0")
-        if payload_length > 2:
-            raise ValueError(
-                f"refusing to sweep {payload_length} payload bytes: "
-                f"the space is combinatorially impractical (paper §V); "
-                f"use RandomFrameGenerator")
-        self._iterator = self._generate(tuple(ids), payload_length,
-                                        byte_min, byte_max)
-        self.generated = 0
-
-    @staticmethod
-    def _generate(ids: tuple[int, ...], length: int,
-                  byte_min: int, byte_max: int) -> Iterator[CanFrame]:
-        values = range(byte_min, byte_max + 1)
-        if length == 0:
-            for can_id in ids:
-                yield CanFrame(can_id, b"")
-        elif length == 1:
-            for can_id in ids:
-                for b0 in values:
-                    yield CanFrame(can_id, bytes((b0,)))
-        else:
-            for can_id in ids:
-                for b0 in values:
-                    for b1 in values:
-                        yield CanFrame(can_id, bytes((b0, b1)))
-
-    def next_frame(self) -> CanFrame:
-        frame = next(self._iterator)  # StopIteration ends the campaign
-        self.generated += 1
-        return frame
-
-    def state_dict(self) -> dict:
-        return {"kind": "sweep", "generated": self.generated}
-
-    def load_state(self, state: dict) -> None:
-        """Fast-forward a *freshly built* sweep to the exported position.
-
-        The enumeration is deterministic, so skipping ``generated``
-        frames lands exactly where the exporting sweep stood; the
-        spaces this generator accepts are small by construction (§V),
-        so the skip is cheap.
-        """
-        if self.generated:
-            raise ValueError("load_state needs a freshly built sweep")
-        for _ in range(state.get("generated", 0)):
-            next(self._iterator)
-            self.generated += 1

@@ -3,10 +3,9 @@
 When an oracle fires, the campaign attaches the recent transmit window
 to the finding -- but which of those steps actually triggered the
 failure?  ``minimize_trace`` applies ddmin over the recorded sequence
-against a replay predicate, and ``minimize_frame_bytes`` shrinks a
-single frame's payload, zeroing bytes that do not matter.  Together
-they turn "the conditions that caused it are recorded" into the
-*minimal* conditions, which is what a triager needs.
+against a replay predicate, turning "the conditions that caused it are
+recorded" into the *minimal* conditions, which is what a triager
+needs.
 
 ``minimize_trace`` is generic over the step type: any hashable item
 works, so the same ddmin drives frame-level traces
@@ -36,12 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.can.frame import CanFrame
-
 #: Replay predicate over a candidate step sequence (frames, UDS
 #: request payloads, ...); must be deterministic.
 TraceTest = Callable[[list], bool]
-FrameTest = Callable[[CanFrame], bool]
 
 
 @dataclass
@@ -52,8 +48,7 @@ class MinimizeStats:
         tests_used: real predicate invocations (replays) consumed.
         cache_hits: duplicate candidates answered from the verdict
             memo without a replay.
-        from_size: input size (frames for :func:`minimize_trace`,
-            payload bytes for :func:`minimize_frame_bytes`).
+        from_size: input size (steps of the trace).
         to_size: result size in the same unit.
         exhausted: ``True`` when ``max_tests`` ran out before
             1-minimality was established; the result is the best
@@ -150,66 +145,3 @@ def minimize_trace(steps: Sequence, still_fails: TraceTest, *,
             granularity = min(len(trace), granularity * 2)
     stats.to_size = len(trace)
     return trace
-
-
-def minimize_frame_bytes(frame: CanFrame, still_fails: FrameTest, *,
-                         filler: int = 0, max_tests: int = 10_000,
-                         stats: MinimizeStats | None = None) -> CanFrame:
-    """Zero out payload bytes that are irrelevant to the failure.
-
-    Tries, for each byte position, replacing the byte with ``filler``
-    and keeps the substitution when the failure still reproduces; then
-    tries truncating trailing filler bytes.  The result shows exactly
-    which bytes the target actually parses (e.g. the bench unlock
-    checks only byte 0).
-
-    ``max_tests`` bounds real predicate invocations, mirroring
-    :func:`minimize_trace`, so a hostile or expensive predicate cannot
-    spin unbounded; when the budget runs out the best reduction so far
-    is returned and ``stats.exhausted`` is set.
-    """
-    if max_tests < 1:
-        raise ValueError("max_tests must be at least 1")
-    if stats is None:
-        stats = MinimizeStats()
-    stats.from_size = len(frame.data)
-    verdicts: dict[CanFrame, bool] = {}
-
-    def test(candidate: CanFrame) -> bool | None:
-        cached = verdicts.get(candidate)
-        if cached is not None:
-            stats.cache_hits += 1
-            return cached
-        if stats.tests_used >= max_tests:
-            stats.exhausted = True
-            return None
-        stats.tests_used += 1
-        verdict = bool(still_fails(candidate))
-        verdicts[candidate] = verdict
-        return verdict
-
-    if not test(frame):
-        raise ValueError(
-            "the frame does not reproduce the failure; cannot minimise")
-    data = bytearray(frame.data)
-    for index in range(len(data)):
-        if data[index] == filler:
-            continue
-        original = data[index]
-        data[index] = filler
-        verdict = test(frame.replace_data(bytes(data)))
-        if verdict is None:
-            data[index] = original
-            stats.to_size = len(data)
-            return frame.replace_data(bytes(data))
-        if not verdict:
-            data[index] = original
-    # Truncate trailing filler if the shorter frame still fails.
-    while data and data[-1] == filler:
-        shorter = frame.replace_data(bytes(data[:-1]))
-        verdict = test(shorter)
-        if verdict is None or not verdict:
-            break
-        data.pop()
-    stats.to_size = len(data)
-    return frame.replace_data(bytes(data))

@@ -8,11 +8,6 @@ substrate:
 
 - :class:`AckMessageOracle` -- network communication monitoring: watch
   for a response frame (the bench's unlock acknowledgement message).
-- :class:`SilenceOracle` -- a supervised cyclic message going quiet
-  (how a crashed ECU shows up on the wire).
-- :class:`ErrorFrameOracle` -- protocol-level error storms.
-- :class:`SignalRangeOracle` -- a decoded signal leaving its
-  documented physical range (Fig 8's negative RPM as a detector).
 - :class:`PhysicalStateOracle` -- sampling a modelled physical output
   (LED, gauge, door actuator); the simulation-world equivalent of the
   paper's proposed OpenCV camera watching the device.
@@ -28,12 +23,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.can.bus import CanBus
-from repro.can.errors import ErrorFrameRecord
 from repro.can.frame import CanFrame, TimestampedFrame
 from repro.sim.clock import MS
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicProcess
-from repro.vehicle.signals import SignalDatabase
 
 
 @dataclass(frozen=True)
@@ -162,151 +155,6 @@ class AckMessageOracle(Oracle):
                                           self.first_match_time)
 
 
-class SilenceOracle(Oracle):
-    """Fires when a supervised cyclic message stops arriving.
-
-    A crashed ECU cannot be asked how it feels; its cyclic messages
-    just stop.  This oracle samples every ``check_period`` and reports
-    when the supervised id has been silent for ``timeout``.
-    """
-
-    def __init__(self, bus: CanBus, can_id: int, timeout: int, *,
-                 check_period: int = 50 * MS,
-                 name: str = "silence") -> None:
-        super().__init__(name)
-        self.can_id = can_id
-        self.timeout = timeout
-        self.check_period = check_period
-        self._last_seen: int | None = None
-        self._reported_gap = False
-        self._process: PeriodicProcess | None = None
-        bus.add_tap(self._on_frame)
-
-    def _on_frame(self, stamped: TimestampedFrame) -> None:
-        if stamped.frame.can_id == self.can_id:
-            self._last_seen = stamped.time
-            self._reported_gap = False
-
-    def start(self, sim: Simulator) -> None:
-        self._process = PeriodicProcess(
-            sim, self.check_period, lambda: self._check(sim),
-            label=f"oracle:{self.name}")
-        self._process.start()
-
-    def stop(self) -> None:
-        if self._process is not None:
-            self._process.stop()
-
-    def _check(self, sim: Simulator) -> None:
-        if self._last_seen is None or self._reported_gap:
-            return
-        gap = sim.now - self._last_seen
-        if gap > self.timeout:
-            self._reported_gap = True
-            self.report(sim.now,
-                        f"cyclic message 0x{self.can_id:X} silent for "
-                        f"{gap / MS:.0f} ms (timeout {self.timeout / MS:.0f} ms)")
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["last_seen"] = self._last_seen
-        state["reported_gap"] = self._reported_gap
-        return state
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self._last_seen = state.get("last_seen", self._last_seen)
-        self._reported_gap = state.get("reported_gap", self._reported_gap)
-
-
-class ErrorFrameOracle(Oracle):
-    """Fires when error frames exceed a threshold within the run."""
-
-    def __init__(self, bus: CanBus, *, threshold: int = 1,
-                 name: str = "error-frames") -> None:
-        super().__init__(name)
-        self.threshold = threshold
-        self.count = 0
-        self._fired = False
-        bus.add_error_tap(self._on_error)
-
-    def _on_error(self, record: ErrorFrameRecord) -> None:
-        self.count += 1
-        if not self._fired and self.count >= self.threshold:
-            self._fired = True
-            self.report(record.time,
-                        f"{self.count} error frame(s) on the bus "
-                        f"(latest from {record.reporter}: {record.reason})")
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["count"] = self.count
-        state["fired"] = self._fired
-        return state
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self.count = state.get("count", self.count)
-        self._fired = state.get("fired", self._fired)
-
-
-class SignalRangeOracle(Oracle):
-    """Fires when a decoded signal leaves its documented range.
-
-    Uses the database's ``minimum``/``maximum`` documentation fields --
-    the ranges are *not* enforced by the simulator display (Fig 8),
-    but an oracle may still use them as an invariant.
-    """
-
-    def __init__(self, bus: CanBus, database: SignalDatabase,
-                 signal_name: str, *, name: str = "") -> None:
-        super().__init__(name or f"range:{signal_name}")
-        self.signal_name = signal_name
-        self._database = database
-        self._definition = None
-        self._message = None
-        for message in database.messages:
-            for sig in message.signals:
-                if sig.name == signal_name:
-                    self._definition = sig
-                    self._message = message
-        if self._definition is None:
-            raise KeyError(f"signal {signal_name!r} not in database")
-        if (self._definition.minimum is None
-                and self._definition.maximum is None):
-            raise ValueError(
-                f"signal {signal_name!r} documents no range to check")
-        self.violations = 0
-        bus.add_tap(self._on_frame)
-
-    def _on_frame(self, stamped: TimestampedFrame) -> None:
-        if stamped.frame.can_id != self._message.can_id:
-            return
-        values = self._message.decode(stamped.frame.data)
-        value = values.get(self.signal_name)
-        if value is None:
-            return
-        low = self._definition.minimum
-        high = self._definition.maximum
-        if (low is not None and value < low) or (
-                high is not None and value > high):
-            self.violations += 1
-            if self.violations == 1:
-                self.report(stamped.time,
-                            f"{self.signal_name} = {value:g} "
-                            f"{self._definition.unit} outside "
-                            f"[{low}, {high}]")
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["violations"] = self.violations
-        return state
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self.violations = state.get("violations", self.violations)
-
-
 class PhysicalStateOracle(Oracle):
     """Samples a physical output and fires on an unexpected state.
 
@@ -364,37 +212,3 @@ class PhysicalStateOracle(Oracle):
         super().load_state(state)
         self.first_deviation_time = state.get("first_deviation_time",
                                               self.first_deviation_time)
-
-
-class CompositeOracle(Oracle):
-    """Groups oracles so the campaign can manage them as one."""
-
-    def __init__(self, oracles: list[Oracle],
-                 name: str = "composite") -> None:
-        super().__init__(name)
-        self.oracles = list(oracles)
-
-    def bind(self, sink: ReportSink) -> None:
-        super().bind(sink)
-        for oracle in self.oracles:
-            oracle.bind(sink)
-
-    def start(self, sim: Simulator) -> None:
-        for oracle in self.oracles:
-            oracle.start(sim)
-
-    def stop(self) -> None:
-        for oracle in self.oracles:
-            oracle.stop()
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["children"] = {o.name: o.state_dict() for o in self.oracles}
-        return state
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        children = state.get("children", {})
-        for oracle in self.oracles:
-            if oracle.name in children:
-                oracle.load_state(children[oracle.name])

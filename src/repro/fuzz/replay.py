@@ -44,8 +44,7 @@ from typing import Callable, Hashable, Sequence
 
 from repro.can.adapter import PcanStyleAdapter
 from repro.can.frame import CanFrame
-from repro.fuzz.minimize import (MinimizeStats, minimize_frame_bytes,
-                                 minimize_trace)
+from repro.fuzz.minimize import MinimizeStats, minimize_trace
 from repro.fuzz.oracle import Finding
 from repro.sim.clock import MS
 from repro.sim.kernel import Simulator
@@ -229,14 +228,6 @@ class Replayer(StepReplayer):
         """Replay a finding's recorded window with its recorded pacing."""
         return self.probe(finding.recent_frames,
                           times=finding.recent_times or None)
-
-    def minimize_frame(self, frame: CanFrame, *,
-                       filler: int = 0, max_tests: int = 10_000,
-                       stats: MinimizeStats | None = None) -> CanFrame:
-        """Shrink a single frame's payload to the parsed bytes."""
-        return minimize_frame_bytes(
-            frame, lambda candidate: self.probe([candidate]),
-            filler=filler, max_tests=max_tests, stats=stats)
 
 
 class _PrefixNode:

@@ -216,18 +216,3 @@ class FuzzResult:
     @classmethod
     def from_json(cls, text: str) -> "FuzzResult":
         return cls.from_dict(json.loads(text))
-
-    def save(self, path) -> None:
-        """Write the result to ``path`` atomically.
-
-        Goes through write-fsync-rename, so a crash mid-save leaves the
-        previous file (or nothing), never a torn JSON document.
-        """
-        from repro.fuzz.durability import atomic_write_json
-
-        atomic_write_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path) -> "FuzzResult":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))

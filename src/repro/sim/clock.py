@@ -51,16 +51,6 @@ class SimClock(Snapshottable):
         """Current simulation time in microseconds."""
         return self._now
 
-    @property
-    def now_ms(self) -> float:
-        """Current simulation time in milliseconds."""
-        return self._now / MS
-
-    @property
-    def now_seconds(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now / SECOND
-
     def advance_to(self, when: int) -> None:
         """Move the clock forward to ``when``.
 

@@ -10,9 +10,8 @@ import hashlib
 import heapq
 from typing import Callable
 
-from repro.sim.clock import SECOND, SimClock, format_time
+from repro.sim.clock import SimClock, format_time
 from repro.sim.events import Event, EventQueue
-from repro.sim.snapshot import Snapshot, capture
 
 
 class SimulationError(RuntimeError):
@@ -244,19 +243,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Snapshot / restore
     # ------------------------------------------------------------------
-    def snapshot(self, *roots: object, label: str = "") -> Snapshot:
-        """Capture this simulator (and ``roots``) as one restorable world.
-
-        ``roots`` must cover every mutable object that participates in
-        the simulation but is not reachable from the simulator itself
-        (benches, adapters, probes); the captured graph is cloned as a
-        unit so shared references stay shared in the clone.  With
-        roots, :meth:`Snapshot.restore` returns ``(sim, *roots)``;
-        without, just the simulator clone.
-        """
-        target = (self, *roots) if roots else self
-        return capture(target, label=label)
-
     def state_digest(self) -> str:
         """Deterministic digest of the kernel's externally visible state.
 
@@ -290,8 +276,3 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Simulator(now={format_time(self.now)}, "
                 f"pending={len(self._queue)}, fired={self._events_fired})")
-
-
-def seconds(value: float) -> int:
-    """Convert seconds to ticks, rounding to the nearest microsecond."""
-    return round(value * SECOND)

@@ -73,19 +73,3 @@ def negative_response(sid: int, nrc: NegativeResponse) -> bytes:
         message = _NEGATIVE_MEMO[(sid, nrc)] = \
             bytes((NEGATIVE_RESPONSE_SID, sid, nrc))
     return message
-
-
-def is_negative(message: bytes) -> bool:
-    """True when ``message`` is a negative response."""
-    return len(message) >= 1 and message[0] == NEGATIVE_RESPONSE_SID
-
-
-def parse_negative(message: bytes) -> tuple[int, int]:
-    """(rejected sid, NRC) from a negative response.
-
-    Raises:
-        ValueError: the message is not a well-formed negative response.
-    """
-    if len(message) < 3 or message[0] != NEGATIVE_RESPONSE_SID:
-        raise ValueError(f"not a negative response: {message.hex()}")
-    return message[1], message[2]

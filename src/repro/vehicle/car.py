@@ -106,11 +106,6 @@ class TargetCar:
         }
         self.ignition = False
 
-    @property
-    def ecus(self) -> tuple:
-        """All conventional ECUs (the gateway is managed separately)."""
-        return self._ecus
-
     def bus(self, name: str) -> CanBus:
         """Look up a bus by name ("powertrain" or "body")."""
         buses = {"powertrain": self.powertrain_bus, "body": self.body_bus}

@@ -125,9 +125,6 @@ class VehicleDynamics:
         self.fuel_rate = 0.0
         self._process.stop()
 
-    def set_profile(self, profile: DrivingProfile) -> None:
-        self.profile = profile
-
     # ------------------------------------------------------------------
     # Model step
     # ------------------------------------------------------------------

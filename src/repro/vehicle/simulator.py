@@ -32,9 +32,6 @@ class SignalTrace:
     def append(self, time_seconds: float, value: float) -> None:
         self.points.append((time_seconds, value))
 
-    def times(self) -> list[float]:
-        return [t for t, _ in self.points]
-
     def values(self) -> list[float]:
         return [v for _, v in self.points]
 
@@ -124,9 +121,6 @@ class VehicleSimulator:
             raise KeyError(
                 f"no trace for signal {name!r}; seen {self.signal_names}")
         return self._traces[name]
-
-    def has_trace(self, name: str) -> bool:
-        return name in self._traces
 
     def current_values(self) -> dict[str, float]:
         """Latest decoded value of every signal (the display state)."""

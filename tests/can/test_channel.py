@@ -6,7 +6,6 @@ import pytest
 
 from repro.can.channel import (
     AdversarialChannel,
-    BabblingIdiot,
     ChannelConfig,
     ChannelVerdict,
 )
@@ -14,6 +13,8 @@ from repro.can.frame import CanFrame
 from repro.can.node import CanController
 from repro.sim.clock import MS
 from repro.sim.random import RandomStreams
+
+from .helpers import BabblingIdiot
 
 
 def _channel(seed: int = 0, **kwargs) -> AdversarialChannel:

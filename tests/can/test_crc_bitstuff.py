@@ -5,15 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.can.bitstuff import (
     FRAME_TAIL_BITS,
-    INTERFRAME_BITS,
-    count_stuff_bits,
     fd_frame_bit_length,
-    frame_bit_length,
+)
+from repro.can.frame import CanFrame
+
+from .reference import (
+    bytes_to_bits,
+    count_stuff_bits,
+    crc15,
     frame_bit_length_reference,
     frame_stuffable_bits,
+    int_to_bits,
 )
-from repro.can.crc import bytes_to_bits, crc15, int_to_bits
-from repro.can.frame import CanFrame
 
 
 class TestCrc15:
@@ -83,24 +86,14 @@ class TestStuffCounting:
 class TestFrameBitLength:
     def test_empty_standard_frame(self):
         frame = CanFrame(0x555, b"")  # alternating id bits: no stuffing
-        # SOF+ID+RTR+IDE+r0+DLC+CRC = 34 bits + tail + IFS
-        length = frame_bit_length(frame)
-        assert length >= 34 + FRAME_TAIL_BITS + INTERFRAME_BITS
-
-    def test_include_ifs_flag(self):
-        frame = CanFrame(0x123, b"\x01")
-        assert (frame_bit_length(frame)
-                - frame_bit_length(frame, include_ifs=False)
-                == INTERFRAME_BITS)
+        # SOF+ID+RTR+IDE+r0+DLC+CRC = 34 bits + tail
+        length = frame.wire_bit_lengths()[0]
+        assert length >= 34 + FRAME_TAIL_BITS
 
     def test_extended_longer_than_standard(self):
         std = CanFrame(0x123, b"\x01\x02")
         ext = CanFrame(0x123, b"\x01\x02", extended=True)
-        assert frame_bit_length(ext) > frame_bit_length(std)
-
-    def test_fd_frame_rejected(self):
-        with pytest.raises(ValueError):
-            frame_bit_length(CanFrame(1, bytes(12), fd=True))
+        assert ext.wire_bit_lengths()[0] > std.wire_bit_lengths()[0]
 
     @settings(max_examples=300)
     @given(can_id=st.integers(0, 0x7FF), data=st.binary(max_size=8),
@@ -108,21 +101,23 @@ class TestFrameBitLength:
     def test_property_fast_path_matches_reference_standard(
             self, can_id, data, remote):
         frame = CanFrame(can_id, b"" if remote else data, remote=remote)
-        assert frame_bit_length(frame) == frame_bit_length_reference(frame)
+        assert frame.wire_bit_lengths() == (
+            frame_bit_length_reference(frame, include_ifs=False), 0)
 
     @settings(max_examples=300)
     @given(can_id=st.integers(0, 0x1FFFFFFF), data=st.binary(max_size=8))
     def test_property_fast_path_matches_reference_extended(
             self, can_id, data):
         frame = CanFrame(can_id, data, extended=True)
-        assert frame_bit_length(frame) == frame_bit_length_reference(frame)
+        assert frame.wire_bit_lengths() == (
+            frame_bit_length_reference(frame, include_ifs=False), 0)
 
     @given(can_id=st.integers(0, 0x7FF), data=st.binary(max_size=8))
     def test_property_length_bounds(self, can_id, data):
         """Stuffing can add at most one bit per four bits of payload."""
         frame = CanFrame(can_id, data)
         unstuffed = len(frame_stuffable_bits(frame))
-        total = frame_bit_length(frame, include_ifs=False)
+        total = frame.wire_bit_lengths()[0]
         assert unstuffed + FRAME_TAIL_BITS <= total
         assert total <= unstuffed + unstuffed // 4 + FRAME_TAIL_BITS + 1
 

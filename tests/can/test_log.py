@@ -1,15 +1,11 @@
 """Tests for trace formats: paper table, candump, CSV."""
 
-from hypothesis import given, strategies as st
-
 from repro.can.frame import CanFrame, TimestampedFrame
 from repro.can.log import (
     TraceRecord,
     format_candump,
     format_csv,
     format_paper_table,
-    parse_candump,
-    parse_csv,
 )
 
 import pytest
@@ -28,12 +24,6 @@ class TestTraceRecord:
         assert rec.time_ms == pytest.approx(5328.009)
         assert rec.can_id == 0x43A
         assert rec.channel == "powertrain"
-
-    def test_to_frame_roundtrip(self):
-        rec = record(can_id=0x215, data=b"\x20\x5f")
-        frame = rec.to_frame()
-        assert frame.can_id == 0x215
-        assert frame.data == b"\x20\x5f"
 
 
 class TestPaperTable:
@@ -60,39 +50,7 @@ class TestCandump:
         line = format_candump([record(5328.009, 0x43A, b"\x1c\x21")])
         assert line == "(5.328009) can0 43A#1C21"
 
-    def test_roundtrip(self):
-        originals = [record(10.5, 0x100, b"\x01"),
-                     record(11.0, 0x200, b""),
-                     record(12.25, 0x1ABCDE00, b"\xff" * 8)]
-        originals[2] = TraceRecord(12.25, 0x1ABCDE00, 8, b"\xff" * 8,
-                                   extended=True)
-        parsed = parse_candump(format_candump(originals))
-        assert [(r.can_id, r.data) for r in parsed] == \
-               [(r.can_id, r.data) for r in originals]
-
-    def test_malformed_line_raises(self):
-        with pytest.raises(ValueError):
-            parse_candump("(1.0) can0 nonsense")
-
-    def test_blank_lines_ignored(self):
-        assert parse_candump("\n\n") == []
-
-    @given(st.lists(st.tuples(
-        st.floats(0, 1e6, allow_nan=False), st.integers(0, 0x7FF),
-        st.binary(max_size=8)), max_size=20))
-    def test_property_candump_roundtrip(self, rows):
-        records = [TraceRecord(t, i, len(d), d) for t, i, d in rows]
-        parsed = parse_candump(format_candump(records))
-        assert [(r.can_id, r.data) for r in parsed] == \
-               [(r.can_id, r.data) for r in records]
-
 
 class TestCsv:
-    def test_roundtrip(self):
-        originals = [record(10.5, 0x100, b"\x01"), record(11.0, 0x200, b"")]
-        parsed = parse_csv(format_csv(originals))
-        assert [(r.time_ms, r.can_id, r.data) for r in parsed] == \
-               [(r.time_ms, r.can_id, r.data) for r in originals]
-
     def test_header_present(self):
         assert format_csv([]).startswith("time_ms,id_hex,length,data_hex")

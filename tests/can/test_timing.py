@@ -7,8 +7,6 @@ from repro.can.timing import BitTiming, CAN_125K, CAN_500K, CAN_1M
 
 
 class TestBitTiming:
-    def test_bit_time_at_500k(self):
-        assert CAN_500K.bit_time_us == 2.0
 
     def test_bits_to_ticks_rounds_up(self):
         # 3 bits at 1 Mb/s = 3 us exactly; 3 bits at 400 kb/s = 7.5 -> 8.

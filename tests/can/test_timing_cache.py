@@ -2,9 +2,10 @@
 
 ``BitTiming.frame_duration`` caches tick conversions keyed by on-wire
 bit count and reads the stuffing-aware length memoised on the frame;
-``frame_duration_uncached`` is the pre-cache implementation kept as
-the oracle.  Million-frame campaigns ride the cached path, so any
-divergence silently corrupts every timing result in the simulator.
+``frame_duration_uncached`` (``tests/can/reference.py``) recomputes
+every duration bit by bit as the oracle.  Million-frame campaigns ride
+the cached path, so any divergence silently corrupts every timing
+result in the simulator.
 """
 
 import random
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from repro.can.frame import CanFrame, FD_VALID_SIZES, trusted_frame
 from repro.can.timing import (BitTiming, CAN_125K, CAN_500K,
                               DURATION_CACHE_MAX)
+
+from .reference import frame_duration_uncached
 
 CAN_FD_SWITCHED = BitTiming(bitrate=500_000, data_bitrate=2_000_000)
 
@@ -32,10 +35,10 @@ class TestCachedMatchesUncached:
         for _ in range(300):
             frame = random_classic_frame(rng)
             assert (timing.frame_duration(frame)
-                    == timing.frame_duration_uncached(frame))
+                    == frame_duration_uncached(timing, frame))
             assert (timing.frame_duration(frame, include_ifs=False)
-                    == timing.frame_duration_uncached(frame,
-                                                      include_ifs=False))
+                    == frame_duration_uncached(timing, frame,
+                                               include_ifs=False))
 
     def test_random_extended_frames(self):
         rng = random.Random(2019)
@@ -45,7 +48,7 @@ class TestCachedMatchesUncached:
                              rng.randbytes(rng.randrange(9)),
                              extended=True)
             assert (timing.frame_duration(frame)
-                    == timing.frame_duration_uncached(frame))
+                    == frame_duration_uncached(timing, frame))
 
     def test_fd_frames_with_bit_rate_switch(self):
         rng = random.Random(2020)
@@ -54,7 +57,7 @@ class TestCachedMatchesUncached:
             frame = CanFrame(rng.randrange(1 << 11),
                              rng.randbytes(size), fd=True)
             assert (CAN_FD_SWITCHED.frame_duration(frame)
-                    == CAN_FD_SWITCHED.frame_duration_uncached(frame))
+                    == frame_duration_uncached(CAN_FD_SWITCHED, frame))
 
     def test_trusted_frames_share_the_cached_path(self):
         rng = random.Random(2021)
@@ -63,7 +66,7 @@ class TestCachedMatchesUncached:
             frame = trusted_frame(rng.randrange(1 << 11),
                                   rng.randbytes(rng.randrange(9)))
             assert (timing.frame_duration(frame)
-                    == timing.frame_duration_uncached(frame))
+                    == frame_duration_uncached(timing, frame))
 
     @settings(max_examples=200, deadline=None)
     @given(can_id=st.integers(0, (1 << 11) - 1),
@@ -72,8 +75,8 @@ class TestCachedMatchesUncached:
     def test_property_equivalence(self, can_id, data, include_ifs):
         frame = CanFrame(can_id, data)
         assert (CAN_500K.frame_duration(frame, include_ifs=include_ifs)
-                == CAN_500K.frame_duration_uncached(
-                    frame, include_ifs=include_ifs))
+                == frame_duration_uncached(CAN_500K, frame,
+                                           include_ifs=include_ifs))
 
 
 class TestCacheBehaviour:
@@ -105,10 +108,10 @@ class TestCacheBehaviour:
         fast = BitTiming(bitrate=1_000_000)
         slow = BitTiming(bitrate=125_000)
         assert fast.frame_duration(frame) < slow.frame_duration(frame)
-        assert fast.frame_duration(frame) == fast.frame_duration_uncached(frame)
-        assert slow.frame_duration(frame) == slow.frame_duration_uncached(frame)
+        assert fast.frame_duration(frame) == frame_duration_uncached(fast, frame)
+        assert slow.frame_duration(frame) == frame_duration_uncached(slow, frame)
 
     def test_shared_module_timings_stay_consistent(self):
         frame = CanFrame(0x7FF, b"\xff" * 8)
         assert (CAN_125K.frame_duration(frame)
-                == CAN_125K.frame_duration_uncached(frame))
+                == frame_duration_uncached(CAN_125K, frame))

@@ -1,58 +1,12 @@
 """Tests for vulnerability triggers and the fault model."""
 
-from hypothesis import given, strategies as st
-
 from repro.can.frame import CanFrame
 from repro.ecu.faults import (
     FaultEffect,
     FaultModel,
     Vulnerability,
     dlc_mismatch_trigger,
-    id_and_payload_trigger,
-    payload_byte_trigger,
-    random_sensitivity_trigger,
 )
-
-
-class TestPayloadByteTrigger:
-    def test_matches_value_at_position(self):
-        trigger = payload_byte_trigger(0x215, 0, 0x20)
-        assert trigger(CanFrame(0x215, b"\x20\xff"))
-        assert not trigger(CanFrame(0x215, b"\x21"))
-
-    def test_wrong_id_never_fires(self):
-        trigger = payload_byte_trigger(0x215, 0, 0x20)
-        assert not trigger(CanFrame(0x216, b"\x20"))
-
-    def test_short_payload_never_fires(self):
-        trigger = payload_byte_trigger(0x215, 3, 0x20)
-        assert not trigger(CanFrame(0x215, b"\x20\x20\x20"))
-
-    @given(data=st.binary(min_size=1, max_size=8))
-    def test_property_fires_iff_byte_matches(self, data):
-        trigger = payload_byte_trigger(0x100, 0, 0x42)
-        assert trigger(CanFrame(0x100, data)) == (data[0] == 0x42)
-
-
-class TestIdAndPayloadTrigger:
-    def test_prefix_match(self):
-        trigger = id_and_payload_trigger(0x100, b"\x20\x5f")
-        assert trigger(CanFrame(0x100, b"\x20\x5f\x01\x02"))
-        assert not trigger(CanFrame(0x100, b"\x20\x60"))
-
-    def test_length_requirement(self):
-        trigger = id_and_payload_trigger(0x100, b"\x20\x5f",
-                                         require_length=True)
-        assert trigger(CanFrame(0x100, b"\x20\x5f"))
-        assert not trigger(CanFrame(0x100, b"\x20\x5f\x00"))
-
-    def test_length_requirement_makes_trigger_strictly_rarer(self):
-        loose = id_and_payload_trigger(0x100, b"\x20")
-        strict = id_and_payload_trigger(0x100, b"\x20", require_length=True)
-        for length in range(1, 9):
-            frame = CanFrame(0x100, b"\x20" + bytes(length - 1))
-            if strict(frame):
-                assert loose(frame)
 
 
 class TestDlcMismatchTrigger:
@@ -63,22 +17,6 @@ class TestDlcMismatchTrigger:
     def test_full_length_does_not_fire(self):
         trigger = dlc_mismatch_trigger(0x296, 8)
         assert not trigger(CanFrame(0x296, bytes(8)))
-
-
-class TestRandomSensitivityTrigger:
-    def test_xor_condition(self):
-        trigger = random_sensitivity_trigger(0x700, 0x500, 0x42)
-        assert trigger(CanFrame(0x501, b"\x42"))
-        assert trigger(CanFrame(0x501, b"\x40\x02"))
-        assert not trigger(CanFrame(0x501, b"\x41"))
-
-    def test_masked_id_range(self):
-        trigger = random_sensitivity_trigger(0x700, 0x500, 0x00)
-        assert not trigger(CanFrame(0x601, b"\x00"))
-
-    def test_empty_payload_never_fires(self):
-        trigger = random_sensitivity_trigger(0x700, 0x500, 0x00)
-        assert not trigger(CanFrame(0x500, b""))
 
 
 class TestFaultModel:

@@ -90,24 +90,6 @@ class TestLimpHome:
         sim.run_for(20 * MS)
         assert ecu.limp_home  # non-volatile, like the DTCs
 
-    def test_service_reset_clears_everything(self, sim, ecu):
-        supervisor = EcuSupervisor(
-            ecu, safety_ids=frozenset({SAFETY_ID}), bus_off_limit=1)
-        _latch_bus_off(ecu)
-        sim.run_for(50 * MS)
-        cleared = supervisor.service_reset()
-        assert cleared >= 2
-        assert supervisor.dtcs == []
-        assert supervisor.bus_off_count == 0
-        assert not ecu.limp_home
-        assert ecu.send(CanFrame(COMFORT_ID, b"\x02"))
-
-    def test_clear_dtcs_restarts_escalation_but_keeps_limp(self, sim, ecu):
-        supervisor = EcuSupervisor(ecu, bus_off_limit=1)
-        _latch_bus_off(ecu)
-        supervisor.clear_dtcs()
-        assert ecu.limp_home  # codes wiped, degradation not
-
 
 class TestWatchdogSupervision:
     def test_expiry_records_dtc_and_reboots(self, sim, ecu):

@@ -41,3 +41,11 @@ def reference_uds_target(factory):
         sim, client, failed = factory()
         return sim, client, lambda: failed()
     return build
+
+
+def reference_record_batch(coverage, exchanges) -> list[bool]:
+    """:meth:`~repro.fuzz.coverage.ProtocolStateCoverage.record_batch`
+    one exchange at a time through ``record``: the oracle for the
+    vectorised batch."""
+    return [coverage.record(service, sub_function, nrc, session)
+            for service, sub_function, nrc, session in exchanges]

@@ -25,7 +25,8 @@ from repro.fuzz.durability import CampaignJournal, DirectoryStore, scan_records
 from repro.fuzz.parallel import ShardSpec, ShardedCampaign, derive_shard_seed
 from repro.testbench.factory import UdsBenchFactory, UnlockBenchFactory
 
-from .reference import reference_resume, reference_shards
+from .reference import (reference_record_batch, reference_resume,
+                        reference_shards)
 
 #: stop_on_finding=False: worlds hunt the full budget, which exercises
 #: the recovery path (power cycle + settle) under the analytic exchange.
@@ -254,7 +255,7 @@ class TestCoverageVectorisation:
         slow = ProtocolStateCoverage()
         for batch in batches:
             assert (fast.record_batch(batch)
-                    == slow._reference_record_batch(batch))
+                    == reference_record_batch(slow, batch))
         assert fast.state_digest() == slow.state_digest()
         assert fast.tuples_seen == slow.tuples_seen
         assert fast.exchanges_recorded == slow.exchanges_recorded

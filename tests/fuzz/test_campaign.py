@@ -9,7 +9,7 @@ from repro.can.frame import CanFrame
 from repro.can.node import CanController
 from repro.fuzz.campaign import CampaignLimits, FuzzCampaign
 from repro.fuzz.config import FuzzConfig
-from repro.fuzz.generator import RandomFrameGenerator, SweepGenerator
+from repro.fuzz.generator import RandomFrameGenerator
 from repro.fuzz.oracle import AckMessageOracle, PhysicalStateOracle
 from repro.sim.clock import MS, SECOND
 
@@ -53,8 +53,15 @@ class TestLimits:
         assert 45 <= result.frames_sent <= 52
 
     def test_generator_exhaustion_stops_campaign(self, sim, adapter):
-        sweep = SweepGenerator((1,), 1, byte_min=0, byte_max=9)
-        campaign = FuzzCampaign(sim, adapter, sweep,
+        class TenFrames:
+            def __init__(self):
+                self._frames = iter([CanFrame(1, bytes((i,)))
+                                     for i in range(10)])
+
+            def next_frame(self):
+                return next(self._frames)
+
+        campaign = FuzzCampaign(sim, adapter, TenFrames(),
                                 limits=CampaignLimits(max_frames=10_000))
         result = campaign.run()
         assert result.frames_sent == 10

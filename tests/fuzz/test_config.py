@@ -23,9 +23,6 @@ class TestDefaults:
         assert FuzzConfig().id_count == 2048
         assert FuzzConfig.targeted((1, 2, 3)).id_count == 3
 
-    def test_byte_count(self):
-        assert FuzzConfig().byte_count == 256
-
 
 class TestValidation:
     def test_inverted_id_range_rejected(self):
@@ -81,18 +78,6 @@ class TestPools:
     def test_dlc_choices(self):
         config = FuzzConfig(dlc_choices=(7,))
         assert tuple(config.dlc_pool()) == (7,)
-
-
-class TestConstructors:
-    def test_single_message(self):
-        config = FuzzConfig.single_message(0x215, 7)
-        assert tuple(config.identifier_pool()) == (0x215,)
-        assert tuple(config.dlc_pool()) == (7,)
-
-    def test_with_interval(self):
-        config = FuzzConfig().with_interval(5 * MS)
-        assert config.interval == 5 * MS
-        assert FuzzConfig().interval == 1 * MS  # original untouched
 
 
 class TestDescribe:

@@ -25,10 +25,7 @@ from repro.fuzz.durability import (
     parse_records,
     scan_records,
 )
-from repro.fuzz.generator import (BitWalkGenerator, RandomFrameGenerator,
-                                  SweepGenerator)
-from repro.fuzz.oracle import ErrorFrameOracle, SilenceOracle
-from repro.sim.clock import MS
+from repro.fuzz.generator import BitWalkGenerator, RandomFrameGenerator
 from repro.sim.kernel import Simulator
 from repro.sim.random import (RandomStreams, rng_state_from_json,
                               rng_state_to_json)
@@ -397,52 +394,6 @@ class TestGeneratorState:
         restored = BitWalkGenerator(base)
         restored.load_state(state)
         assert [restored.next_frame() for _ in range(10)] == upcoming
-
-    def test_sweep_fast_forwards(self):
-        generator = SweepGenerator((0x10, 0x11), 1)
-        for _ in range(50):
-            generator.next_frame()
-        state = json.loads(json.dumps(generator.state_dict()))
-        upcoming = [generator.next_frame() for _ in range(10)]
-        restored = SweepGenerator((0x10, 0x11), 1)
-        restored.load_state(state)
-        assert [restored.next_frame() for _ in range(10)] == upcoming
-
-    def test_sweep_refuses_to_load_into_used_iterator(self):
-        generator = SweepGenerator((0x10,), 1)
-        generator.next_frame()
-        with pytest.raises(ValueError):
-            generator.load_state({"kind": "sweep", "generated": 5})
-
-
-class TestOracleState:
-    def _bus(self):
-        sim = Simulator()
-        return sim, CanBus(sim, timing=CAN_500K, name="b")
-
-    def test_silence_oracle_latch_round_trips(self):
-        sim, bus = self._bus()
-        oracle = SilenceOracle(bus, 0x100, 50 * MS, name="s")
-        oracle._last_seen = 12345
-        oracle._reported_gap = True
-        oracle.findings_reported = 1
-        state = json.loads(json.dumps(oracle.state_dict()))
-        _, fresh_bus = self._bus()
-        restored = SilenceOracle(fresh_bus, 0x100, 50 * MS, name="s")
-        restored.load_state(state)
-        assert restored._last_seen == 12345
-        assert restored._reported_gap is True
-        assert restored.findings_reported == 1
-
-    def test_error_frame_oracle_counts_round_trip(self):
-        sim, bus = self._bus()
-        oracle = ErrorFrameOracle(bus, threshold=3, name="e")
-        oracle.count = 2
-        state = json.loads(json.dumps(oracle.state_dict()))
-        _, fresh_bus = self._bus()
-        restored = ErrorFrameOracle(fresh_bus, threshold=3, name="e")
-        restored.load_state(state)
-        assert restored.count == 2
 
 
 def _build_chaos_campaign(journal: CampaignJournal) -> FuzzCampaign:

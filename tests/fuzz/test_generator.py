@@ -10,7 +10,6 @@ from repro.fuzz.config import FuzzConfig
 from repro.fuzz.generator import (
     BitWalkGenerator,
     RandomFrameGenerator,
-    SweepGenerator,
     TargetedFrameGenerator,
 )
 
@@ -138,44 +137,3 @@ class TestBitWalkGenerator:
         for _ in range(11):
             frame = generator.next_frame()
             assert 0 <= frame.can_id <= 0x7FF
-
-
-class TestSweepGenerator:
-    def test_sweeps_entire_space(self):
-        generator = SweepGenerator((1, 2), 1, byte_min=0, byte_max=3)
-        frames = []
-        while True:
-            try:
-                frames.append(generator.next_frame())
-            except StopIteration:
-                break
-        assert len(frames) == 2 * 4
-        assert len(set((f.can_id, f.data) for f in frames)) == 8
-
-    def test_zero_length_sweep(self):
-        generator = SweepGenerator((5,), 0)
-        frame = generator.next_frame()
-        assert frame.dlc == 0
-        with pytest.raises(StopIteration):
-            generator.next_frame()
-
-    def test_two_byte_sweep_counts(self):
-        generator = SweepGenerator((1,), 2, byte_min=0, byte_max=2)
-        count = 0
-        while True:
-            try:
-                generator.next_frame()
-                count += 1
-            except StopIteration:
-                break
-        assert count == 9
-
-    def test_impractical_sweep_refused(self):
-        """The paper's §V conclusion, enforced in code: beyond two
-        payload bytes exhaustive transmission is impractical."""
-        with pytest.raises(ValueError):
-            SweepGenerator((1,), 3)
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            SweepGenerator((1,), -1)

@@ -17,7 +17,6 @@ import pytest
 
 from repro.can.channel import (
     AdversarialChannel,
-    BabblingIdiot,
     ChannelConfig,
     ChannelVerdict,
 )
@@ -36,7 +35,7 @@ from repro.fuzz.health import (
     CampaignSupervisor,
     confirm_findings,
 )
-from repro.fuzz.oracle import AckMessageOracle, ErrorFrameOracle, Finding
+from repro.fuzz.oracle import AckMessageOracle, Finding, Oracle
 from repro.fuzz.parallel import ShardSpec
 from repro.sim.clock import MS, SECOND
 from repro.sim.kernel import Simulator
@@ -47,6 +46,8 @@ from repro.testbench.bcm import UNLOCK_ACK_ID
 from repro.testbench.bench import UnlockTestbench
 from repro.testbench.factory import UnlockBenchFactory, UnlockReplayFactory
 from repro.vehicle.database import BODY_COMMAND_ID, UNLOCK_COMMAND
+
+from tests.can.helpers import BabblingIdiot
 
 NOISY = ChannelConfig(ber=2e-3, burst_ber=5e-2, burst_enter=0.02,
                       burst_exit=0.2, ack_loss=0.01)
@@ -365,6 +366,20 @@ class TestRecoveryGate:
 # Acceptance gate 3: noisy-channel findings must survive clean replay
 # ----------------------------------------------------------------------
 
+class FirstErrorFrame(Oracle):
+    """Reports the first error frame on ``bus``."""
+
+    def __init__(self, bus) -> None:
+        super().__init__("error-frames")
+        self._fired = False
+        bus.add_error_tap(self._on_error)
+
+    def _on_error(self, record) -> None:
+        if not self._fired:
+            self._fired = True
+            self.report(record.time, f"error frame from {record.reporter}")
+
+
 class TestFalsePositiveGate:
     def test_noise_artefacts_filtered_and_counted(self):
         assert NOISY.ber >= 1e-3  # the gate's noise floor
@@ -379,7 +394,7 @@ class TestFalsePositiveGate:
         oracles = [
             # Deliberately noise-prone: fires on the first error frame,
             # which on this channel is pure wire noise.
-            ErrorFrameOracle(bench.bus, threshold=1),
+            FirstErrorFrame(bench.bus),
             AckMessageOracle(bench.bus, UNLOCK_ACK_ID,
                              predicate=lambda f: f.data[:1] == b"\x01",
                              exclude_sender=adapter.controller.name,

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.can.frame import CanFrame
-from repro.fuzz.minimize import (MinimizeStats, minimize_frame_bytes,
-                                 minimize_trace)
+from repro.fuzz.minimize import MinimizeStats, minimize_trace
 from repro.fuzz.oracle import Finding
 from repro.fuzz.replay import Replayer
 from repro.fuzz.session import FuzzResult
@@ -105,62 +104,6 @@ class TestMinimizeTrace:
     def test_max_tests_validation(self):
         with pytest.raises(ValueError):
             minimize_trace([CanFrame(1)], lambda t: True, max_tests=0)
-
-
-class TestMinimizeFrameBytes:
-    def test_irrelevant_bytes_zeroed(self):
-        frame = CanFrame(0x215, bytes((0x20, 0x5F, 0x01, 0x00, 0x00,
-                                       0x01, 0x40)))
-        # The target only parses byte 0 (the bench BCM's weak check).
-        minimal = minimize_frame_bytes(
-            frame, lambda f: len(f.data) >= 1 and f.data[0] == 0x20)
-        assert minimal.data == b"\x20"
-
-    def test_two_checked_bytes_survive(self):
-        frame = CanFrame(0x215, bytes((0x20, 0x5F, 0x99, 0x98)))
-        minimal = minimize_frame_bytes(
-            frame,
-            lambda f: len(f.data) >= 2 and f.data[0] == 0x20
-            and f.data[1] == 0x5F)
-        assert minimal.data == b"\x20\x5f"
-
-    def test_length_sensitive_check_keeps_length(self):
-        frame = CanFrame(0x215, bytes((0x20, 0, 0, 0, 0, 0, 0)))
-        minimal = minimize_frame_bytes(
-            frame, lambda f: f.dlc == 7 and f.data[0] == 0x20)
-        assert minimal.dlc == 7
-
-    def test_non_reproducing_frame_rejected(self):
-        with pytest.raises(ValueError):
-            minimize_frame_bytes(CanFrame(1, b"\x01"), lambda f: False)
-
-    def test_stats_count_probes(self):
-        frame = CanFrame(0x215, bytes((0x20, 0x5F, 0x01)))
-        stats = MinimizeStats()
-        minimal = minimize_frame_bytes(
-            frame, lambda f: len(f.data) >= 1 and f.data[0] == 0x20,
-            stats=stats)
-        assert minimal.data == b"\x20"
-        assert stats.from_size == 3 and stats.to_size == 1
-        assert stats.tests_used > 0
-        assert not stats.exhausted
-
-    def test_max_tests_cutoff_keeps_failing_frame(self):
-        frame = CanFrame(0x215, bytes((0x20, 1, 2, 3, 4, 5, 6)))
-        check = lambda f: len(f.data) >= 1 and f.data[0] == 0x20  # noqa: E731
-        stats = MinimizeStats()
-        partial = minimize_frame_bytes(frame, check, max_tests=3,
-                                       stats=stats)
-        assert stats.exhausted
-        assert stats.tests_used <= 3
-        assert check(partial)              # best-so-far still fails
-        assert partial.data[0] == 0x20
-        assert len(partial.data) == 7      # truncation never reached
-
-    def test_max_tests_validation(self):
-        with pytest.raises(ValueError):
-            minimize_frame_bytes(CanFrame(1, b"\x01"), lambda f: True,
-                                 max_tests=0)
 
 
 class TestFuzzResult:

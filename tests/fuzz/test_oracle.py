@@ -8,15 +8,10 @@ from repro.can.node import CanController
 from repro.ecu.base import Ecu
 from repro.fuzz.oracle import (
     AckMessageOracle,
-    CompositeOracle,
-    ErrorFrameOracle,
     Oracle,
     PhysicalStateOracle,
-    SignalRangeOracle,
-    SilenceOracle,
 )
-from repro.sim.clock import MS, SECOND
-from repro.vehicle.database import ENGINE_STATUS_ID, target_vehicle_database
+from repro.sim.clock import MS
 
 
 @pytest.fixture
@@ -94,79 +89,6 @@ class TestAckMessageOracle:
         assert len(findings) == 1
 
 
-class TestSilenceOracle:
-    def test_detects_message_gap(self, sim, bus, sender):
-        oracle = SilenceOracle(bus, 0x0C9, timeout=100 * MS)
-        findings = bound(oracle)
-        oracle.start(sim)
-        sender.send(CanFrame(0x0C9))
-        sim.run_for(50 * MS)
-        assert findings == []
-        sim.run_for(500 * MS)  # silence
-        assert len(findings) == 1
-        oracle.stop()
-
-    def test_never_seen_id_does_not_fire(self, sim, bus):
-        oracle = SilenceOracle(bus, 0x0C9, timeout=100 * MS)
-        findings = bound(oracle)
-        oracle.start(sim)
-        sim.run_for(1 * SECOND)
-        assert findings == []
-
-    def test_traffic_resumption_rearms(self, sim, bus, sender):
-        oracle = SilenceOracle(bus, 0x0C9, timeout=100 * MS)
-        findings = bound(oracle)
-        oracle.start(sim)
-        sender.send(CanFrame(0x0C9))
-        sim.run_for(500 * MS)   # first gap
-        sender.send(CanFrame(0x0C9))
-        sim.run_for(500 * MS)   # second gap
-        assert len(findings) == 2
-
-
-class TestErrorFrameOracle:
-    def test_threshold(self, sim, bus, sender):
-        remaining = [3]
-        bus.fault_injector = lambda f: remaining[0] > 0 and (
-            remaining.__setitem__(0, remaining[0] - 1) or True)
-        oracle = ErrorFrameOracle(bus, threshold=2)
-        findings = bound(oracle)
-        sender.send(CanFrame(0x100))
-        sim.run_for(20 * MS)
-        assert len(findings) == 1
-        assert oracle.count == 3
-
-
-class TestSignalRangeOracle:
-    def test_out_of_range_rpm_detected(self, sim, bus, sender):
-        db = target_vehicle_database()
-        oracle = SignalRangeOracle(bus, db, "EngineSpeed")
-        findings = bound(oracle)
-        payload = db.by_name("ENGINE_STATUS").encode({"EngineSpeed": -1000.0})
-        sender.send(CanFrame(ENGINE_STATUS_ID, payload))
-        sim.run_for(5 * MS)
-        assert len(findings) == 1
-        assert oracle.violations == 1
-
-    def test_in_range_ignored(self, sim, bus, sender):
-        db = target_vehicle_database()
-        oracle = SignalRangeOracle(bus, db, "EngineSpeed")
-        findings = bound(oracle)
-        payload = db.by_name("ENGINE_STATUS").encode({"EngineSpeed": 900.0})
-        sender.send(CanFrame(ENGINE_STATUS_ID, payload))
-        sim.run_for(5 * MS)
-        assert findings == []
-
-    def test_unknown_signal_rejected(self, bus):
-        with pytest.raises(KeyError):
-            SignalRangeOracle(bus, target_vehicle_database(), "Nope")
-
-    def test_unranged_signal_rejected(self, bus):
-        with pytest.raises(ValueError):
-            SignalRangeOracle(bus, target_vehicle_database(),
-                              "CommandCode")
-
-
 class TestPhysicalStateOracle:
     def test_detects_state_change(self, sim, bus):
         state = {"locked": True}
@@ -190,17 +112,3 @@ class TestPhysicalStateOracle:
         oracle.start(sim)
         sim.run_for(100 * MS)
         assert len(findings) == 1
-
-
-class TestCompositeOracle:
-    def test_manages_children(self, sim, bus, sender):
-        child_a = AckMessageOracle(bus, 0x100)
-        child_b = AckMessageOracle(bus, 0x200)
-        composite = CompositeOracle([child_a, child_b])
-        findings = bound(composite)
-        composite.start(sim)
-        sender.send(CanFrame(0x100))
-        sender.send(CanFrame(0x200))
-        sim.run_for(5 * MS)
-        composite.stop()
-        assert len(findings) == 2

@@ -50,11 +50,6 @@ class TestMinimise:
         minimal = replayer.minimize(trace)
         assert minimal == [UNLOCK_FRAME]
 
-    def test_minimize_frame_strips_unparsed_bytes(self):
-        replayer = Replayer(bench_factory)
-        minimal = replayer.minimize_frame(UNLOCK_FRAME)
-        assert minimal.data == bytes((UNLOCK_COMMAND,))
-
     def test_minimize_benign_trace_raises(self):
         replayer = Replayer(bench_factory)
         with pytest.raises(ValueError):

@@ -171,11 +171,6 @@ class TestParity(ParityCases):
     test_probe_parity_on_generated_traces = generated_trace_parity(
         FrameTrack)
 
-    def test_minimize_frame_parity(self):
-        minimal = SnapshotReplayer(bench_factory).minimize_frame(
-            UNLOCK_FRAME)
-        assert minimal.data == bytes((UNLOCK_COMMAND,))
-
 
 class TestUdsParity(ParityCases):
     track = RequestTrack

@@ -3,14 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.can.frame import CanFrame
 from repro.fuzz.config import FuzzConfig
 from repro.fuzz.coverage import (
-    birthday_collision_probability,
     combination_count,
-    coverage_fraction,
     expected_frames_to_hit,
     expected_unlock_seconds,
     time_to_exhaust_seconds,
@@ -20,7 +17,6 @@ from repro.fuzz.generator import RandomFrameGenerator
 from repro.fuzz.stats import (
     byte_position_means,
     chi_square_byte_uniformity,
-    id_distribution,
     is_uniform_spread,
     uniformity_deviation,
 )
@@ -93,12 +89,6 @@ class TestFig5Property:
             uniformity_deviation(byte_position_means([]))
 
 
-class TestIdDistribution:
-    def test_histogram(self):
-        frames = [CanFrame(1), CanFrame(1), CanFrame(2)]
-        assert id_distribution(frames) == {1: 2, 2: 1}
-
-
 class TestCombinatorics:
     def test_paper_half_million(self):
         """§V: '11-bit id and a one byte payload has half a million
@@ -117,53 +107,10 @@ class TestCombinatorics:
         days = seconds / 86_400
         assert 1.5 < days < 1.6
 
-    def test_coverage_fraction_limits(self):
-        assert coverage_fraction(0, 100) == 0.0
-        assert coverage_fraction(10**9, 100) == pytest.approx(1.0)
-
-    def test_coverage_fraction_huge_space_stays_positive(self):
-        """The underflow bug: 1 - 1/m rounds to exactly 1.0 once m
-        exceeds ~2^53, so the textbook form reported zero coverage for
-        the 11-bit-id + 8-byte space regardless of frames sent."""
-        fraction = coverage_fraction(10**6, 2**75)
-        assert fraction > 0.0
-        # First-order: n/m, exact to float precision at this scale.
-        assert fraction == pytest.approx(10**6 / 2**75, rel=1e-9)
-        assert coverage_fraction(10**6, combination_count(11, 8)) > 0.0
-
-    def test_coverage_fraction_monotone_in_frames_on_huge_space(self):
-        small = coverage_fraction(10**5, 2**75)
-        large = coverage_fraction(10**6, 2**75)
-        assert 0.0 < small < large < 1.0
-
-    def test_coverage_fraction_single_combination(self):
-        assert coverage_fraction(0, 1) == 0.0
-        assert coverage_fraction(1, 1) == 1.0
-
-    @given(n=st.integers(0, 10_000), m=st.integers(1, 10_000))
-    def test_property_parity_with_textbook_formula_on_small_spaces(
-            self, n, m):
-        """The log1p/expm1 rewrite must agree with ``1 - (1 - 1/m)^n``
-        wherever the old formula was numerically sound."""
-        import math
-        expected = 1.0 - (1.0 - 1.0 / m) ** n
-        assert math.isclose(coverage_fraction(n, m), expected,
-                            rel_tol=1e-12, abs_tol=1e-15)
-
-    @given(n=st.integers(1, 10_000), m=st.integers(1, 10_000))
-    def test_property_coverage_is_a_probability(self, n, m):
-        assert 0.0 <= coverage_fraction(n, m) <= 1.0
-
     def test_expected_frames_to_hit(self):
         assert expected_frames_to_hit(0.5) == 2.0
         with pytest.raises(ValueError):
             expected_frames_to_hit(0.0)
-
-    def test_birthday_collision_bounds(self):
-        assert birthday_collision_probability(1, 100) == 0.0
-        assert birthday_collision_probability(101, 100) == 1.0
-        mid = birthday_collision_probability(12, 100)
-        assert 0.4 < mid < 0.6  # classic birthday-paradox region
 
 
 class TestUnlockProbability:

@@ -17,8 +17,7 @@ from repro.fuzz.generator import RandomFrameGenerator
 from repro.fuzz.stats import (byte_position_means,
                               byte_position_means_reference,
                               chi_square_byte_uniformity,
-                              chi_square_byte_uniformity_reference,
-                              id_distribution, id_distribution_reference)
+                              chi_square_byte_uniformity_reference)
 
 
 def random_frames(seed, count, *, max_dlc=8):
@@ -111,27 +110,3 @@ class TestChiSquare:
         frames = [CanFrame(0x1, b"") for _ in range(5)]
         with pytest.raises(ValueError):
             chi_square_byte_uniformity(frames)
-
-
-class TestIdDistribution:
-    def test_random_traffic_matches_reference(self):
-        frames = random_frames(11, 5000)
-        assert id_distribution(frames) == id_distribution_reference(frames)
-
-    def test_generator_output_matches_reference(self):
-        generator = RandomFrameGenerator(FuzzConfig(), random.Random(13))
-        frames = generator.frames(3000)
-        assert id_distribution(frames) == id_distribution_reference(frames)
-
-    def test_counts_are_exact(self):
-        frames = ([CanFrame(0x7FF, b"")] * 3 + [CanFrame(0, b"\x01")] * 2
-                  + [CanFrame(0x123, b"xy")])
-        assert id_distribution(frames) == {0x7FF: 3, 0: 2, 0x123: 1}
-
-    def test_empty_capture(self):
-        assert id_distribution([]) == id_distribution_reference([]) == {}
-
-    def test_accepts_any_iterable(self):
-        frames = random_frames(17, 200)
-        assert (id_distribution(iter(frames))
-                == id_distribution_reference(iter(frames)))

@@ -11,10 +11,11 @@ import json
 
 import pytest
 
-from repro.chaos import hostile_strikes
 from repro.service.api import ServiceApi
 from repro.service.orchestrator import Orchestrator
 from repro.service.queue import JobQueue
+
+from .helpers import hostile_strikes
 
 
 def serve(tmp_path, **kwargs):

@@ -37,14 +37,6 @@ class TestSimClock:
         with pytest.raises(ValueError):
             clock.advance_to(99)
 
-    def test_now_ms(self):
-        clock = SimClock(1500)
-        assert clock.now_ms == 1.5
-
-    def test_now_seconds(self):
-        clock = SimClock(2_500_000)
-        assert clock.now_seconds == 2.5
-
 
 class TestFormatTime:
     def test_zero(self):

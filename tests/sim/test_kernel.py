@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim.kernel import SimulationError, Simulator, seconds
-from repro.sim.clock import MS, SECOND
+from repro.sim.kernel import SimulationError, Simulator
+from repro.sim.clock import MS
 
 
 class TestScheduling:
@@ -150,11 +150,3 @@ class TestStep:
         sim.call_after(6, lambda: fired.append(2))
         assert sim.step() is True
         assert fired == [1]
-
-
-class TestSecondsHelper:
-    def test_seconds_to_ticks(self):
-        assert seconds(1.5) == int(1.5 * SECOND)
-
-    def test_rounding(self):
-        assert seconds(0.0000014) == 1  # 1.4 us rounds to 1 tick

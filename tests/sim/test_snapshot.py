@@ -25,7 +25,7 @@ from repro.can.timing import CAN_500K, BitTiming
 from repro.sim.clock import MS
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
-from repro.sim.snapshot import Snapshot, Snapshottable, capture, fingerprint
+from repro.sim.snapshot import Snapshottable, capture, fingerprint
 from repro.testbench.bench import UnlockTestbench
 from repro.testbench.factory import CarReplayFactory, UdsReplayFactory
 from repro.vehicle.database import BODY_COMMAND_ID, UNLOCK_COMMAND
@@ -331,17 +331,6 @@ class TestDeterminism:
         assert r_bench.streams.state_digest() == final_rng_digest
         assert r_bench.sim.state_digest() == bench.sim.state_digest()
         assert r_bench.bus.state_digest() == bench.bus.state_digest()
-
-    def test_simulator_snapshot_convenience(self):
-        bench, adapter, tap = self.bench_world()
-        snap = bench.sim.snapshot(bench, adapter, tap, label="bench")
-        assert isinstance(snap, Snapshot)
-        clone_sim, clone_bench, clone_adapter, _ = snap.restore()
-        clone_adapter.write(UNLOCK_FRAME)
-        clone_sim.run_for(50 * MS)
-        assert clone_bench.bcm.led_on
-        assert not bench.bcm.led_on
-        assert clone_bench.sim is clone_sim
 
 
 class TestAtomicSharing:

@@ -15,8 +15,7 @@ from repro.can.frame import CanFrame
 from repro.fuzz.campaign import CampaignLimits, FuzzCampaign
 from repro.fuzz.config import FuzzConfig
 from repro.fuzz.generator import RandomFrameGenerator
-from repro.fuzz.oracle import ErrorFrameOracle, SilenceOracle
-from repro.sim.clock import MS, SECOND
+from repro.sim.clock import SECOND
 from repro.sim.random import RandomStreams
 from repro.vehicle import TargetCar
 from repro.vehicle.database import ENGINE_STATUS_ID, WHEEL_SPEEDS_ID
@@ -44,15 +43,6 @@ class TestBusErrorStorm:
         assert result.stop_reason == "time limit reached"
         assert bus.stats.error_frames > 100
 
-    def test_error_frame_oracle_reports_storm(self, sim, bus):
-        rng = random.Random(3)
-        bus.fault_injector = lambda frame: rng.random() < 0.2
-        oracle = ErrorFrameOracle(bus, threshold=50)
-        campaign = self.make_campaign(sim, bus, oracles=[oracle])
-        result = campaign.run()
-        assert result.findings
-        assert "error frame" in result.findings[0].description
-
     def test_total_corruption_drives_adapter_bus_off(self, sim, bus):
         bus.fault_injector = lambda frame: True
         campaign = self.make_campaign(sim, bus, seconds=30)
@@ -63,26 +53,6 @@ class TestBusErrorStorm:
 
 
 class TestEcuDeathMidCampaign:
-    def test_silence_oracle_catches_crashed_transmission_ecu(self):
-        """A short WHEEL_SPEEDS frame crashes the transmission ECU; its
-        cyclic message disappears and the silence oracle reports it."""
-        car = TargetCar(seed=20)
-        car.ignition_on()
-        car.run_seconds(1.0)
-        # Disable the watchdog so the gap persists long enough to see.
-        car.transmission.watchdog.disable()
-        oracle = SilenceOracle(car.powertrain_bus, 0x2C4,
-                               timeout=200 * MS)
-        findings = []
-        oracle.bind(findings.append)
-        oracle.start(car.sim)
-        car.run_seconds(0.2)   # oracle observes healthy cyclic traffic
-        adapter = car.obd_adapter("powertrain")
-        adapter.write(CanFrame(WHEEL_SPEEDS_ID, b"\x00\x01"))
-        car.run_seconds(1.0)
-        oracle.stop()
-        assert findings
-        assert "0x2C4" in findings[0].description
 
     def test_watchdogged_ecu_gap_heals(self):
         """With the watchdog active the transmission comes back and

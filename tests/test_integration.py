@@ -9,8 +9,8 @@ from repro.analysis.idstats import observed_ids
 from repro.fuzz.campaign import CampaignLimits, FuzzCampaign
 from repro.fuzz.config import FuzzConfig
 from repro.fuzz.generator import RandomFrameGenerator, TargetedFrameGenerator
-from repro.fuzz.minimize import minimize_frame_bytes, minimize_trace
-from repro.fuzz.oracle import PhysicalStateOracle, SignalRangeOracle
+from repro.fuzz.minimize import minimize_trace
+from repro.fuzz.oracle import PhysicalStateOracle
 from repro.sim.clock import MS, SECOND
 from repro.sim.random import RandomStreams
 from repro.testbench.bench import UnlockTestbench
@@ -69,23 +69,6 @@ class TestFuzzingTheVehicleSimulator:
         assert view.trace("EngineSpeed").minimum() == -1250.0
         panel = view.render_panel()
         assert "-1250.0" in panel
-
-    def test_range_oracle_flags_fuzzed_signals(self):
-        car = idling_car()
-        oracle = SignalRangeOracle(car.powertrain_bus, car.database,
-                                   "EngineSpeed")
-        findings = []
-        oracle.bind(findings.append)
-        adapter = car.obd_adapter("powertrain")
-        generator = RandomFrameGenerator(
-            FuzzConfig.targeted((0x0C9,)),
-            RandomStreams(7).stream("fuzzer"))
-        campaign = FuzzCampaign(
-            car.sim, adapter, generator,
-            limits=CampaignLimits(max_duration=2 * SECOND,
-                                  stop_on_finding=False))
-        campaign.run()
-        assert oracle.violations > 0
 
 
 class TestFuzzingTheCluster:
@@ -215,7 +198,3 @@ class TestMinimisationWorkflow:
         culprit = minimal_trace[0]
         assert culprit.can_id == BODY_COMMAND_ID
         assert culprit.data[0] == UNLOCK_COMMAND
-
-        minimal_frame = minimize_frame_bytes(
-            culprit, lambda f: replays([f]))
-        assert minimal_frame.data == bytes((UNLOCK_COMMAND,))

@@ -3,7 +3,7 @@ rests on (Table V is twelve *reproducible* runs)."""
 
 import pytest
 
-from repro.can.log import parse_candump
+from repro.can.log import format_candump
 from repro.fuzz import (
     CampaignLimits,
     FuzzCampaign,
@@ -67,7 +67,7 @@ class TestCarDeterminism:
             capture = BusCapture(car.powertrain_bus, limit=5000)
             car.ignition_on()
             car.run_seconds(2.0)
-            return capture.as_candump()
+            return format_candump(capture.records())
 
         assert capture_text() == capture_text()
 
@@ -80,18 +80,3 @@ class TestPersistence:
         restored = FuzzResult.from_json(path.read_text())
         assert restored.frames_sent == result.frames_sent
         assert restored.stop_reason == result.stop_reason
-
-    def test_capture_candump_file_roundtrip(self, tmp_path):
-        from repro.analysis import BusCapture
-
-        car = TargetCar(seed=5)
-        capture = BusCapture(car.powertrain_bus, limit=2000)
-        car.ignition_on()
-        car.run_seconds(1.0)
-        path = tmp_path / "capture.log"
-        path.write_text(capture.as_candump())
-        records = parse_candump(path.read_text())
-        assert len(records) == len(capture)
-        originals = capture.records()
-        assert [(r.can_id, r.data) for r in records] == \
-               [(r.can_id, r.data) for r in originals]

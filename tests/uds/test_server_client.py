@@ -13,9 +13,7 @@ from repro.uds.server import (
 )
 from repro.uds.services import (
     NegativeResponse,
-    is_negative,
     negative_response,
-    parse_negative,
     positive_response,
 )
 
@@ -38,12 +36,6 @@ class TestServiceHelpers:
         message = negative_response(
             0x22, NegativeResponse.REQUEST_OUT_OF_RANGE)
         assert message == b"\x7f\x22\x31"
-        assert is_negative(message)
-        assert parse_negative(message) == (0x22, 0x31)
-
-    def test_parse_negative_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_negative(b"\x50\x01")
 
 
 class TestBasicServices:

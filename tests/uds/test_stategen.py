@@ -7,6 +7,8 @@ from repro.uds.client import UdsResponse
 from repro.uds.stategen import (KEY_ALGORITHMS, UdsStateGenerator, crc8_key,
                                 lfsr8_key)
 
+from tests.fuzz.reference import reference_record_batch
+
 
 def positive(*payload):
     return UdsResponse(bytes(payload))
@@ -77,7 +79,7 @@ class TestRecordBatch:
         for _ in range(20):
             batch = self.random_exchanges(rng, rng.randrange(0, 40))
             assert (fast.record_batch(batch)
-                    == slow._reference_record_batch(batch))
+                    == reference_record_batch(slow, batch))
             assert fast.state_digest() == slow.state_digest()
         assert fast.exchanges_recorded == slow.exchanges_recorded
         assert fast.tuples_seen == slow.tuples_seen

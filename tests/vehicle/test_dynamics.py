@@ -108,12 +108,3 @@ class TestDrivingProfiles:
         start = dyn.fuel_level
         run_seconds(sim, 60.0)
         assert dyn.fuel_level < start
-
-    def test_set_profile_switches_behaviour(self, sim):
-        dyn = VehicleDynamics(sim, profile=DrivingProfile.idle())
-        dyn.start_engine()
-        run_seconds(sim, 5.0)
-        assert dyn.speed_kmh == 0.0
-        dyn.set_profile(DrivingProfile.highway())
-        run_seconds(sim, 10.0)
-        assert dyn.speed_kmh > 0.0
