@@ -158,20 +158,6 @@ class CanBus:
     # ------------------------------------------------------------------
     # Arbitration and transmission
     # ------------------------------------------------------------------
-    def request_arbitration(self) -> None:
-        """Ask the bus to start a transmission as soon as it is idle.
-
-        Called by controllers when traffic is queued.  When the bus is
-        idle, arbitration runs immediately (synchronously) -- one fewer
-        scheduled event on the hottest path in the simulator.  Frames
-        queued while a transmission is in flight contend at the next
-        end-of-frame, exactly as on the wire.
-        """
-        if self._busy:
-            self._rearm = True
-            return
-        self._arbitrate()
-
     def _tx_request(self, node: CanController) -> None:
         """Fast-path arbitration entry used by :meth:`CanController.send`.
 

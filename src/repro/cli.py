@@ -168,15 +168,17 @@ def _write_report(path: str, payload: dict) -> None:
 def _channel_config(args: argparse.Namespace):
     """Build the adversarial-channel config the noise flags describe.
 
-    ``--ber``/``--burst`` imply ``--channel-noise``; bare
-    ``--channel-noise`` gets a mild default profile so the flag is
-    useful on its own.  Returns None when no noise was requested.
+    ``--ber``/``--burst``/``--ack-loss`` imply ``--channel-noise``;
+    bare ``--channel-noise`` gets a mild default bit error rate so the
+    flag is useful on its own, and ``--ack-loss`` adds no bit errors of
+    its own.  Returns None when no noise was requested.
     """
     from repro.can.channel import ChannelConfig
 
-    if not (args.channel_noise or args.ber or args.burst):
+    if not (args.channel_noise or args.ber or args.burst or args.ack_loss):
         return None
-    ber = args.ber or (1e-4 if not args.burst else 0.0)
+    ber = args.ber or (1e-4 if args.channel_noise and not args.burst
+                       else 0.0)
     if args.burst:
         return ChannelConfig(ber=ber, burst_ber=args.burst,
                              burst_enter=0.01, burst_exit=0.2,
@@ -739,7 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(implies --channel-noise)")
     bench.add_argument("--ack-loss", type=float, default=0.0, metavar="P",
                        help="per-frame probability the acknowledgement "
-                            "slot is lost (sender retransmits)")
+                            "slot is lost (sender retransmits; implies "
+                            "--channel-noise, without its default bit "
+                            "error rate)")
     bench.set_defaults(func=_cmd_fuzz_bench)
 
     uds = sub.add_parser("fuzz-uds",

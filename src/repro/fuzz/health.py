@@ -40,6 +40,13 @@ from repro.sim.clock import MS, SECOND
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicProcess
 
+#: Windowed busy fraction treated as saturation (CAN folklore puts
+#: healthy buses under ~80%).
+UTILISATION_THRESHOLD = 0.90
+#: Multiplier applied to the campaign's transmit interval while
+#: degraded.
+BACKOFF_FACTOR = 4
+
 
 @dataclass(frozen=True)
 class BusDownEvent:
@@ -71,12 +78,8 @@ class CampaignSupervisor(Oracle):
     Args:
         bus: the target bus to watch.
         check_period: sampling interval for the health check.
-        utilisation_threshold: windowed busy fraction treated as
-            saturation (CAN folklore puts healthy buses under ~80%).
         silence_timeout: ticks without any non-fuzzer frame before the
             target counts as silenced.
-        backoff_factor: multiplier applied to the campaign's transmit
-            interval while degraded.
         quarantine_duration: ticks a quarantined id stays gated.
         max_recorded_events: :class:`BusDownEvent` records kept in
             detail (checkpoints and reports carry them verbatim, so a
@@ -85,22 +88,14 @@ class CampaignSupervisor(Oracle):
     """
 
     def __init__(self, bus: CanBus, *, check_period: int = 50 * MS,
-                 utilisation_threshold: float = 0.90,
                  silence_timeout: int = 500 * MS,
-                 backoff_factor: int = 4,
                  quarantine_duration: int = 1 * SECOND,
                  max_recorded_events: int = 256,
                  name: str = "campaign-health") -> None:
         super().__init__(name)
-        if not (0.0 < utilisation_threshold <= 1.0):
-            raise ValueError("utilisation_threshold must be in (0, 1]")
-        if backoff_factor < 1:
-            raise ValueError("backoff_factor must be >= 1")
         self._bus = bus
         self.check_period = check_period
-        self.utilisation_threshold = utilisation_threshold
         self.silence_timeout = silence_timeout
-        self.backoff_factor = backoff_factor
         self.quarantine_duration = quarantine_duration
         self.max_recorded_events = max_recorded_events
         self.events: list[BusDownEvent] = []
@@ -169,7 +164,7 @@ class CampaignSupervisor(Oracle):
         self._last_busy = busy
         self._last_check = now
         reasons = []
-        if utilisation >= self.utilisation_threshold:
+        if utilisation >= UTILISATION_THRESHOLD:
             reasons.append(("utilisation saturation",
                             f"bus {utilisation:.0%} busy over the last "
                             f"{window / MS:.0f} ms"))
@@ -200,7 +195,7 @@ class CampaignSupervisor(Oracle):
         campaign = self._campaign
         if campaign is None:
             return
-        campaign.interval = self._base_interval * self.backoff_factor
+        campaign.interval = self._base_interval * BACKOFF_FACTOR
         # Quarantine the id the recent transmit window implicates most:
         # under a DoS the dominant recently-sent id is the likeliest
         # culprit (a low arbitration id hogging the wire).
@@ -315,8 +310,7 @@ class CampaignSupervisor(Oracle):
         if self._degraded and self._campaign is not None:
             # Re-apply the backoff the killed run was operating under;
             # the rebuilt campaign came up at its base interval.
-            self._campaign.interval = (
-                self._base_interval * self.backoff_factor)
+            self._campaign.interval = self._base_interval * BACKOFF_FACTOR
         if state.get("reset_pending") and self._campaign is not None:
             # The killed run was waiting out an adapter recovery window
             # whose timer died with its simulator; start a fresh one.

@@ -27,13 +27,13 @@ policy (chunk deadlines, retries, failures).
 With ``journal_dir`` set the fan-out becomes crash-safe: every shard
 journals into ``<journal_dir>/shard-NNNN/`` (write-ahead findings,
 periodic checkpoints, final result), a ``master.json`` manifest pins
-the run's ``(master_seed, shard_count)`` so a directory cannot be
-resumed under a different configuration, and a restarted run skips
-shards whose results survived and resumes the rest from their last
-checkpoint.  Retries keep the *same* seed and attempt then -- the
-replacement worker continues the journalled run instead of starting a
-fresh derivation -- so the merged fingerprint matches an uninterrupted
-run exactly.
+the run's master seed, shard count, total limits and factory so a
+directory cannot be resumed under a different configuration, and a
+restarted run skips shards whose results survived and resumes the
+rest from their last checkpoint.  Retries keep the *same* seed and
+attempt then -- the replacement worker continues the journalled run
+instead of starting a fresh derivation -- so the merged fingerprint
+matches an uninterrupted run exactly.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import os
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -376,6 +376,22 @@ class ShardSpec:
 #: separate processes and share nothing.
 CampaignFactory = Callable[[ShardSpec], FuzzCampaign]
 
+#: The ``master.json`` fields that pin a journal directory to its run.
+_RUN_IDENTITY = ("master_seed", "shard_count", "limits", "factory")
+
+
+def _factory_identity(factory: CampaignFactory) -> str:
+    """A factory's configuration, as ``master.json`` pins it.
+
+    A dataclass factory's ``repr`` is its configuration.  Any other
+    factory is pinned by its qualified name only: an object's ``repr``
+    carries its address, which changes from run to run.
+    """
+    if is_dataclass(factory):
+        return repr(factory)
+    named = factory if hasattr(factory, "__qualname__") else type(factory)
+    return f"{named.__module__}.{named.__qualname__}"
+
 
 def _run_shards(conn, factory: CampaignFactory,
                 specs: tuple[ShardSpec, ...], journal_infos: list) -> tuple:
@@ -660,7 +676,7 @@ class ShardedCampaign:
         master_seed: root of every per-shard seed derivation.
         jobs: maximum concurrent workers (default: ``min(shards,
             cpu_count)``).  ``jobs=1`` still uses a worker process --
-            use :meth:`run_serial` for the in-process baseline.
+            use :meth:`run_serial` for the in-process reference.
         shard_timeout: wall-clock seconds a worker may run before it
             is declared hung, killed and retried.
         max_retries: extra attempts per shard after a fault; each
@@ -731,23 +747,27 @@ class ShardedCampaign:
         ]
         self.manifest_warnings: list[str] = []
         if self.journal_dir is not None:
-            self._check_manifest()
+            self._check_manifest(limits)
 
     # ------------------------------------------------------------------
     # Durable journal plumbing
     # ------------------------------------------------------------------
-    def _check_manifest(self) -> None:
+    def _check_manifest(self, limits: CampaignLimits) -> None:
         """Pin the journal directory to this run's identity.
 
-        A journal directory written by seed A must not be silently
-        continued by a run configured with seed B -- the skipped
-        results would merge into a chimera no seed reproduces.  An
-        identity *mismatch* is a hard error; a merely unreadable or
-        unwritable manifest degrades with a warning, like every other
-        durability failure.
+        A journal directory written by one configuration (seed, shard
+        count, total limits, factory) must not be silently continued
+        by a run configured differently -- the skipped results would
+        merge into a chimera no configuration reproduces.  An identity
+        *mismatch* is a hard error; a merely unreadable or unwritable
+        manifest degrades with a warning, like every other durability
+        failure, and so does a manifest that predates the pinning of
+        some identity field (it is rewritten to pin them).
         """
         manifest = {"format": 1, "master_seed": self.master_seed,
-                    "shard_count": self.shards}
+                    "shard_count": self.shards,
+                    "limits": asdict(limits),
+                    "factory": _factory_identity(self.factory)}
         data = json.dumps(manifest, indent=2).encode("utf-8")
         try:
             store = (self.store_factory or DirectoryStore)(
@@ -756,19 +776,28 @@ class ShardedCampaign:
                 try:
                     existing = json.loads(store.read("master.json"))
                 except ValueError:
+                    existing = None
+                if not isinstance(existing, dict):
                     self.manifest_warnings.append(
                         "master.json corrupt; rewriting it")
                     store.replace("master.json", data)
                     return
-                found = {key: existing.get(key) for key in
-                         ("master_seed", "shard_count")}
-                expected = {key: manifest[key] for key in
-                            ("master_seed", "shard_count")}
-                if found != expected:
+                found = {key: existing[key] for key in _RUN_IDENTITY
+                         if key in existing and existing[key] != manifest[key]}
+                if found:
+                    expected = {key: manifest[key] for key in found}
                     raise ValueError(
                         f"journal dir {self.journal_dir} belongs to a run "
                         f"with {found}, refusing to resume it as "
                         f"{expected}")
+                unpinned = [key for key in _RUN_IDENTITY
+                            if key not in existing]
+                if unpinned:
+                    self.manifest_warnings.append(
+                        f"master.json does not pin {', '.join(unpinned)}; "
+                        f"resuming unchecked against them and pinning "
+                        f"this run's")
+                    store.replace("master.json", data)
             else:
                 store.replace("master.json", data)
         except OSError as exc:
@@ -824,16 +853,16 @@ class ShardedCampaign:
         return ", no journaled progress"
 
     # ------------------------------------------------------------------
-    # Serial baseline
+    # Serial reference
     # ------------------------------------------------------------------
     def run_serial(self) -> ShardedResult:
         """Run every shard inline, in shard order, in this process.
 
-        The benchmark baseline, and the reference the worker-pool path
-        must match bit for bit (:meth:`ShardedResult.fingerprint`).
-        Each shard runs through the same body a worker runs, fast path
-        included, so this checks the process layer; the kernel
-        reference is each campaign's ``_execute``.
+        The in-process reference the worker-pool path must match bit
+        for bit (:meth:`ShardedResult.fingerprint`).  Each shard runs
+        through the same body a worker runs, fast path included, so
+        this checks the process layer; the kernel reference is each
+        campaign's ``_execute``.
         """
         started = time.perf_counter()
         outcomes = []

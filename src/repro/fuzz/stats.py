@@ -22,6 +22,11 @@ import numpy as np
 
 from repro.can.frame import CanFrame
 
+#: Mean of a uniform byte draw over 0-255.
+UNIFORM_BYTE_MEAN = 127.5
+#: Largest position-mean deviation :func:`is_uniform_spread` accepts.
+UNIFORM_SPREAD_TOLERANCE = 3.0
+
 
 @dataclass(frozen=True)
 class ByteColumnStats:
@@ -51,8 +56,8 @@ def byte_position_means(frames: Iterable[CanFrame], *,
     ``uint8`` array with ``np.frombuffer``, and accumulated per position
     with ``np.bincount`` -- turning the per-byte Python loop into a
     handful of array operations over the whole capture.  Results are
-    bit-identical to :func:`byte_position_means_reference`: every
-    intermediate sum is an integer far below 2**53, so float64
+    bit-identical to the per-byte loop the tests keep as its oracle:
+    every intermediate sum is an integer far below 2**53, so float64
     accumulation is exact in both implementations regardless of order.
 
     Args:
@@ -87,59 +92,28 @@ def byte_position_means(frames: Iterable[CanFrame], *,
                            overall_mean=overall, frame_count=frame_count)
 
 
-def byte_position_means_reference(frames: Iterable[CanFrame], *,
-                                  positions: int = 8) -> ByteColumnStats:
-    """Pre-vectorisation implementation of :func:`byte_position_means`.
-
-    Kept as the equivalence oracle (and benchmark baseline) for the
-    vectorised path; results must be bit-identical.
-    """
-    if positions <= 0:
-        raise ValueError("positions must be positive")
-    sums = np.zeros(positions, dtype=np.float64)
-    counts = np.zeros(positions, dtype=np.int64)
-    total_sum = 0.0
-    total_count = 0
-    frame_count = 0
-    for frame in frames:
-        frame_count += 1
-        data = frame.data[:positions]
-        for position, byte in enumerate(data):
-            sums[position] += byte
-            counts[position] += 1
-        total_sum += sum(data)
-        total_count += len(data)
-    means = tuple(
-        float(sums[i] / counts[i]) if counts[i] else float("nan")
-        for i in range(positions))
-    overall = total_sum / total_count if total_count else float("nan")
-    return ByteColumnStats(means=means, counts=tuple(int(c) for c in counts),
-                           overall_mean=overall, frame_count=frame_count)
-
-
-def uniformity_deviation(stats: ByteColumnStats,
-                         expected_mean: float = 127.5) -> float:
+def uniformity_deviation(stats: ByteColumnStats) -> float:
     """Largest absolute deviation of any position mean from uniform.
 
-    A uniform byte draw over 0-255 has mean 127.5 (the paper rounds to
-    127); captured vehicle traffic deviates wildly by position.
+    A uniform byte draw over 0-255 has mean :data:`UNIFORM_BYTE_MEAN`
+    (the paper rounds to 127); captured vehicle traffic deviates wildly
+    by position.
     """
     populated = [m for m, c in zip(stats.means, stats.counts) if c > 0]
     if not populated:
         raise ValueError("no populated byte positions")
-    return max(abs(m - expected_mean) for m in populated)
+    return max(abs(m - UNIFORM_BYTE_MEAN) for m in populated)
 
 
-def is_uniform_spread(stats: ByteColumnStats, *,
-                      tolerance: float = 3.0) -> bool:
+def is_uniform_spread(stats: ByteColumnStats) -> bool:
     """The paper's acceptance check, made explicit.
 
-    True when every populated position mean sits within ``tolerance``
-    of 127.5.  For ~66 k frames the standard error per position is
-    roughly ``73.9 / sqrt(n_pos)`` (~0.9 for 8k samples), so the
-    default 3.0 tolerance is a generous 3-sigma band.
+    True when every populated position mean sits within
+    :data:`UNIFORM_SPREAD_TOLERANCE` of 127.5.  For ~66 k frames the
+    standard error per position is roughly ``73.9 / sqrt(n_pos)`` (~0.9
+    for 8k samples), so a 3.0 tolerance is a generous 3-sigma band.
     """
-    return uniformity_deviation(stats) <= tolerance
+    return uniformity_deviation(stats) <= UNIFORM_SPREAD_TOLERANCE
 
 
 def chi_square_byte_uniformity(frames: Iterable[CanFrame]) -> tuple[float, float]:
@@ -152,8 +126,8 @@ def chi_square_byte_uniformity(frames: Iterable[CanFrame]) -> tuple[float, float
 
     Vectorised: the payloads are joined and histogrammed in one
     ``np.bincount`` over a ``np.frombuffer`` view.  The histogram is
-    an exact integer count either way, so the statistic matches
-    :func:`chi_square_byte_uniformity_reference` bit for bit.
+    an exact integer count either way, so the statistic matches the
+    per-byte loop the tests keep as its oracle bit for bit.
     """
     blob = b"".join(frame.data for frame in frames)
     if not blob:
@@ -161,23 +135,6 @@ def chi_square_byte_uniformity(frames: Iterable[CanFrame]) -> tuple[float, float
     histogram = np.bincount(
         np.frombuffer(blob, dtype=np.uint8), minlength=256).astype(np.int64)
     total = len(blob)
-    expected = total / 256.0
-    statistic = float(((histogram - expected) ** 2 / expected).sum())
-    return statistic, 255.0
-
-
-def chi_square_byte_uniformity_reference(
-        frames: Iterable[CanFrame]) -> tuple[float, float]:
-    """Pre-vectorisation implementation of
-    :func:`chi_square_byte_uniformity`, kept as the equivalence oracle
-    and benchmark baseline."""
-    histogram = np.zeros(256, dtype=np.int64)
-    for frame in frames:
-        for byte in frame.data:
-            histogram[byte] += 1
-    total = int(histogram.sum())
-    if total == 0:
-        raise ValueError("no payload bytes to test")
     expected = total / 256.0
     statistic = float(((histogram - expected) ** 2 / expected).sum())
     return statistic, 255.0

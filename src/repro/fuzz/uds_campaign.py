@@ -40,6 +40,9 @@ from repro.fuzz.session import (FuzzResult, finding_from_dict,
                                 finding_to_dict)
 from repro.sim.clock import MS
 
+#: TesterPresent probes before a silent server is declared dead.
+PROBE_ATTEMPTS = 3
+
 
 class UdsFuzzCampaign:
     """One stateful diagnostic fuzzing run against a UDS server.
@@ -53,8 +56,6 @@ class UdsFuzzCampaign:
             (see :class:`~repro.uds.stategen.UdsStateGenerator`).
         limits: stop conditions; ``max_frames`` counts *requests*.
         interval: pacing gap between exchanges.
-        probe_attempts: TesterPresent probes before a silent server is
-            declared dead.
         reset_settle: ticks to ride out a commanded ECU reset (response
             delay + boot time + margin); computed from the server's ECU
             when not given.
@@ -66,7 +67,6 @@ class UdsFuzzCampaign:
                  limits: CampaignLimits,
                  interval: int = 2 * MS,
                  recent_window: int = 32,
-                 probe_attempts: int = 3,
                  reset_settle: int | None = None,
                  name: str = "uds-fuzz",
                  journal: CampaignJournal | None = None,
@@ -76,15 +76,12 @@ class UdsFuzzCampaign:
             raise ValueError("interval must be >= 0")
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if probe_attempts < 1:
-            raise ValueError("probe_attempts must be >= 1")
         self.sim = sim
         self.client = client
         self.server = server
         self.generator = generator
         self.limits = limits
         self.interval = interval
-        self.probe_attempts = probe_attempts
         if reset_settle is None:
             # Commanded reset: ~10 ticks response lag, 10 ms reset
             # delay, the boot, and a settle margin.
@@ -221,7 +218,7 @@ class UdsFuzzCampaign:
         crash; waiting ``reset_settle`` between probes lets a booting
         server come back before we declare it dead.
         """
-        for _ in range(self.probe_attempts):
+        for _ in range(PROBE_ATTEMPTS):
             self.probes_sent += 1
             probe = self.client.request(b"\x3e\x00")
             if not probe.timed_out:
@@ -239,7 +236,7 @@ class UdsFuzzCampaign:
             oracle="uds-liveness",
             description=(
                 f"server silent after request {preview} "
-                f"({len(request)} bytes); {self.probe_attempts} "
+                f"({len(request)} bytes); {PROBE_ATTEMPTS} "
                 f"TesterPresent probes unanswered"),
             recent_requests=witness + window,
         )

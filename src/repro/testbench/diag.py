@@ -24,6 +24,9 @@ from repro.sim.random import RandomStreams
 from repro.uds.client import UdsClient
 from repro.uds.server import UdsServer
 
+#: Tester request timeout.
+CLIENT_TIMEOUT = 200 * MS
+
 
 class DiagTestbench:
     """Simulator + bus + UDS server ECU + tester client.
@@ -32,14 +35,12 @@ class DiagTestbench:
         seed: root seed for the bench's random streams (the generator
             draws from ``streams.stream("uds-fuzzer")``).
         boot_time: target ECU boot delay.
-        client_timeout: tester request timeout.
         key_algorithm: seed-to-key routine installed in the target's
             security access (default: the server's stock XOR); the
             tester is *not* told -- state generators must learn it.
     """
 
     def __init__(self, *, seed: int = 0, boot_time: int = 20 * MS,
-                 client_timeout: int = 200 * MS,
                  name: str = "diag-bench",
                  key_algorithm=None) -> None:
         self.seed = seed
@@ -49,8 +50,7 @@ class DiagTestbench:
         self.ecu = Ecu(self.sim, self.bus, "diag-target",
                        boot_time=boot_time)
         self.server = UdsServer(self.ecu, key_algorithm=key_algorithm)
-        self.client = UdsClient(self.sim, self.bus,
-                                timeout=client_timeout)
+        self.client = UdsClient(self.sim, self.bus, timeout=CLIENT_TIMEOUT)
 
     def power_on(self, settle_seconds: float = 0.05) -> None:
         """Boot the target and let the bench settle."""

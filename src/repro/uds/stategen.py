@@ -116,6 +116,11 @@ SWEEP_LAST_DID = 0xF1FF
 GARBAGE_SIDS = (0x10, 0x11, 0x22, 0x27, 0x2E, 0x31, 0x3E, 0x19, 0x28, 0x85)
 GARBAGE_LENGTHS = (0, 1, 2, 3, 7, 8, 15, 16, 17, 32, 63, 64, 128)
 
+#: Maximum requests kept for mutation.
+CORPUS_LIMIT = 64
+#: Largest write record the attack strategy emits.
+MAX_RECORD = 300
+
 # Fixed requests the state walk re-emits constantly, built once
 # (bytes are immutable, so sharing one object is safe).
 _REQ_HARD_RESET = bytes((ServiceId.ECU_RESET, 0x01))
@@ -135,19 +140,14 @@ class UdsStateGenerator:
         rng: dedicated random stream (checkpointed with the generator).
         coverage: shared coverage map; a fresh one is created when not
             supplied.
-        corpus_limit: maximum requests kept for mutation.
-        max_record: largest write record the attack strategy emits.
     """
 
     def __init__(self, rng: random.Random,
                  coverage: ProtocolStateCoverage | None = None, *,
-                 corpus_limit: int = 64, max_record: int = 300,
                  seed_label: str = "uds-state") -> None:
         self._rng = rng
         self.coverage = coverage if coverage is not None \
             else ProtocolStateCoverage()
-        self.corpus_limit = corpus_limit
-        self.max_record = max_record
         self.seed_label = seed_label
         self.requests_generated = 0
         # Belief state: the tester's mirror of the server's machine.
@@ -233,7 +233,7 @@ class UdsStateGenerator:
         else:
             did = self._advance_sweep()
         length = rng.choice(ATTACK_LENGTHS)
-        length = min(length, self.max_record)
+        length = min(length, MAX_RECORD)
         return (bytes((ServiceId.WRITE_DATA_BY_IDENTIFIER,
                        did >> 8, did & 0xFF))
                 + rng.randbytes(length))
@@ -397,7 +397,7 @@ class UdsStateGenerator:
         if request in self._corpus:
             return
         self._corpus.append(bytes(request))
-        if len(self._corpus) > self.corpus_limit:
+        if len(self._corpus) > CORPUS_LIMIT:
             self._corpus.pop(0)
 
     def notify_target_reset(self) -> None:

@@ -79,6 +79,9 @@ GEAR_RATIOS = (13.0, 8.0, 5.5, 4.2, 3.4)
 #: Speed thresholds (km/h) at which the transmission upshifts.
 UPSHIFT_SPEEDS = (20.0, 40.0, 65.0, 95.0)
 
+#: Model step period, in milliseconds.
+STEP_MS = 10
+
 
 class VehicleDynamics:
     """The shared vehicle state, stepped on a fixed period.
@@ -88,10 +91,9 @@ class VehicleDynamics:
     ``fuel_level``, ``fuel_rate``, ``engine_on``, ``odometer_km``.
     """
 
-    def __init__(self, sim: Simulator, *, step_ms: int = 10,
+    def __init__(self, sim: Simulator, *,
                  profile: DrivingProfile | None = None) -> None:
         self.sim = sim
-        self.step_ms = step_ms
         self.profile = profile or DrivingProfile.idle()
         self.engine_on = False
         self.rpm = 0.0
@@ -105,7 +107,7 @@ class VehicleDynamics:
         self.odometer_km = 18204.3
         self._start_time: int | None = None
         self._process = PeriodicProcess(
-            sim, step_ms * MS, self._step, label="dynamics")
+            sim, STEP_MS * MS, self._step, label="dynamics")
 
     # ------------------------------------------------------------------
     # Control
@@ -136,7 +138,7 @@ class VehicleDynamics:
     def _step(self) -> None:
         if not self.engine_on:
             return
-        dt = self.step_ms / 1000.0
+        dt = STEP_MS / 1000.0
         t = self._elapsed_seconds()
         self.throttle = min(1.0, max(0.0, self.profile.throttle(t)))
         self.brake = min(1.0, max(0.0, self.profile.brake(t)))

@@ -23,7 +23,7 @@ from repro.fuzz.batch import run_shard_batch
 from repro.fuzz.campaign import CampaignLimits, FuzzCampaign
 from repro.fuzz.config import FuzzConfig
 from repro.fuzz.durability import CampaignJournal, DirectoryStore, scan_records
-from repro.fuzz.generator import RandomFrameGenerator
+from repro.fuzz.generator import RandomFrameGenerator, TargetedFrameGenerator
 from repro.fuzz.oracle import AckMessageOracle, PhysicalStateOracle
 from repro.fuzz.parallel import ShardSpec, ShardedCampaign, derive_shard_seed
 from repro.sim.clock import MS
@@ -49,10 +49,16 @@ def build_world(kind, seed, mode="byte", max_frames=4000, recent_window=32):
                   dlc_min=0, dlc_max=8)
     if kind == "narrow":
         cfg_kw.update(byte_min=0x10, byte_max=0x6F)
-    generator = RandomFrameGenerator(FuzzConfig(**cfg_kw),
-                                     random.Random(seed * 977 + 3))
+    rng = random.Random(seed * 977 + 3)
+    if kind == "targeted":
+        # The known-id pool a real campaign narrows to after listening,
+        # over the stock FuzzConfig's DLC and byte ranges.
+        generator = TargetedFrameGenerator((0x215, 0x3A5, 0x100),
+                                           FuzzConfig(), rng)
+    else:
+        generator = RandomFrameGenerator(FuzzConfig(**cfg_kw), rng)
     oracles = []
-    if kind in ("ack", "time", "narrow"):
+    if kind in ("ack", "time", "narrow", "targeted"):
         oracles = [
             AckMessageOracle(bench.bus, UNLOCK_ACK_ID,
                              predicate=_unlock_ack,
@@ -88,15 +94,16 @@ def bcm_state(campaign):
 
 
 class TestFreshParity:
-    # One case per finding kind / check mode / limit shape: ack
-    # finding, LED-only oracle, hot status watch, time limit, narrowed
-    # byte range, the stock factory bench (full id range), and an ack
-    # finding with an empty recent window.
+    # One case per finding kind / check mode / limit shape /
+    # generator: ack finding, LED-only oracle, hot status watch, time
+    # limit, narrowed byte range, the stock factory bench (full id
+    # range), a TargetedFrameGenerator world, and an ack finding with
+    # an empty recent window.
     CASES = [("ack", 0, "byte"), ("ack", 1, "byte+dlc"),
              ("ack", 2, "two-byte"), ("led", 0, "byte"),
              ("status", 1, "byte"), ("time", 0, "byte"),
              ("narrow", 2, "two-byte"), ("factory", 0, "byte"),
-             ("ack", 3, "byte", 4000, 0)]
+             ("targeted", 1, "byte"), ("ack", 3, "byte", 4000, 0)]
 
     def test_results_bit_identical_across_kinds(self, monkeypatch):
         twins = [build_world(*case) for case in self.CASES]

@@ -15,7 +15,8 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,49 @@ class TestShardedKillResume:
         with pytest.raises(ValueError, match="refusing to resume"):
             ShardedCampaign(TinyFactory(), shards=3, limits=SMALL,
                             master_seed=7, journal_dir=journal_dir)
+        # The total limits and the factory's configuration are pinned
+        # too: a byte-mode hunt cannot be resumed as a longer one, nor
+        # in two-byte mode.
+        byte_dir = tmp_path / "byte"
+        ShardedCampaign(UnlockBenchFactory(), shards=2, limits=SMALL,
+                        master_seed=7, journal_dir=byte_dir)
+        with pytest.raises(ValueError, match="refusing to resume"):
+            ShardedCampaign(UnlockBenchFactory(), shards=2,
+                            limits=replace(SMALL, max_frames=4000),
+                            master_seed=7, journal_dir=byte_dir)
+        with pytest.raises(ValueError, match="refusing to resume"):
+            ShardedCampaign(UnlockBenchFactory(check_mode="two-byte"),
+                            shards=2, limits=SMALL, master_seed=7,
+                            journal_dir=byte_dir)
+
+    def test_manifest_without_limits_and_factory_warns_then_pins(
+            self, tmp_path):
+        # A manifest that pins only the seed and shard count resumes
+        # with a warning and is rewritten to pin the rest.
+        journal_dir = tmp_path / "journal"
+        journal_dir.mkdir()
+        (journal_dir / "master.json").write_text(json.dumps(
+            {"format": 1, "master_seed": 7, "shard_count": 2}))
+        runner = ShardedCampaign(TinyFactory(), shards=2, limits=SMALL,
+                                 master_seed=7, journal_dir=journal_dir)
+        assert len(runner.manifest_warnings) == 1
+        assert "limits, factory" in runner.manifest_warnings[0]
+        with pytest.raises(ValueError, match="refusing to resume"):
+            ShardedCampaign(TinyFactory(), shards=2,
+                            limits=replace(SMALL, max_frames=800),
+                            master_seed=7, journal_dir=journal_dir)
+
+    @pytest.mark.parametrize("text", ["{not json", "7", "[]"])
+    def test_corrupt_manifest_is_rewritten(self, tmp_path, text):
+        journal_dir = tmp_path / "journal"
+        journal_dir.mkdir()
+        (journal_dir / "master.json").write_text(text)
+        runner = ShardedCampaign(TinyFactory(), shards=2, limits=SMALL,
+                                 master_seed=7, journal_dir=journal_dir)
+        assert runner.manifest_warnings == [
+            "master.json corrupt; rewriting it"]
+        assert json.loads((journal_dir / "master.json").read_text())[
+            "master_seed"] == 7
 
 
 # ----------------------------------------------------------------------

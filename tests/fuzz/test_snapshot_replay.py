@@ -8,8 +8,12 @@ rebuilding the target.  The parity and cache-policy checks run on both
 tracks of the one replay engine: CAN frames against the unlock bench
 and UDS requests against the diagnostic bench, the latter both on the
 analytic exchange (the default) and on the real client (the reference
-twin).
+twin).  The parity checks also run on long car traces against the
+full target vehicle, with one late culprit and with cooperating
+culprits.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +25,7 @@ from repro.fuzz.oracle import Finding
 from repro.fuzz.replay import Replayer, SnapshotReplayer
 from repro.sim.clock import MS
 from repro.testbench.bench import UnlockTestbench
-from repro.testbench.factory import UdsReplayFactory
+from repro.testbench.factory import CarReplayFactory, UdsReplayFactory
 from repro.uds.replay import UdsReplayer, UdsSnapshotReplayer
 from repro.uds.server import (BOOTLOADER_SCRATCH_DID, HANG_SESSION_SUB,
                               SCRATCH_BUFFER_SIZE)
@@ -166,10 +170,64 @@ class ParityCases:
             self.track.snapshot().minimize(self.track.noise)
 
 
+#: Car-trace noise: identifiers the body controller ignores, so only
+#: the planted unlock commands can open the car.
+CAR_NOISE_IDS = (0x101, 0x180, 0x2F0, 0x400, 0x512)
+CAR_TRACE_FRAMES = 120
+
+
+def car_unlock(salt):
+    """The car's unlock command at its specification DLC; the salt
+    byte keeps cooperating culprits distinct."""
+    return CanFrame(BODY_COMMAND_ID,
+                    bytes((UNLOCK_COMMAND, 0x01, salt, 0, 0, 0, 0)))
+
+
+def car_trace(positions):
+    """A seeded noise trace with unlock commands at ``positions``."""
+    rng = random.Random(7)
+    frames = [CanFrame(rng.choice(CAR_NOISE_IDS),
+                       rng.randbytes(rng.randrange(1, 9)))
+              for _ in range(CAR_TRACE_FRAMES)]
+    for salt, position in enumerate(positions):
+        frames[position] = car_unlock(salt)
+    return frames
+
+
+class CarTrack(FrameTrack):
+    """Frames against the full target vehicle: one unlock command
+    buried late in a long trace."""
+
+    factory = CarReplayFactory(seed=7, settle_seconds=0.5)
+    noise = car_trace([])[:10]
+    culprit = car_unlock(0)
+    witness = car_trace([int(CAR_TRACE_FRAMES * 0.8)])
+    core = [culprit]
+
+
+class CooperatingCarTrack(CarTrack):
+    """The ddmin worst case: the car fails only after four accepted
+    unlocks, so no culprit is removable alone."""
+
+    factory = CarReplayFactory(seed=7, settle_seconds=0.5,
+                               min_unlock_events=4)
+    witness = car_trace([int((j + 0.5) * CAR_TRACE_FRAMES / 4)
+                         for j in range(4)])
+    core = [car_unlock(salt) for salt in range(4)]
+
+
 class TestParity(ParityCases):
     track = FrameTrack
     test_probe_parity_on_generated_traces = generated_trace_parity(
         FrameTrack)
+
+
+class TestCarParity(ParityCases):
+    track = CarTrack
+
+
+class TestCooperatingCarParity(ParityCases):
+    track = CooperatingCarTrack
 
 
 class TestUdsParity(ParityCases):

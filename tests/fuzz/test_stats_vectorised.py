@@ -1,9 +1,9 @@
 """Parity of the vectorised statistics with their reference loops.
 
-The campaign benchmark requires the Fig 4/5 byte-position means and
-the chi-square uniformity statistic to stay *bit-identical* across the
-vectorisation; these tests pin that contract independently of the
-benchmark harness.
+The Fig 4/5 byte-position means and the chi-square uniformity
+statistic must stay *bit-identical* across the vectorisation; these
+tests pin that contract against the per-byte loops in
+``reference.py``.
 """
 
 import math
@@ -14,10 +14,10 @@ import pytest
 from repro.can.frame import CanFrame
 from repro.fuzz.config import FuzzConfig
 from repro.fuzz.generator import RandomFrameGenerator
-from repro.fuzz.stats import (byte_position_means,
-                              byte_position_means_reference,
-                              chi_square_byte_uniformity,
-                              chi_square_byte_uniformity_reference)
+from repro.fuzz.stats import byte_position_means, chi_square_byte_uniformity
+
+from .reference import (byte_position_means_reference,
+                        chi_square_byte_uniformity_reference)
 
 
 def random_frames(seed, count, *, max_dlc=8):

@@ -81,6 +81,42 @@ class TestFuzzBench:
         assert "0 finding(s)" in capsys.readouterr().out
 
 
+class TestNoiseFlags:
+    def test_ack_loss_alone_builds_a_channel_without_bit_errors(
+            self, capsys, tmp_path):
+        import json
+
+        report = tmp_path / "ack-loss.json"
+        assert main(["fuzz-bench", "--seed", "1", "--max-seconds", "1",
+                     "--ack-loss", "0.5", "--report", str(report)]) == 1
+        payload = json.loads(report.read_text())
+        rows = {name: value for _, name, value in payload["channel"]}
+        assert rows["ack loss"] == "0.5"
+        assert rows["bit error rate"] == "0"
+        # The channel comes with its campaign supervisor.
+        assert "campaign-health" in payload["result"]["health"]
+
+    # (BER, burst BER, ack loss) each flag combination configures.
+    @pytest.mark.parametrize("flags, expected", [
+        ([], None),
+        (["--channel-noise"], (1e-4, 0.0, 0.0)),
+        (["--channel-noise", "--ack-loss", "0.2"], (1e-4, 0.0, 0.2)),
+        (["--ber", "2e-3"], (2e-3, 0.0, 0.0)),
+        (["--burst", "5e-2"], (0.0, 5e-2, 0.0)),
+        (["--ber", "2e-3", "--burst", "5e-2", "--ack-loss", "0.1"],
+         (2e-3, 5e-2, 0.1)),
+        (["--ack-loss", "0.5"], (0.0, 0.0, 0.5)),
+    ])
+    def test_flags_build_the_channel_they_describe(self, flags, expected):
+        from repro.cli import _channel_config, build_parser
+
+        config = _channel_config(build_parser().parse_args(
+            ["fuzz-bench", *flags]))
+        got = (None if config is None
+               else (config.ber, config.burst_ber, config.ack_loss))
+        assert got == expected
+
+
 class TestFuzzBenchMinimize:
     def make_finding(self):
         from repro.can.frame import CanFrame
