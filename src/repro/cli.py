@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.sim.clock import MS, SECOND
 
@@ -214,6 +215,16 @@ def _cmd_fuzz_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    journal = None
+    if args.journal and args.shards <= 1:
+        from repro.fuzz import CampaignJournal
+
+        journal = CampaignJournal(args.journal)
+    if (args.journal and not args.resume
+            and _holds_previous_run(args.journal, journal)):
+        print(f"journal dir {args.journal} already holds campaign "
+              f"state; pass --resume to continue it", file=sys.stderr)
+        return 2
     if args.shards > 1:
         return _run_sharded_bench(args, channel_config)
     benches = []
@@ -248,27 +259,16 @@ def _cmd_fuzz_bench(args: argparse.Namespace) -> int:
                 max_duration=round(args.max_seconds * SECOND)),
             oracles=oracles, name="cli-fuzz-bench", channel=channel)
 
-    journal = None
-    if args.journal:
-        from repro.fuzz import CampaignJournal
-
-        journal = CampaignJournal(args.journal)
-        if args.resume:
-            result = FuzzCampaign.resume(
-                journal, build, checkpoint_every=args.checkpoint_every)
-        else:
-            if (journal.load_result() is not None
-                    or journal.load_checkpoint() is not None):
-                print(f"journal dir {args.journal} already holds campaign "
-                      f"state; pass --resume to continue it",
-                      file=sys.stderr)
-                return 2
-            campaign = build()
-            campaign.attach_journal(
-                journal, checkpoint_every=args.checkpoint_every)
-            result = campaign.run()
-    else:
+    if journal is None:
         result = build().run()
+    elif args.resume:
+        result = FuzzCampaign.resume(
+            journal, build, checkpoint_every=args.checkpoint_every)
+    else:
+        campaign = build()
+        campaign.attach_journal(
+            journal, checkpoint_every=args.checkpoint_every)
+        result = campaign.run()
     print(result.summary())
     if benches:
         print(f"lock LED: "
@@ -306,6 +306,22 @@ def _cmd_fuzz_bench(args: argparse.Namespace) -> int:
             payload["minimized"] = minimized
         _write_report(args.report, payload)
     return 0 if findings else 1
+
+
+def _holds_previous_run(directory: str, journal) -> bool:
+    """Whether a ``fuzz-bench --journal`` directory holds a previous run.
+
+    That is a sharded run's ``master.json`` manifest or shard journals,
+    or campaign state (a checkpoint or result) in ``journal``, the
+    single-process run's journal on the directory (``None`` when
+    sharded).  Either mode continues such a directory only with
+    ``--resume``, so a rerun never reports saved results as new.
+    """
+    root = Path(directory)
+    if (root / "master.json").exists() or any(root.glob("shard-*")):
+        return True
+    return journal is not None and (journal.load_result() is not None
+                                    or journal.load_checkpoint() is not None)
 
 
 def _run_sharded_bench(args: argparse.Namespace, channel_config) -> int:
@@ -720,8 +736,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--resume", action="store_true",
                        help="continue the campaign recorded in --journal "
                             "from its last durable state (sharded runs "
-                            "resume automatically whenever --journal "
-                            "points at a previous run's directory)")
+                            "skip shards whose results were saved); a "
+                            "--journal directory that holds a previous "
+                            "run is refused without it")
     bench.add_argument("--checkpoint-every", type=int, default=5000,
                        metavar="FRAMES",
                        help="frames between durable checkpoints "

@@ -11,16 +11,13 @@ fuzzer can find blind.
 from __future__ import annotations
 
 from repro.can.bus import CanBus
-from repro.can.frame import CanFrame, TimestampedFrame
+from repro.can.frame import TimestampedFrame
 from repro.ecu.base import Ecu
 from repro.sim.clock import MS
 from repro.sim.kernel import Simulator
 from repro.vehicle.database import (
     BODY_COMMAND_ID,
-    BODY_STATUS_ID,
-    CLUSTER_DISPLAY_ID,
     LOCK_COMMAND,
-    LOCK_STATUS_ID,
     UNLOCK_COMMAND,
 )
 from repro.vehicle.dynamics import VehicleDynamics
@@ -95,18 +92,17 @@ class BodyControlModule(Ecu):
         self._send_lock_status()
 
     def _send_lock_status(self) -> None:
-        payload = self._lock_status.encode({
+        self.send(self._lock_status.frame({
             "LockState": 1.0 if self.locked else 0.0,
             "LockAckCounter": float(self._ack_counter),
             "LockSource": 1.0,
-        })
-        self.send(CanFrame(LOCK_STATUS_ID, payload))
+        }))
 
     # ------------------------------------------------------------------
     # Cyclic traffic
     # ------------------------------------------------------------------
     def _send_body_status(self) -> None:
-        payload = self._body_status.encode({
+        self.send(self._body_status.frame({
             "DoorsLocked": 1.0 if self.locked else 0.0,
             "DriverDoorOpen": 0.0,
             "PassengerDoorOpen": 0.0,
@@ -116,15 +112,13 @@ class BodyControlModule(Ecu):
             "IndicatorRight": 0.0,
             "InteriorLight": 1.0 if self.interior_light else 0.0,
             "BatteryVoltage": 14.2 if self._dynamics.engine_on else 12.4,
-        })
-        self.send(CanFrame(BODY_STATUS_ID, payload))
+        }))
 
     def _send_cluster_display(self) -> None:
         dyn = self._dynamics
-        payload = self._cluster_display.encode({
+        self.send(self._cluster_display.frame({
             "FuelLevel": dyn.fuel_level,
             "OutsideTemp": 17.0,
             "RangeEstimate": max(0.0, dyn.fuel_level * 5.5),
             "TripDistance": min(6553.0, dyn.odometer_km % 1000.0),
-        })
-        self.send(CanFrame(CLUSTER_DISPLAY_ID, payload))
+        }))

@@ -16,10 +16,10 @@ it observed (§VI, Fig 9):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.can.bus import CanBus
-from repro.can.frame import CanFrame, TimestampedFrame
+from repro.can.frame import TimestampedFrame
 from repro.ecu.base import Ecu
 from repro.ecu.faults import (
     FaultEffect,
@@ -32,7 +32,6 @@ from repro.sim.kernel import Simulator
 from repro.vehicle.database import (
     BODY_STATUS_ID,
     CLUSTER_DISPLAY_ID,
-    CLUSTER_WARNINGS_ID,
     ENGINE_STATUS_ID,
     VEHICLE_SPEED_ID,
 )
@@ -62,10 +61,6 @@ class GaugeState:
     fuel_percent: float = 0.0
     coolant_temp: float = 0.0
     odometer_text: str = ""
-    history: list[tuple[int, str, float]] = field(default_factory=list)
-
-    def record(self, time: int, gauge: str, value: float) -> None:
-        self.history.append((time, gauge, value))
 
 
 class InstrumentCluster(Ecu):
@@ -157,19 +152,16 @@ class InstrumentCluster(Ecu):
             # Deliberately unclamped: negative and over-redline values
             # drive the needle exactly as decoded (Fig 8).
             self.gauges.rpm = values["EngineSpeed"]
-            self.gauges.record(stamped.time, "rpm", self.gauges.rpm)
             self._plausibility_check("MIL_ENGINE",
                                      values["EngineSpeed"], -50.0, 8000.0)
         if frame.can_id == ENGINE_STATUS_ID and "CoolantTemp" in values:
             self.gauges.coolant_temp = values["CoolantTemp"]
         if frame.can_id == VEHICLE_SPEED_ID and "VehicleSpeed" in values:
             self.gauges.speed_kmh = values["VehicleSpeed"]
-            self.gauges.record(stamped.time, "speed", self.gauges.speed_kmh)
             self._plausibility_check("MIL_ABS",
                                      values["VehicleSpeed"], -1.0, 300.0)
         if frame.can_id == CLUSTER_DISPLAY_ID and "FuelLevel" in values:
             self.gauges.fuel_percent = values["FuelLevel"]
-            self.gauges.record(stamped.time, "fuel", self.gauges.fuel_percent)
 
     def _plausibility_check(self, mil: str, value: float,
                             low: float, high: float) -> None:
@@ -196,11 +188,10 @@ class InstrumentCluster(Ecu):
                 self._set_mil(mil)
 
     def _send_warnings(self) -> None:
-        payload = self._warnings_def.encode({
+        self.send(self._warnings_def.frame({
             "MilCount": float(min(255, self.mil_count)),
             "WarningSoundActive": 1.0 if self.mils else 0.0,
             "DisplayFaultLatched": (
                 1.0 if CRASH_DISPLAY_FAULT in self.latched_flags else 0.0),
             "GaugeSweepActive": 0.0,
-        })
-        self.send(CanFrame(CLUSTER_WARNINGS_ID, payload))
+        }))

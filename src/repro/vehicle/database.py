@@ -18,6 +18,8 @@ powertrain, 100-200 ms body).
 
 from __future__ import annotations
 
+import functools
+
 from repro.vehicle.signals import MessageDef, SignalDatabase, SignalDef
 
 # Command codes carried in BODY_COMMAND byte 0 (paper Fig 13).
@@ -41,8 +43,20 @@ CLUSTER_WARNINGS_ID = 0x560
 
 
 def target_vehicle_database() -> SignalDatabase:
-    """Build the target vehicle's message database."""
-    return SignalDatabase([
+    """The target vehicle's message database.
+
+    Each call returns a new :class:`SignalDatabase` over one set of
+    message definitions built once per process, so no car or bench
+    build pays for compiling the signal codecs, and the frame memos of
+    :meth:`~repro.vehicle.signals.MessageDef.frame` stay warm from one
+    world to the next.
+    """
+    return SignalDatabase(list(_target_messages()))
+
+
+@functools.cache
+def _target_messages() -> tuple[MessageDef, ...]:
+    return (
         MessageDef(
             name="ENGINE_STATUS", can_id=ENGINE_STATUS_ID, length=8,
             cycle_time_ms=10, sender="engine",
@@ -163,7 +177,7 @@ def target_vehicle_database() -> SignalDatabase:
                 SignalDef("DisplayFaultLatched", start_bit=9, length=1),
                 SignalDef("GaugeSweepActive", start_bit=10, length=1),
             )),
-    ])
+    )
 
 
 #: Which bus each message originates on in the assembled car; the

@@ -10,11 +10,9 @@ from there down, everything travels as CAN frames.
 from __future__ import annotations
 
 from repro.can.bus import CanBus
-from repro.can.frame import CanFrame
 from repro.ecu.base import Ecu
 from repro.sim.kernel import Simulator
 from repro.vehicle.database import (
-    BODY_COMMAND_ID,
     COMMAND_CHANNEL,
     LOCK_COMMAND,
     UNLOCK_COMMAND,
@@ -42,13 +40,12 @@ class HeadUnit(Ecu):
 
     def _send_command(self, code: int) -> bool:
         self._counter = (self._counter + 1) % 256
-        payload = self._command.encode({
+        sent = self.send(self._command.frame({
             "CommandCode": float(code),
             "CommandChannel": float(COMMAND_CHANNEL),
             "CommandCounter": float(self._counter),
             "CommandFlags": 0x20,
-        })
-        sent = self.send(CanFrame(BODY_COMMAND_ID, payload))
+        }))
         if sent:
             self.commands_sent += 1
         return sent

@@ -9,20 +9,12 @@ traffic the paper captured in Table II and profiled in Fig 4.
 from __future__ import annotations
 
 from repro.can.bus import CanBus
-from repro.can.frame import CanFrame
 from repro.ecu.base import Ecu
 from repro.ecu.faults import FaultModel, Vulnerability, FaultEffect
 from repro.ecu.faults import dlc_mismatch_trigger
 from repro.sim.clock import MS
 from repro.sim.kernel import Simulator
-from repro.vehicle.database import (
-    BRAKE_STATUS_ID,
-    ENGINE_STATUS_ID,
-    FUEL_ECONOMY_ID,
-    TRANSMISSION_STATUS_ID,
-    VEHICLE_SPEED_ID,
-    WHEEL_SPEEDS_ID,
-)
+from repro.vehicle.database import ENGINE_STATUS_ID, WHEEL_SPEEDS_ID
 from repro.vehicle.dynamics import VehicleDynamics
 from repro.vehicle.signals import SignalDatabase
 
@@ -59,24 +51,22 @@ class EngineEcu(Ecu):
         # Clamp into the signal's encodable range; the *sensor* is
         # honest, only the bus data can lie.
         rpm = max(-8192.0, min(8191.75, dyn.rpm))
-        payload = self._engine_status.encode({
+        self.send(self._engine_status.frame({
             "EngineSpeed": rpm,
             "ThrottlePosition": dyn.throttle * 100.0,
             "CoolantTemp": dyn.coolant_temp,
             "EngineRunning": 1.0 if dyn.engine_on else 0.0,
-        })
-        self.send(CanFrame(ENGINE_STATUS_ID, payload))
+        }))
 
     def _send_fuel_economy(self) -> None:
         dyn = self._dynamics
         economy = 0.0
         if dyn.fuel_rate > 0.01:
             economy = min(6553.0, dyn.speed_kmh / dyn.fuel_rate)
-        payload = self._fuel_economy.encode({
+        self.send(self._fuel_economy.frame({
             "FuelRate": min(655.0, dyn.fuel_rate),
             "InstantEconomy": economy,
-        })
-        self.send(CanFrame(FUEL_ECONOMY_ID, payload))
+        }))
 
 
 class AbsEcu(Ecu):
@@ -99,29 +89,26 @@ class AbsEcu(Ecu):
 
     def _send_vehicle_speed(self) -> None:
         speed = max(-327.0, min(327.0, self._dynamics.speed_kmh))
-        payload = self._vehicle_speed.encode({
+        self.send(self._vehicle_speed.frame({
             "VehicleSpeed": speed,
             "SpeedStatusFlags": 0x60,  # plausibility-OK flags, as captured
-        })
-        self.send(CanFrame(VEHICLE_SPEED_ID, payload))
+        }))
 
     def _send_wheel_speeds(self) -> None:
         speed = max(0.0, min(655.0, self._dynamics.speed_kmh))
-        payload = self._wheel_speeds.encode({
+        self.send(self._wheel_speeds.frame({
             "WheelSpeedFL": speed,
             "WheelSpeedFR": speed,
             "WheelSpeedRL": speed,
             "WheelSpeedRR": speed,
-        })
-        self.send(CanFrame(WHEEL_SPEEDS_ID, payload))
+        }))
 
     def _send_brake_status(self) -> None:
         dyn = self._dynamics
-        payload = self._brake_status.encode({
+        self.send(self._brake_status.frame({
             "BrakePressure": min(255.0, dyn.brake * 120.0),
             "BrakePedalPressed": 1.0 if dyn.brake > 0.02 else 0.0,
-        })
-        self.send(CanFrame(BRAKE_STATUS_ID, payload))
+        }))
 
 
 class TransmissionEcu(Ecu):
@@ -149,9 +136,8 @@ class TransmissionEcu(Ecu):
 
     def _send_status(self) -> None:
         dyn = self._dynamics
-        payload = self._status.encode({
+        self.send(self._status.frame({
             "CurrentGear": float(dyn.gear),
             "ShiftInProgress": 0.0,
             "TransmissionTemp": min(215.0, dyn.coolant_temp - 5.0),
-        })
-        self.send(CanFrame(TRANSMISSION_STATUS_ID, payload))
+        }))

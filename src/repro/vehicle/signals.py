@@ -23,7 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.can.frame import CanFrame
 from repro.sim.snapshot import shared_by_reference
+
+#: Frames one :class:`MessageDef` memoises (see :meth:`MessageDef.frame`)
+#: before the memo is cleared wholesale.  The target car's senders
+#: produce a few hundred distinct value sets in all, so the bound is only
+#: a safety valve for a sender whose values never repeat.
+FRAME_MEMO_MAX = 1024
 
 
 class SignalCodecError(ValueError):
@@ -52,6 +59,30 @@ def _be_bit_positions(start_bit: int, length: int) -> list[int]:
         else:
             pos -= 1
     return list(reversed(positions))
+
+
+def _byte_segments(positions: list[int]) -> tuple[tuple[int, int, int, int],
+                                                  ...]:
+    """Compile LSB-first bit positions into per-byte runs.
+
+    Each run is ``(byte, shift, mask, raw_offset)``: raw bits from
+    ``raw_offset`` upward sit at bits ``shift`` upward of payload byte
+    ``byte``, as many as ``mask`` has bits set.  Runs come in
+    signal-bit order, so a codec that walks them meets a missing byte
+    where the bit walk would, and moves a whole run with one
+    shift-and-mask.
+    """
+    runs: list[list[int]] = []
+    for raw_offset, pos in enumerate(positions):
+        byte, shift = divmod(pos, 8)
+        if runs:
+            last = runs[-1]
+            if last[0] == byte and last[1] + last[2] == shift:
+                last[2] += 1
+                continue
+        runs.append([byte, shift, 1, raw_offset])
+    return tuple((byte, shift, (1 << width) - 1, raw_offset)
+                 for byte, shift, width, raw_offset in runs)
 
 
 @shared_by_reference
@@ -99,11 +130,13 @@ class SignalDef:
         if self.start_bit < 0:
             raise SignalCodecError(
                 f"signal {self.name!r}: negative start bit")
-
-    def _positions(self) -> list[int]:
         if self.byte_order == "little_endian":
-            return _le_bit_positions(self.start_bit, self.length)
-        return _be_bit_positions(self.start_bit, self.length)
+            positions = _le_bit_positions(self.start_bit, self.length)
+        else:
+            positions = _be_bit_positions(self.start_bit, self.length)
+        # The compiled codec (not a field: a pure function of the
+        # definition, so sharing the definition shares it).
+        object.__setattr__(self, "_segments", _byte_segments(positions))
 
     # ------------------------------------------------------------------
     # Raw <-> bytes
@@ -117,14 +150,13 @@ class SignalDef:
                 database layer decides whether to surface or skip it.
         """
         raw = 0
-        for bit_index, pos in enumerate(self._positions()):
-            byte_index, bit_in_byte = divmod(pos, 8)
-            if byte_index >= len(data):
+        size = len(data)
+        for byte, shift, mask, raw_offset in self._segments:
+            if byte >= size:
                 raise SignalCodecError(
-                    f"signal {self.name!r} needs byte {byte_index} but "
-                    f"payload has {len(data)} bytes")
-            bit = (data[byte_index] >> bit_in_byte) & 1
-            raw |= bit << bit_index
+                    f"signal {self.name!r} needs byte {byte} but "
+                    f"payload has {size} bytes")
+            raw |= ((data[byte] >> shift) & mask) << raw_offset
         if self.signed and raw >= (1 << (self.length - 1)):
             raw -= 1 << self.length
         return raw
@@ -142,16 +174,14 @@ class SignalDef:
                 f"{'signed ' if self.signed else ''}{self.length} bits")
         if raw < 0:
             raw += 1 << self.length
-        for bit_index, pos in enumerate(self._positions()):
-            byte_index, bit_in_byte = divmod(pos, 8)
-            if byte_index >= len(data):
+        size = len(data)
+        for byte, shift, mask, raw_offset in self._segments:
+            if byte >= size:
                 raise SignalCodecError(
-                    f"signal {self.name!r} needs byte {byte_index} but "
-                    f"payload has {len(data)} bytes")
-            if (raw >> bit_index) & 1:
-                data[byte_index] |= 1 << bit_in_byte
-            else:
-                data[byte_index] &= ~(1 << bit_in_byte)
+                    f"signal {self.name!r} needs byte {byte} but "
+                    f"payload has {size} bytes")
+            data[byte] = ((data[byte] & ~(mask << shift))
+                          | (((raw >> raw_offset) & mask) << shift))
 
     # ------------------------------------------------------------------
     # Physical <-> raw
@@ -192,6 +222,9 @@ class MessageDef:
         if len(names) != len(set(names)):
             raise SignalCodecError(
                 f"message {self.name!r}: duplicate signal names")
+        # The frame memo of :meth:`frame` (not a field: a pure memo, so
+        # sharing the definition -- snapshots do -- shares it warm).
+        object.__setattr__(self, "_frames", {})
 
     def signal(self, name: str) -> SignalDef:
         for sig in self.signals:
@@ -215,6 +248,28 @@ class MessageDef:
             if sig.name in values:
                 sig.encode(data, values[sig.name])
         return bytes(data)
+
+    def frame(self, values: dict[str, float]) -> CanFrame:
+        """The frame this message carries for the given physical values.
+
+        The first time, the frame is built through :meth:`encode` and
+        the validating :class:`CanFrame` constructor; after that the
+        same (immutable) frame comes from a memo keyed by
+        ``tuple(values.items())``.  A periodic sender that repeats its
+        values then costs one dict lookup and reuses a frame whose hash
+        and wire-bit length are already cached.  Whatever ``encode``
+        raises propagates, and nothing is memoised for it.
+        """
+        key = tuple(values.items())
+        memo = self._frames
+        frame = memo.get(key)
+        if frame is None:
+            frame = CanFrame(self.can_id, self.encode(values),
+                             extended=self.extended)
+            if len(memo) >= FRAME_MEMO_MAX:
+                memo.clear()
+            memo[key] = frame
+        return frame
 
     def decode(self, data: bytes, *, strict: bool = False) -> dict[str, float]:
         """Physical values from payload bytes.

@@ -80,6 +80,31 @@ class TestFuzzBench:
                      "--jobs", "2", "--max-seconds", "1"]) == 1
         assert "0 finding(s)" in capsys.readouterr().out
 
+    @staticmethod
+    def sharded_journal_run(journal):
+        return ["fuzz-bench", "--seed", "5", "--shards", "2", "--jobs", "2",
+                "--max-seconds", "2", "--journal", journal]
+
+    def test_sharded_occupied_journal_without_resume_errors(self, capsys,
+                                                            tmp_path):
+        argv = self.sharded_journal_run(str(tmp_path / "journal"))
+        assert main(argv) == 1
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "pass --resume" in capsys.readouterr().err
+        # The single-process mode refuses the sharded run's directory too.
+        assert main(["fuzz-bench", "--seed", "5", "--max-seconds", "2",
+                     "--journal", str(tmp_path / "journal")]) == 2
+
+    def test_sharded_resume_loads_saved_results(self, capsys, tmp_path):
+        argv = self.sharded_journal_run(str(tmp_path / "journal"))
+        assert main(argv) == 1
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 1
+        out = capsys.readouterr().out
+        assert "2/2 shards ok" in out
+        assert out.count("result loaded from journal") == 2
+
 
 class TestNoiseFlags:
     def test_ack_loss_alone_builds_a_channel_without_bit_errors(

@@ -14,6 +14,7 @@ from repro.vehicle.database import (
     BODY_STATUS_ID,
     target_vehicle_database,
 )
+from repro.vehicle.signals import MessageDef
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,16 @@ class TestSignalDefinitions:
             payload = bytearray(message.length)
             for sig in message.signals:
                 sig.insert_raw(payload, 0)  # raises if out of bounds
+
+
+class TestOneDefinitionSet:
+    def test_databases_are_independent_over_shared_definitions(self):
+        first, second = target_vehicle_database(), target_vehicle_database()
+        assert first is not second
+        for message in first.messages:
+            assert second.by_id(message.can_id) is message
+        first.add(MessageDef("EXTRA", 0x7F0, 8))
+        assert 0x7F0 in first and 0x7F0 not in second
 
 
 class TestBusAssignment:

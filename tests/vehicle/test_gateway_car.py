@@ -1,5 +1,7 @@
 """Tests for the gateway and the assembled target car."""
 
+import random
+
 import pytest
 
 from repro.analysis.capture import BusCapture
@@ -7,10 +9,14 @@ from repro.can.bus import CanBus
 from repro.can.frame import CanFrame
 from repro.can.node import CanController
 from repro.sim.clock import MS, SECOND
+from repro.sim.snapshot import fingerprint
 from repro.vehicle.car import TargetCar
 from repro.vehicle.database import (
     BODY_COMMAND_ID,
+    BODY_STATUS_ID,
+    CLUSTER_DISPLAY_ID,
     ENGINE_STATUS_ID,
+    LOCK_STATUS_ID,
     UNLOCK_COMMAND,
     VEHICLE_SPEED_ID,
 )
@@ -157,6 +163,55 @@ class TestTargetCar:
             return (vehicle.powertrain_bus.stats.frames_delivered,
                     round(vehicle.dynamics.rpm, 6))
         assert fingerprint() == fingerprint()
+
+
+def body_trace() -> list[CanFrame]:
+    """200 body-bus frames: payloads of 1-8 bytes on the ids the cluster
+    decodes and two noise ids, with two unlock commands among them."""
+    rng = random.Random(22)
+    ids = (ENGINE_STATUS_ID, VEHICLE_SPEED_ID, CLUSTER_DISPLAY_ID,
+           BODY_STATUS_ID, LOCK_STATUS_ID, 0x101, 0x400)
+    frames = [CanFrame(rng.choice(ids),
+                       bytes(rng.randrange(256)
+                             for _ in range(rng.randrange(1, 9))))
+              for _ in range(200)]
+    for position, counter in ((60, 1), (140, 2)):
+        frames[position] = CanFrame(
+            BODY_COMMAND_ID, bytes((UNLOCK_COMMAND, 0x5F, counter, 0, 0,
+                                    0x20, 0)))
+    return frames
+
+
+class TestPinnedBodyTrace:
+    """The whole car against digests and gauge readings recorded with the
+    bit-walk codec and a freshly built frame per periodic send: memoised
+    frames and the compiled codec must leave every event, frame, counter
+    and decoded value as it was."""
+
+    def test_digests_match_recording(self):
+        car = TargetCar(seed=11)
+        car.ignition_on()
+        car.run_seconds(2.0)
+        capture = BusCapture(car.body_bus)
+        adapter = car.obd_adapter("body")
+        for frame in body_trace():
+            adapter.write(frame)
+            car.sim.run_for(1 * MS)
+        car.sim.run_for(100 * MS)
+        assert car.bcm.unlock_events == 2
+        assert car.sim.state_digest() == (
+            "8afb1ae455d4a7e022fffc6f70bd9dd9a82f6338ee28713c0e16a6cb53728466")
+        assert car.powertrain_bus.state_digest() == (
+            "f982eb6c2d6de315aa816c9cf77d0e35ffdda7ba923e7bb02d40f18e68a2979b")
+        assert car.body_bus.state_digest() == (
+            "bf555219139f59785a51c22161b08b5ebd110e62178fb804b7bb6dee9237f6cd")
+        assert fingerprint(capture.stamped) == (
+            "67a640f78e485f95b96d513e5c0089c48d4462c60414857599aa1b5e348818a0")
+        # The needles show what the cluster decoded; the bus cannot.
+        gauges = car.cluster.gauges
+        assert (gauges.rpm, gauges.speed_kmh, gauges.fuel_percent,
+                gauges.coolant_temp) == (6394.5, -71.56, 62.0, 166.0)
+        assert car.cluster.mils == {"MIL_ABS"}
 
 
 class TestVehicleSimulatorView:

@@ -1,15 +1,19 @@
 """Tests for the DBC-lite signal codec."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.can.frame import CanFrame, FrameError
 from repro.vehicle.signals import (
+    FRAME_MEMO_MAX,
     DecodedMessage,
     MessageDef,
     SignalCodecError,
     SignalDatabase,
     SignalDef,
 )
+
+from . import reference
 
 
 class TestSignalValidation:
@@ -131,6 +135,48 @@ class TestShortPayloads:
             sig.insert_raw(bytearray(4), 1)
 
 
+@st.composite
+def codec_cases(draw):
+    """A signal, a payload and a raw value, in and out of range."""
+    length = draw(st.integers(1, 64))
+    sig = SignalDef("s", start_bit=draw(st.integers(0, 70)), length=length,
+                    byte_order=draw(st.sampled_from(("little_endian",
+                                                     "big_endian"))),
+                    signed=draw(st.booleans()))
+    payload = draw(st.binary(max_size=9))
+    raw = draw(st.integers(-(1 << length), 1 << length))
+    return sig, payload, raw
+
+
+def outcome(call):
+    """What ``call`` returns, or the text of the codec error it raises."""
+    try:
+        return "value", call()
+    except SignalCodecError as exc:
+        return "error", str(exc)
+
+
+class TestCompiledCodec:
+    """The per-byte codec against the bit walk in ``reference.py``."""
+
+    @settings(max_examples=400)
+    @given(codec_cases())
+    # Byte 2 missing: the Intel signal writes bytes 0 and 1 before the
+    # error, the Motorola one (its LSB in byte 2) writes nothing.
+    @example((SignalDef("s", start_bit=4, length=16), b"\x00\x00", 0xFFFF))
+    @example((SignalDef("s", start_bit=3, length=16,
+                        byte_order="big_endian"), b"\x00\x00", 0x1234))
+    def test_matches_bit_walk(self, case):
+        sig, payload, raw = case
+        assert (outcome(lambda: sig.extract_raw(payload))
+                == outcome(lambda: reference.extract_raw(sig, payload)))
+        got, want = bytearray(payload), bytearray(payload)
+        assert (outcome(lambda: sig.insert_raw(got, raw))
+                == outcome(lambda: reference.insert_raw(sig, want, raw)))
+        # Also when a byte is missing: the same bytes written before it.
+        assert got == want
+
+
 def demo_message():
     return MessageDef(
         name="DEMO", can_id=0x123, length=4, cycle_time_ms=10,
@@ -185,6 +231,43 @@ class TestMessageDef:
         assert decoded["alpha"] == alpha
         assert decoded["flag"] == flag
         assert decoded["beta"] == pytest.approx(beta_raw * 0.1)
+
+
+class TestMessageFrame:
+    @pytest.mark.parametrize("message, values", [
+        (demo_message(), {"alpha": 5, "beta": 20.0, "flag": 1}),
+        (MessageDef("EXT", 0x18FEF100, 8, signals=(SignalDef("x", 0, 8),),
+                    extended=True), {"x": 7}),
+    ])
+    def test_equals_the_encoded_frame(self, message, values):
+        assert message.frame(values) == CanFrame(
+            message.can_id, message.encode(values),
+            extended=message.extended)
+
+    def test_equal_values_return_the_same_frame(self):
+        message = demo_message()
+        first = message.frame({"alpha": 5, "beta": 20.0})
+        assert message.frame({"alpha": 5, "beta": 20.0}) is first
+        assert message.frame({"alpha": 6, "beta": 20.0}) != first
+
+    def test_errors_propagate_and_are_not_memoised(self):
+        message = demo_message()
+        with pytest.raises(SignalCodecError):
+            message.frame({"gamma": 1})
+        with pytest.raises(SignalCodecError):
+            message.frame({"alpha": 256})
+        wide = MessageDef("WIDE", 0x800, 1, signals=(SignalDef("x", 0, 8),))
+        with pytest.raises(FrameError):
+            wide.frame({"x": 1})
+        assert message._frames == {} and wide._frames == {}
+
+    def test_memo_stays_bounded(self):
+        message = demo_message()
+        for raw in range(FRAME_MEMO_MAX + 10):
+            message.frame({"beta": raw * 0.1})
+            assert len(message._frames) <= FRAME_MEMO_MAX
+        assert message.frame({"beta": 0.0}) == CanFrame(
+            message.can_id, message.encode({"beta": 0.0}))
 
 
 class TestSignalDatabase:
