@@ -309,19 +309,23 @@ def _cmd_fuzz_bench(args: argparse.Namespace) -> int:
 
 
 def _holds_previous_run(directory: str, journal) -> bool:
-    """Whether a ``fuzz-bench --journal`` directory holds a previous run.
+    """Whether a ``--journal`` directory of ``fuzz-bench`` or
+    ``fuzz-uds`` holds a previous run.
 
     That is a sharded run's ``master.json`` manifest or shard journals,
-    or campaign state (a checkpoint or result) in ``journal``, the
-    single-process run's journal on the directory (``None`` when
-    sharded).  Either mode continues such a directory only with
-    ``--resume``, so a rerun never reports saved results as new.
+    or campaign state in ``journal``, the single-process run's journal
+    on the directory (``None`` when sharded): a write-ahead record, a
+    checkpoint or a result.  The records count too, since a run killed
+    before its first checkpoint leaves only them.  Every mode continues
+    such a directory only with ``--resume``, so a rerun never reports
+    saved results as new or appends a second run to one log.
     """
     root = Path(directory)
     if (root / "master.json").exists() or any(root.glob("shard-*")):
         return True
-    return journal is not None and (journal.load_result() is not None
-                                    or journal.load_checkpoint() is not None)
+    return journal is not None and bool(
+        journal.records or journal.load_result() is not None
+        or journal.load_checkpoint() is not None)
 
 
 def _run_sharded_bench(args: argparse.Namespace, channel_config) -> int:
@@ -433,8 +437,7 @@ def _cmd_fuzz_uds(args: argparse.Namespace) -> int:
                 journal, lambda: factory(spec),
                 checkpoint_every=args.checkpoint_every)
         else:
-            if (journal.load_result() is not None
-                    or journal.load_checkpoint() is not None):
+            if _holds_previous_run(args.journal, journal):
                 print(f"journal dir {args.journal} already holds campaign "
                       f"state; pass --resume to continue it",
                       file=sys.stderr)

@@ -21,8 +21,10 @@ kernel:
   or a watched id -- the next checkpoint frame or the step limit,
   where an exact scalar handler whose timing arithmetic mirrors the
   discrete-event kernel tick for tick runs the episode, writes the
-  checkpoint or ends the world.  The world then resumes at the next
-  frame's first word (:meth:`~repro.sim.batch.BatchRandom.commit`).
+  checkpoint, reports a finding or ends the world (a world that keeps
+  going after a finding latches the oracle that reported and runs
+  on).  The world then resumes at the next frame's first word
+  (:meth:`~repro.sim.batch.BatchRandom.commit`).
 - **UDS requests.**  The campaign's own loop
   (``UdsFuzzCampaign._execute``) runs on the real bench objects --
   the generator with its own RNG, the server's service handlers, the
@@ -129,7 +131,7 @@ class _WorldPlan:
         "status_base", "status_period", "status_id", "is_resume",
         "status_frames", "status_durs", "hot_by_state",
         "unlock_ack_id", "body_command_id",
-        "write_errors0", "findings0",
+        "write_errors0", "stop_on_finding",
     )
 
 
@@ -144,9 +146,9 @@ def plan_frame_world(campaign: FuzzCampaign, bench,
     is the old speed, never a wrong result.  The rules, by layer:
 
     campaign -- plain :class:`FuzzCampaign`, zero interval jitter, no
-    tx gate / bus-off handler / reset hook / adversarial channel,
-    ``stop_on_finding`` (or no oracles at all), and a bounded recent
-    window (``recent_window=None`` keeps every frame).
+    tx gate / bus-off handler / reset hook / adversarial channel, and a
+    bounded recent window (``recent_window=None`` keeps every frame).
+    A resumed checkpoint carries no findings and no latched oracle.
 
     generator -- exactly :class:`RandomFrameGenerator` (or its
     targeted subclass), classic frames only, and an RNG whose state is
@@ -161,7 +163,10 @@ def plan_frame_world(campaign: FuzzCampaign, bench,
     oracles -- each one either an :class:`AckMessageOracle` (unlatched)
     or a :class:`PhysicalStateOracle` whose probe is behaviourally
     verified to be the BCM lock state (toggling ``bcm.locked`` flips
-    it) with an aligned sampling period.
+    it) with an aligned sampling period.  A campaign that keeps going
+    after a finding (``stop_on_finding=False``) needs every oracle to
+    latch at its first match (``once=True``), so each reports at most
+    once.
 
     alignment -- the status period and every oracle poll period divide
     the transmit interval grid, and the worst-case episode chain
@@ -187,8 +192,6 @@ def plan_frame_world(campaign: FuzzCampaign, bench,
         fail("campaign has a reset-target hook")
     if c.channel is not None:
         fail("adversarial channel attached")
-    if c.oracles and not c.limits.stop_on_finding:
-        fail("continue-after-finding campaigns run scalar")
     if c._running:
         fail("campaign already running")
     if c._recent.maxlen is None:
@@ -263,7 +266,6 @@ def plan_frame_world(campaign: FuzzCampaign, bench,
         plan.base_skipped = 0
         plan.base_generated = generator.generated
         plan.write_errors0 = {}
-        plan.findings0 = []
         plan.recent_rows = []
         try:
             rng_state = state_from_random(generator._rng)
@@ -293,7 +295,6 @@ def plan_frame_world(campaign: FuzzCampaign, bench,
         plan.base_skipped = resume_state.get("frames_skipped", 0)
         plan.base_generated = gen_state.get("generated", 0)
         plan.write_errors0 = dict(resume_state.get("write_errors", {}))
-        plan.findings0 = []
         rows = []
         for time, payload in resume_state.get("recent", []):
             frame = frame_from_dict(payload)
@@ -344,6 +345,7 @@ def plan_frame_world(campaign: FuzzCampaign, bench,
                       - generator.config.byte_min + 1)
     plan.max_dlc = int(plan.pool_dlcs.max()) if plan.pool_dlcs.size else 0
     plan.recent_maxlen = c._recent.maxlen
+    plan.stop_on_finding = c.limits.stop_on_finding
     plan.jitter_json = (rng_state_to_json(c._rng.getstate())
                         if c._rng is not None else None)
 
@@ -351,6 +353,10 @@ def plan_frame_world(campaign: FuzzCampaign, bench,
     ack_oracles: list[tuple[AckMessageOracle, bool]] = []
     led_oracles: list[tuple[PhysicalStateOracle, object]] = []
     for oracle in c.oracles:
+        if (type(oracle) in (AckMessageOracle, PhysicalStateOracle)
+                and not oracle.once and not c.limits.stop_on_finding):
+            fail(f"oracle {oracle.name!r} reports every match (once=False) "
+                 f"runs scalar")
         if type(oracle) is AckMessageOracle:
             if oracle.first_match_time is not None:
                 fail(f"oracle {oracle.name!r} is already latched")
@@ -822,12 +828,15 @@ class _FrameEngine:
     Pools, byte ranges, interval, limits, oracles and check mode come
     from the plan; the words come from a one-world
     :class:`~repro.sim.batch.BatchRandom`.  The mutable run state --
-    lock flag, ack counter, pending candidate, recent tail -- is
-    touched only on rare events.  ``recent`` holds the tail of the
+    lock flag, ack counter, pending candidate, findings, recent tail --
+    is touched only on rare events.  ``recent`` holds the tail of the
     world's transmissions as ``(source, lo, hi)`` segments -- rows
     ``lo..hi-1`` of a parsed :class:`_Block` or of the resumed window's
     row list -- just long enough to cover the recent window;
-    ``recent_len`` counts their frames.
+    ``recent_len`` counts their frames.  Pending and delivery hits are
+    ``(oracle, description)`` pairs; an oracle that has reported is
+    latched on the live object, as the reference latches it, and
+    matches nothing after that.
     """
 
     def __init__(self, plan: _WorldPlan) -> None:
@@ -842,7 +851,8 @@ class _FrameEngine:
         self.locked = plan.locked0
         self.counter = plan.counter0
         self.pending_time: int | None = None
-        self.pending_hits: list[tuple[str, str]] = []
+        self.pending_hits: list[tuple[object, str]] = []
+        self.findings: list[Finding] = []
         self.recent: deque = deque()
         self.recent_len = 0
 
@@ -868,7 +878,17 @@ class _FrameEngine:
         while True:
             base = self.step
             if base >= self.limit_step:
-                return self._finalize_natural()
+                if self.pending_time is None:
+                    return self._assemble(ended_at=plan.natural_end,
+                                          stop_reason=plan.natural_reason)
+                # Every event before the candidate's time has happened
+                # and its oracles latch, so the next candidate is
+                # searched from just before it.
+                time = self.pending_time
+                result = self._report(time, self.pending_hits, time - 1)
+                if result is not None:
+                    return result
+                continue
             block = self._parse(min(BLOCK_FRAMES, self.limit_step - base,
                                     self.next_cp - self.sent))
             done = 0
@@ -948,16 +968,18 @@ class _FrameEngine:
     # Rare-event scalar handlers (exact discrete-event arithmetic)
     # ------------------------------------------------------------------
     def _check_delivery(self, frame,
-                        from_fuzzer: bool) -> list[tuple[str, str]]:
+                        from_fuzzer: bool) -> list[tuple[object, str]]:
         hits = []
         for oracle, sees_fuzzer in self.plan.ack_oracles:
             if from_fuzzer and not sees_fuzzer:
+                continue
+            if oracle.first_match_time is not None:
                 continue
             if frame.can_id != oracle.can_id:
                 continue
             if oracle.predicate is not None and not oracle.predicate(frame):
                 continue
-            hits.append((oracle.name, _ack_description(frame)))
+            hits.append((oracle, _ack_description(frame)))
         return hits
 
     def _episode(self, tick: int, can_id: int, payload: bytes,
@@ -967,10 +989,11 @@ class _FrameEngine:
         Mirrors the reference kernel's event order at a tick: a
         colliding status broadcast transmits first (its event was
         scheduled earlier), then the fuzz frame, then -- if the BCM
-        recognised a command -- the acknowledgement.  The first
-        delivery an oracle matches ends the world at that delivery's
-        completion time (the result is returned); deliveries past the
-        campaign deadline never happen.
+        recognised a command -- the acknowledgement.  A delivery an
+        oracle matches reports at that delivery's completion time
+        (:meth:`_report`): a world that stops on findings ends there
+        (the result is returned), a keep-going world finishes the
+        episode.  Deliveries past the campaign deadline never happen.
         """
         plan = self.plan
         deadline = plan.deadline
@@ -983,14 +1006,18 @@ class _FrameEngine:
             hits = self._check_delivery(plan.status_frames[self.locked],
                                         False)
             if hits:
-                return self._finish_finding(t, hits)
+                result = self._report(t, hits, tick)
+                if result is not None:
+                    return result
         frame = trusted_frame(can_id, payload, plan.extended, False)
         t += plan.timing.frame_duration(frame)
         if t > deadline:
             return None
         hits = self._check_delivery(frame, True)
         if hits:
-            return self._finish_finding(t, hits)
+            result = self._report(t, hits, tick)
+            if result is not None:
+                return result
         if is_unlock or is_lock:
             t_cmd = t
             self.counter = (self.counter + 1) % 256
@@ -1003,7 +1030,9 @@ class _FrameEngine:
             if t_ack <= deadline:
                 hits = self._check_delivery(ack, False)
                 if hits:
-                    return self._finish_finding(t_ack, hits)
+                    result = self._report(t_ack, hits, tick)
+                    if result is not None:
+                        return result
             self._recompute_pending(t_cmd)
         return None
 
@@ -1012,24 +1041,37 @@ class _FrameEngine:
 
         Two sources exist: a physical-state oracle whose next poll
         observes the deviated state, and an ack-style oracle that
-        matches the status broadcast of the current lock state.  The
-        earliest wins; polls share a tick with the transmit grid, so a
-        poll candidate caps the step loop *before* that tick's frame,
-        while a status candidate (mid-interval delivery) caps it after.
+        matches the status broadcast of the current lock state; latched
+        oracles are skipped.  The earliest wins; polls share a tick
+        with the transmit grid, so a poll candidate caps the step loop
+        *before* that tick's frame, while a status candidate
+        (mid-interval delivery) caps it after.  Polls that share a tick
+        fire in the order the kernel queued them -- the longest period
+        first (its event was scheduled earliest), then the oracles'
+        order -- and in a world that stops on findings only the first
+        one reports.
         """
         plan = self.plan
         best_time = None
-        best_hits: list[tuple[str, str]] = []
+        best_hits: list[tuple[object, str]] = []
         if self.locked != plan.locked0:
-            for oracle, toggled in plan.led_oracles:
-                poll = _next_grid(plan.poll_base, oracle.period, after)
-                if best_time is None or poll < best_time:
-                    best_time = poll
-                    best_hits = [(oracle.name,
-                                  f"physical state changed: expected "
-                                  f"{oracle.expected!r}, observed "
-                                  f"{toggled!r}")]
-        hot = plan.hot_by_state[self.locked]
+            polls = sorted(
+                (_next_grid(plan.poll_base, oracle.period, after),
+                 -oracle.period, index)
+                for index, (oracle, _toggled) in enumerate(plan.led_oracles)
+                if oracle.first_deviation_time is None)
+            if polls:
+                best_time = polls[0][0]
+                tied = [plan.led_oracles[index]
+                        for poll, _, index in polls if poll == best_time]
+                if plan.stop_on_finding:
+                    tied = tied[:1]
+                best_hits = [(oracle, f"physical state changed: expected "
+                                      f"{oracle.expected!r}, observed "
+                                      f"{toggled!r}")
+                             for oracle, toggled in tied]
+        hot = [oracle for oracle in plan.hot_by_state[self.locked]
+               if oracle.first_match_time is None]
         if hot:
             status_tick = _next_grid(plan.status_base, plan.status_period,
                                      after)
@@ -1037,7 +1079,7 @@ class _FrameEngine:
             if best_time is None or status_time < best_time:
                 best_time = status_time
                 frame = plan.status_frames[self.locked]
-                best_hits = [(oracle.name, _ack_description(frame))
+                best_hits = [(oracle, _ack_description(frame))
                              for oracle in hot]
         if (best_time is not None and best_time <= plan.deadline
                 and best_time <= plan.natural_end):
@@ -1051,7 +1093,7 @@ class _FrameEngine:
             self.limit_step = plan.natural_steps
 
     # ------------------------------------------------------------------
-    # World completion
+    # Findings and world completion
     # ------------------------------------------------------------------
     def _recent_rows(self) -> list[tuple[int, int, bytes]]:
         """The recent window as (time, id, payload), oldest first."""
@@ -1071,31 +1113,42 @@ class _FrameEngine:
         times = tuple(time for time, _, _ in rows)
         return frames, times
 
-    def _finish_finding(self, time: int,
-                        hits: list[tuple[str, str]]) -> FuzzResult:
+    def _report(self, time: int, hits: list[tuple[object, str]],
+                after: int) -> FuzzResult | None:
+        """The findings ``hits`` make at ``time``, as the reference's
+        ``_on_finding`` records them.
+
+        Each finding carries the recent window as it stands, is written
+        ahead to the journal with the frames sent so far, and latches
+        its oracle the way the oracle latches itself.  A world that
+        stops on findings ends here and its result is returned; a
+        keep-going world derives its next candidate from the events
+        after ``after`` and goes on (``None``).
+        """
         plan = self.plan
         frames, times = self._window()
-        findings = [Finding(time=time, oracle=name, description=desc,
-                            recent_frames=frames, recent_times=times)
-                    for name, desc in hits]
-        if plan.journal is not None:
-            for finding in findings:
+        for oracle, description in hits:
+            finding = Finding(time=time, oracle=oracle.name,
+                              description=description,
+                              recent_frames=frames, recent_times=times)
+            self.findings.append(finding)
+            oracle.findings_reported += 1
+            if type(oracle) is AckMessageOracle:
+                oracle.first_match_time = time
+            else:
+                oracle.first_deviation_time = time
+            if plan.journal is not None:
                 plan.journal.append({"type": "finding",
                                      "frames_sent": int(self.sent),
                                      "finding": finding_to_dict(finding)})
-        return self._assemble(ended_at=time, findings=findings,
-                              stop_reason=f"finding from oracle "
-                                          f"{findings[0].oracle!r}")
+        if plan.stop_on_finding:
+            return self._assemble(ended_at=time,
+                                  stop_reason=f"finding from oracle "
+                                              f"{hits[0][0].name!r}")
+        self._recompute_pending(after)
+        return None
 
-    def _finalize_natural(self) -> FuzzResult:
-        if self.pending_time is not None:
-            return self._finish_finding(self.pending_time, self.pending_hits)
-        plan = self.plan
-        return self._assemble(ended_at=plan.natural_end, findings=[],
-                              stop_reason=plan.natural_reason)
-
-    def _assemble(self, *, ended_at: int, findings: list[Finding],
-                  stop_reason: str) -> FuzzResult:
+    def _assemble(self, *, ended_at: int, stop_reason: str) -> FuzzResult:
         plan = self.plan
         # The bench's BCM ends where the reference run would leave it.
         plan.bcm.locked = self.locked
@@ -1106,7 +1159,7 @@ class _FrameEngine:
             started_at=plan.started_at,
             ended_at=ended_at,
             frames_sent=int(self.sent),
-            findings=list(plan.findings0) + findings,
+            findings=list(self.findings),
             write_errors=dict(plan.write_errors0),
             stop_reason=stop_reason,
             config_rows=plan.config.describe(),
@@ -1137,7 +1190,7 @@ class _FrameEngine:
             "sim_now": tick,
             "next_tx_time": tick + plan.interval,
             "recent": recent,
-            "findings": [],
+            "findings": [finding_to_dict(f) for f in self.findings],
             "write_errors": dict(plan.write_errors0),
             "oracles": {oracle.name: oracle.state_dict()
                         for oracle in plan.campaign.oracles},
@@ -1153,7 +1206,7 @@ class _FrameEngine:
         plan.journal.append({"type": "progress",
                              "frames_sent": int(self.sent),
                              "sim_now": tick,
-                             "findings": 0})
+                             "findings": len(self.findings)})
         plan.journal.save_checkpoint(state)
 
 

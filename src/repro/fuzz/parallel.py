@@ -51,6 +51,10 @@ from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+# At module level, not in the worker body: a parent that forks workers
+# (a sharded run, the service orchestrator) then already holds the fast
+# path, and no worker imports it again per job.
+from repro.fuzz.batch import run_shard_batch
 from repro.fuzz.campaign import CampaignLimits, FuzzCampaign
 from repro.fuzz.durability import (CampaignJournal, DirectoryStore,
                                    scan_records)
@@ -404,7 +408,6 @@ def _run_shards(conn, factory: CampaignFactory,
     ``(store_factory, shard_dir, checkpoint_every)`` -- resumes from
     whatever its journal kept of the previous attempt.
     """
-    from repro.fuzz.batch import run_shard_batch
     pairs = run_shard_batch(factory, specs, journal_infos=journal_infos)
     return ([(result.to_json(), warnings) for result, warnings in pairs],)
 

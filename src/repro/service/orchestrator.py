@@ -188,7 +188,8 @@ class Orchestrator:
         backoff: wait policy between a job's fault and its re-grant;
             the default adds deterministic seeded jitter so a burst of
             simultaneous faults does not thunder back as one herd.
-        poll_interval: tick period of the control loop.
+        poll_interval: the longest wait between two ticks of the
+            control loop; a tick comes sooner when a worker reports.
         terminate_grace: seconds a worker gets to exit -- after its
             result, or after SIGTERM -- before SIGKILL (see
             :class:`~repro.fuzz.parallel.WorkerPool`).
@@ -284,8 +285,10 @@ class Orchestrator:
     async def run(self, stop: asyncio.Event | None = None) -> None:
         """Tick until ``stop`` is set (service mode) or, with no stop
         event, until every job reached a terminal state (batch mode).
-        Shuts down gracefully either way: running workers are stopped
-        and their jobs requeued without a fault strike."""
+        Between ticks it waits until a live worker reports or
+        ``poll_interval`` passes.  Shuts down gracefully either way:
+        running workers are stopped and their jobs requeued without a
+        fault strike."""
         try:
             while True:
                 self.tick()
@@ -294,20 +297,48 @@ class Orchestrator:
                         break
                 elif self.queue.idle() and not self.pool.workers:
                     break
-                await asyncio.sleep(self.poll_interval)
+                await self._wait_for_report()
         finally:
             self.shutdown()
 
+    async def _wait_for_report(self) -> None:
+        """Sleep until a live worker's pipe turns readable -- a message
+        or a closed pipe -- or ``poll_interval`` passes.  A silent or
+        stopped worker wakes nothing, so lease expiry and backoff still
+        run at least once per ``poll_interval``."""
+        loop = asyncio.get_running_loop()
+        woken = loop.create_future()
+
+        def wake() -> None:
+            if not woken.done():
+                woken.set_result(None)
+
+        fds = [worker.conn.fileno() for worker in self.pool.workers.values()]
+        timer = loop.call_later(self.poll_interval, wake)
+        try:
+            for fd in fds:
+                loop.add_reader(fd, wake)
+            await woken
+        finally:
+            timer.cancel()
+            for fd in fds:
+                loop.remove_reader(fd)
+
     def run_until_idle(self, timeout: float = 120.0) -> None:
-        """Synchronous drive for tests: tick until the queue drains."""
+        """Synchronous drive for tests: tick until the queue drains,
+        waiting between ticks as :meth:`run` does."""
         deadline = time.monotonic() + timeout
+        self.tick()
         while not self.queue.idle():
-            self.tick()
             if time.monotonic() > deadline:
                 raise TimeoutError(
                     f"queue not idle after {timeout:.0f} s: "
                     f"{self.queue.counters()}")
-            time.sleep(self.poll_interval)
+            if self.pool.workers:
+                self.pool.wait(self.poll_interval)
+            else:
+                time.sleep(self.poll_interval)
+            self.tick()
 
     def shutdown(self, note: str = "orchestrator shutdown: "
                                    "job requeued, not faulted") -> None:

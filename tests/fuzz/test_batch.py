@@ -34,13 +34,16 @@ from repro.testbench.factory import UnlockBenchFactory, _unlock_ack
 from .reference import reference_resume, reference_shards
 
 
-def build_world(kind, seed, mode="byte", max_frames=4000, recent_window=32):
+def build_world(kind, seed, mode="byte", max_frames=4000, recent_window=32,
+                stop_on_finding=True):
     """One deterministic campaign world; call twice for twin copies."""
     if kind == "factory":
         factory = UnlockBenchFactory(check_mode=mode)
         spec = ShardSpec(index=seed, shard_count=64, master_seed=7,
                          seed=derive_shard_seed(7, seed),
-                         limits=CampaignLimits(max_frames=max_frames))
+                         limits=CampaignLimits(
+                             max_frames=max_frames,
+                             stop_on_finding=stop_on_finding))
         return factory(spec)
     bench = UnlockTestbench(seed=seed, check_mode=mode)
     bench.power_on(settle_seconds=0.5)
@@ -77,9 +80,11 @@ def build_world(kind, seed, mode="byte", max_frames=4000, recent_window=32):
             predicate=lambda f: bool(f.data) and f.data[0] == 0x00,
             name="status-watch")]
     if kind == "time":
-        limits = CampaignLimits(max_duration=150 * MS)
+        limits = CampaignLimits(max_duration=150 * MS,
+                                stop_on_finding=stop_on_finding)
     else:
-        limits = CampaignLimits(max_frames=max_frames)
+        limits = CampaignLimits(max_frames=max_frames,
+                                stop_on_finding=stop_on_finding)
     campaign = FuzzCampaign(bench.sim, adapter, generator, limits=limits,
                             oracles=oracles, interval=1 * MS,
                             recent_window=recent_window,
@@ -93,17 +98,30 @@ def bcm_state(campaign):
     return bcm.locked, bcm._ack_counter
 
 
+def oracle_states(campaign):
+    return [oracle.state_dict() for oracle in campaign.oracles]
+
+
 class TestFreshParity:
     # One case per finding kind / check mode / limit shape /
     # generator: ack finding, LED-only oracle, hot status watch, time
     # limit, narrowed byte range, the stock factory bench (full id
     # range), a TargetedFrameGenerator world, and an ack finding with
-    # an empty recent window.
+    # an empty recent window.  Then keep-going twins of the ack, LED,
+    # status, targeted, time and empty-window cases: 2000 frames on
+    # the small id pools toggle the BCM several times, so both paper
+    # oracles report and later commands still land after them.
     CASES = [("ack", 0, "byte"), ("ack", 1, "byte+dlc"),
              ("ack", 2, "two-byte"), ("led", 0, "byte"),
              ("status", 1, "byte"), ("time", 0, "byte"),
              ("narrow", 2, "two-byte"), ("factory", 0, "byte"),
-             ("targeted", 1, "byte"), ("ack", 3, "byte", 4000, 0)]
+             ("targeted", 1, "byte"), ("ack", 3, "byte", 4000, 0),
+             ("ack", 0, "byte", 2000, 32, False),
+             ("led", 0, "byte", 2000, 32, False),
+             ("status", 1, "byte", 2000, 32, False),
+             ("targeted", 1, "byte", 2000, 32, False),
+             ("time", 0, "byte", 2000, 32, False),
+             ("ack", 3, "byte", 2000, 0, False)]
 
     def test_results_bit_identical_across_kinds(self, monkeypatch):
         twins = [build_world(*case) for case in self.CASES]
@@ -113,12 +131,18 @@ class TestFreshParity:
             result = world.run()
             assert result.fallback_reasons == [], case
             assert result.to_dict() == want, case
-        # The fast path leaves the bench's BCM where the reference run
-        # leaves it.
+        # The fast path leaves the bench's BCM, and every oracle's
+        # latch, where the reference run leaves them.
         for case, twin, world in zip(self.CASES, twins, worlds):
             assert bcm_state(world) == bcm_state(twin), case
-        assert reference[-1]["findings"]
-        assert reference[-1]["findings"][0]["recent_frames"] == []
+            assert oracle_states(world) == oracle_states(twin), case
+        assert reference[9]["findings"]
+        assert reference[9]["findings"][0]["recent_frames"] == []
+        keep_going = reference[10]
+        assert keep_going["stop_reason"] == "frame limit reached"
+        assert [f["oracle"] for f in keep_going["findings"]] == [
+            "unlock-ack", "led"]
+        assert bcm_state(twins[10])[1] > 2  # commands kept toggling
         # Block boundaries: a block size equal to a world's frame count
         # puts its last frame -- the finding frame of an ack finding,
         # the step limit of every other world -- on a block's last
@@ -127,9 +151,11 @@ class TestFreshParity:
         sizes = sorted({result["frames_sent"] for result in reference})
         for size in sizes + [1, 7, 10 ** 6]:
             monkeypatch.setattr(batch_engine, "BLOCK_FRAMES", size)
-            for case, want in zip(self.CASES, reference):
-                got = build_world(*case).run().to_dict()
-                assert got == want, (case, size)
+            for case, want, twin in zip(self.CASES, reference, twins):
+                world = build_world(*case)
+                assert world.run().to_dict() == want, (case, size)
+                assert oracle_states(world) == oracle_states(twin), (case,
+                                                                     size)
 
 
 class TestScalarFallback:
@@ -167,11 +193,18 @@ class TestScalarFallback:
             campaign.bench = bench
             return campaign
 
-        # An admitted world, a jittered one, and an unbounded recent
-        # window (the reference deque keeps every frame), which is a
-        # named rule of its own.
+        def every_match():
+            campaign = build_world("ack", 0, stop_on_finding=False)
+            campaign.oracles[0].once = False
+            return campaign
+
+        # An admitted world, a jittered one, an unbounded recent window
+        # (the reference deque keeps every frame), and a keep-going
+        # world whose ack oracle reports every match; the last two are
+        # named rules of their own.
         builds = [lambda: build_world("ack", 0), odd,
-                  lambda: build_world("ack", 4, recent_window=None)]
+                  lambda: build_world("ack", 4, recent_window=None),
+                  every_match]
         reasons = []
         for build in builds:
             result = build().run()
@@ -180,12 +213,15 @@ class TestScalarFallback:
         assert reasons[0] == []
         assert len(reasons[1]) == 1
         assert reasons[2] == ["unbounded recent window runs scalar"]
+        assert reasons[3] == ["oracle 'unlock-ack' reports every match "
+                              "(once=False) runs scalar"]
 
 
-def journal_spec(index, max_frames=1200):
+def journal_spec(index, max_frames=1200, stop_on_finding=True):
     return ShardSpec(index=index, shard_count=8, master_seed=3,
                      seed=derive_shard_seed(3, index),
-                     limits=CampaignLimits(max_frames=max_frames))
+                     limits=CampaignLimits(max_frames=max_frames,
+                                           stop_on_finding=stop_on_finding))
 
 
 def journal_build(spec, recent_window=32):
@@ -220,18 +256,25 @@ def read_records(directory):
 class TestJournalParity:
     def test_record_streams_checkpoints_and_results_identical(
             self, tmp_path, monkeypatch):
-        specs = [journal_spec(i) for i in range(3)]
         # Default blocks; blocks that end exactly at each checkpoint;
         # blocks the checkpoint cuts short; a checkpoint on shard 2's
         # finding frame (checkpoint first, then the finding); an empty
-        # recent window.
-        runs = [("default", journal_build, None, 500),
-                ("cp-aligned", journal_build, 500, 500),
-                ("cp-cut", journal_build, 7, 500),
-                ("cp-on-finding", journal_build, None, 261),
+        # recent window.  Then keep-going runs, whose shards 0 and 2
+        # report the ack at frames 1056 and 261 and the LED poll at
+        # frames 1060 and 280: checkpoints on shard 2's ack frame and
+        # after both its findings, before shard 0's, and (in 7-frame
+        # blocks) on shard 0's LED frame.
+        runs = [("default", journal_build, None, 500, True),
+                ("cp-aligned", journal_build, 500, 500, True),
+                ("cp-cut", journal_build, 7, 500, True),
+                ("cp-on-finding", journal_build, None, 261, True),
                 ("window0", functools.partial(journal_build,
-                                              recent_window=0), None, 500)]
-        for tag, build, block, every in runs:
+                                              recent_window=0), None, 500,
+                 True),
+                ("kg-cp-on-ack", journal_build, None, 261, False),
+                ("kg-cp-on-led", journal_build, 7, 1060, False)]
+        for tag, build, block, every, stop in runs:
+            specs = [journal_spec(i, stop_on_finding=stop) for i in range(3)]
             if block is not None:
                 monkeypatch.setattr(batch_engine, "BLOCK_FRAMES", block)
             for spec in specs:
@@ -299,6 +342,42 @@ class TestJournalParity:
         times = control.findings[0].recent_times
         assert times[0] < checkpointed < times[-1]
 
+    @pytest.mark.parametrize("every, rule", [
+        # The last checkpoint (frame 1000) precedes shard 0's first
+        # finding (frame 1056): the engine resumes and finds.
+        (500, None),
+        # The checkpoint at frame 1058 carries the ack finding and its
+        # latched oracle: the resume runs on the reference kernel.
+        (1058, "resume state carries findings")])
+    def test_keep_going_kill_resume_around_a_finding(self, tmp_path, every,
+                                                     rule):
+        spec = journal_spec(0, stop_on_finding=False)
+        source = tmp_path / "full"
+        reference_resume(CampaignJournal(DirectoryStore(str(source))),
+                         lambda: journal_build(spec),
+                         checkpoint_every=every)
+        ctl, bat = tmp_path / "ctl", tmp_path / "bat"
+        for target in (ctl, bat):
+            shutil.copytree(source, target)
+            DirectoryStore(str(target)).remove(CampaignJournal.RESULT)
+        checkpoint = CampaignJournal(
+            DirectoryStore(str(bat))).load_checkpoint()
+        control = reference_resume(
+            CampaignJournal(DirectoryStore(str(ctl))),
+            lambda: journal_build(spec), checkpoint_every=every)
+        (result, _warnings), = run_shard_batch(
+            journal_build, [spec], journal_infos=[(None, str(bat), every)])
+        assert result.to_dict() == control.to_dict()
+        assert read_records(bat) == read_records(ctl)
+        assert result.findings
+        assert result.stop_reason == "frame limit reached"
+        if rule is None:
+            assert checkpoint["findings"] == []
+            assert result.fallback_reasons == []
+        else:
+            assert len(checkpoint["findings"]) == 1
+            assert result.fallback_reasons == [rule]
+
 
 class TestShardedBatching:
     LIMITS = CampaignLimits(max_frames=4000)
@@ -323,14 +402,15 @@ class TestShardedBatching:
         # Every shard runs through the prover whatever the chunk size,
         # so a rejected one reports its rule as a shard warning.
         limits = CampaignLimits(max_frames=300, stop_on_finding=False)
-        sharded = ShardedCampaign(UnlockBenchFactory(), shards=2,
-                                  limits=limits, master_seed=11)
+        factory = UnlockBenchFactory(supervise=True)
+        sharded = ShardedCampaign(factory, shards=2, limits=limits,
+                                  master_seed=11)
         serial = sharded.run_serial()
-        rule = "continue-after-finding campaigns run scalar"
+        rule = "oracle type CampaignSupervisor not modelled"
         assert serial.fallback_reasons == {0: rule, 1: rule}
         assert {o.index: o.result.to_dict()
                 for o in serial.outcomes} == reference_shards(
-                    UnlockBenchFactory(), sharded)
+                    factory, sharded)
 
     def test_batched_journal_rerun_skips_completed(self, tmp_path):
         first = ShardedCampaign(UnlockBenchFactory(), shards=4,
@@ -364,10 +444,12 @@ class TestHypothesisParity:
             min_size=2, max_size=4, unique=True))
         max_frames = data.draw(st.integers(min_value=50, max_value=1500))
         kind = data.draw(st.sampled_from(["ack", "led", "factory"]))
+        stop = data.draw(st.booleans())
         for seed in seeds:
-            want = build_world(kind, seed % 1000, max_frames=max_frames)
-            result = build_world(kind, seed % 1000,
-                                 max_frames=max_frames).run()
+            want = build_world(kind, seed % 1000, max_frames=max_frames,
+                               stop_on_finding=stop)
+            result = build_world(kind, seed % 1000, max_frames=max_frames,
+                                 stop_on_finding=stop).run()
             assert result.fallback_reasons == []
             assert result.to_dict() == want._execute(None).to_dict()
 

@@ -35,11 +35,14 @@ def shard(index, max_frames, stop_on_finding=True):
                                            stop_on_finding=stop_on_finding))
 
 
-#: kind -> (factory, spec, checkpoint cadence).  The unlock world stops
-#: at its first finding (the frame prover's mode); the UDS world hunts
-#: its whole budget.  Both cadences leave the last checkpoint mid-run.
+#: kind -> (factory, spec, checkpoint cadence).  One unlock world stops
+#: at its first finding, the other keeps going like a service job; the
+#: UDS world hunts its whole budget.  Every cadence leaves the last
+#: checkpoint mid-run.
 WORLDS = {
     "unlock": (UnlockBenchFactory(), shard(0, 3000), 1200),
+    "unlock-keep-going": (UnlockBenchFactory(),
+                          shard(2, 3000, stop_on_finding=False), 1200),
     "uds": (UdsBenchFactory(stop_on_finding=False),
             shard(1, 300, stop_on_finding=False), 80),
 }

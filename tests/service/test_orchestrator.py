@@ -1,13 +1,18 @@
 """Orchestrator control loop: completion parity, retries, quarantine,
-graceful shutdown, orphan recovery."""
+graceful shutdown, orphan recovery, waking on worker reports."""
 
 import asyncio
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.fuzz.durability import RetryPolicy
-from repro.service.orchestrator import Orchestrator, shard_spec_for
+from repro.service.orchestrator import (Orchestrator, build_factory,
+                                        shard_spec_for)
 from repro.service.queue import JobQueue, JobSpec, result_fingerprint
 from repro.testbench.factory import UdsBenchFactory
 
@@ -65,6 +70,25 @@ class TestCompletion:
         assert job.progress.get("phase") == "end"
         assert job.progress.get("frames_sent", 0) > 0
         assert orch.leases.stats()["renewed"] > 0
+
+    def test_keep_going_unlock_job_matches_its_reference_twin(self,
+                                                              tmp_path):
+        # Seed 268's 4000-frame unlock world sees the unlock and the
+        # LED within its budget and keeps going: the job runs on the
+        # frame engine and still equals the reference kernel's run.
+        fields = dict(job_id="u", kind="unlock", seed=268, max_frames=4000,
+                      stop_on_finding=False)
+        queue = JobQueue(tmp_path)
+        queue.submit(**fields)
+        orch = Orchestrator(queue, workers=1, backoff=EAGER)
+        orch.run_until_idle(timeout=60.0)
+        job = queue.get("u")
+        assert job.state == "completed", job.faults
+        spec = JobSpec(**fields)
+        want = build_factory(spec)(shard_spec_for(spec))._execute(None)
+        assert [f.oracle for f in want.findings] == ["unlock-ack", "led"]
+        assert want.stop_reason == "frame limit reached"
+        assert job.fingerprint == result_fingerprint(want.to_dict())
 
     def test_status_is_json_ready(self, tmp_path):
         import json
@@ -222,3 +246,38 @@ class TestLifecycle:
             Orchestrator(queue, quarantine_after=0)
         with pytest.raises(ValueError):
             Orchestrator(queue, terminate_grace=-1.0)
+
+
+class TestWake:
+    def test_loops_wake_when_a_worker_reports(self, tmp_path):
+        # A 30 s poll interval would hold each result for up to 30 s;
+        # both loops tick as soon as a worker reports, so one slot
+        # drains two small jobs in seconds.
+        for mode in ("run", "run_until_idle"):
+            queue = JobQueue(tmp_path / mode)
+            queue.submit(job_id="a", kind="uds", seed=7, max_frames=50)
+            queue.submit(job_id="b", kind="uds", seed=11, max_frames=50)
+            orch = Orchestrator(queue, workers=1, poll_interval=30.0,
+                                backoff=EAGER)
+            started = time.monotonic()
+            if mode == "run":
+                asyncio.run(asyncio.wait_for(orch.run(), timeout=15.0))
+            else:
+                orch.run_until_idle(timeout=15.0)
+            assert time.monotonic() - started < 15.0, mode
+            assert [queue.get(job).state for job in "ab"] == [
+                "completed", "completed"], mode
+
+    def test_the_forking_parent_holds_the_fast_path(self):
+        # Workers are forked, so a module the orchestrator's process
+        # already holds is never imported again per job.
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                          else []))
+        code = ("import sys\n"
+                "import repro.service.orchestrator\n"
+                "sys.exit('repro.fuzz.batch' not in sys.modules)\n")
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0

@@ -3,6 +3,16 @@
 import pytest
 
 from repro.cli import main
+from repro.fuzz.durability import CampaignJournal
+
+
+def start_only_journal(path) -> str:
+    """A journal directory as a run killed before its first checkpoint
+    leaves it: one write-ahead ``start`` record, no checkpoint, no
+    result."""
+    CampaignJournal(str(path)).append(
+        {"type": "start", "name": "killed", "started_at": 0})
+    return str(path)
 
 
 class TestSurvey:
@@ -95,6 +105,17 @@ class TestFuzzBench:
         # The single-process mode refuses the sharded run's directory too.
         assert main(["fuzz-bench", "--seed", "5", "--max-seconds", "2",
                      "--journal", str(tmp_path / "journal")]) == 2
+
+    def test_journal_killed_before_its_first_checkpoint_is_occupied(
+            self, capsys, tmp_path):
+        journal = start_only_journal(tmp_path / "journal")
+        argv = ["fuzz-bench", "--seed", "1", "--max-seconds", "1",
+                "--journal", journal]
+        assert main(argv) == 2
+        assert "pass --resume" in capsys.readouterr().err
+        # 1 simulated second is too short to unlock; the run completes.
+        assert main(argv + ["--resume"]) == 1
+        assert CampaignJournal(journal).load_result() is not None
 
     def test_sharded_resume_loads_saved_results(self, capsys, tmp_path):
         argv = self.sharded_journal_run(str(tmp_path / "journal"))
@@ -261,6 +282,16 @@ class TestFuzzUds:
                      "--journal", journal]) == 0
         assert main(["fuzz-uds", "--seed", "0", "--requests", "300",
                      "--journal", journal]) == 2
+
+    def test_journal_killed_before_its_first_checkpoint_is_occupied(
+            self, capsys, tmp_path):
+        journal = start_only_journal(tmp_path / "journal")
+        argv = ["fuzz-uds", "--seed", "0", "--requests", "300",
+                "--journal", journal]
+        assert main(argv) == 2
+        assert "pass --resume" in capsys.readouterr().err
+        assert main(argv + ["--resume"]) == 0
+        assert CampaignJournal(journal).load_result() is not None
 
     def test_resume_requires_journal(self, capsys):
         assert main(["fuzz-uds", "--resume"]) == 2
