@@ -204,6 +204,7 @@ def _cmd_fuzz_bench(args: argparse.Namespace) -> int:
     from repro.fuzz import (AckMessageOracle, CampaignLimits,
                             CampaignSupervisor, FuzzCampaign, FuzzConfig,
                             PhysicalStateOracle, RandomFrameGenerator)
+    from repro.fuzz.campaign import journal_of_kind
     from repro.sim.random import RandomStreams
     from repro.testbench import UNLOCK_ACK_ID, UnlockTestbench
 
@@ -212,14 +213,11 @@ def _cmd_fuzz_bench(args: argparse.Namespace) -> int:
         return 2
     try:
         channel_config = _channel_config(args)
+        journal = (journal_of_kind(args.journal, "frame")
+                   if args.journal else None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    journal = None
-    if args.journal and args.shards <= 1:
-        from repro.fuzz import CampaignJournal
-
-        journal = CampaignJournal(args.journal)
     if (args.journal and not args.resume
             and _holds_previous_run(args.journal, journal)):
         print(f"journal dir {args.journal} already holds campaign "
@@ -313,19 +311,15 @@ def _holds_previous_run(directory: str, journal) -> bool:
     ``fuzz-uds`` holds a previous run.
 
     That is a sharded run's ``master.json`` manifest or shard journals,
-    or campaign state in ``journal``, the single-process run's journal
-    on the directory (``None`` when sharded): a write-ahead record, a
-    checkpoint or a result.  The records count too, since a run killed
-    before its first checkpoint leaves only them.  Every mode continues
-    such a directory only with ``--resume``, so a rerun never reports
-    saved results as new or appends a second run to one log.
+    or any record in ``journal``, the log in the directory itself that
+    a single-process run writes.  Every mode continues such a
+    directory only with ``--resume``, so a rerun never reports saved
+    results as new or appends a second run to one log.
     """
     root = Path(directory)
     if (root / "master.json").exists() or any(root.glob("shard-*")):
         return True
-    return journal is not None and bool(
-        journal.records or journal.load_result() is not None
-        or journal.load_checkpoint() is not None)
+    return bool(journal.records)
 
 
 def _run_sharded_bench(args: argparse.Namespace, channel_config) -> int:
@@ -414,6 +408,7 @@ def _run_sharded_bench(args: argparse.Namespace, channel_config) -> int:
 
 def _cmd_fuzz_uds(args: argparse.Namespace) -> int:
     from repro.fuzz import CampaignLimits, ShardSpec
+    from repro.fuzz.campaign import journal_of_kind
     from repro.fuzz.uds_campaign import UdsFuzzCampaign
     from repro.testbench import UdsBenchFactory, UdsReplayFactory
     from repro.uds.replay import UdsSnapshotReplayer, confirm_uds_findings
@@ -429,9 +424,11 @@ def _cmd_fuzz_uds(args: argparse.Namespace) -> int:
                          stop_on_finding=not args.keep_going))
     journal = None
     if args.journal:
-        from repro.fuzz import CampaignJournal
-
-        journal = CampaignJournal(args.journal)
+        try:
+            journal = journal_of_kind(args.journal, "uds")
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if args.resume:
             result = UdsFuzzCampaign.resume(
                 journal, lambda: factory(spec),
@@ -858,7 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "breach raises MemoryError in the worker")
     serve.add_argument("--job-quota-mb", type=int, default=0,
                        metavar="MB",
-                       help="disk quota on each jobs/<id>/ directory "
+                       help="disk quota on each jobs/<id>/ directory, "
+                            "whose log keeps every checkpoint "
                             "(0 = unlimited); a breach is a fault "
                             "strike, never a hang")
     serve.set_defaults(func=_cmd_fuzz_serve)

@@ -200,8 +200,9 @@ class FuzzCampaign:
         Replaying from attempt zero keeps the determinism guarantee
         (same seeds, same config, same result) at the price of wall
         time; the journal still preserves findings across the crash.
+        A UDS campaign's journal is refused (:func:`journal_of_kind`).
         """
-        return resume_campaign(journal, build,
+        return resume_campaign(journal_of_kind(journal, "frame"), build,
                                checkpoint_every=checkpoint_every)
 
     def attach_journal(self, journal: CampaignJournal, *,
@@ -498,6 +499,24 @@ def resume_point(journal: CampaignJournal
     if state is not None and state.get("channel") is not None:
         state = None
     return None, state
+
+
+def journal_of_kind(journal: "CampaignJournal | str",
+                    kind: str) -> CampaignJournal:
+    """``journal``, opened, unless its first ``start`` record names
+    another campaign kind (a frame campaign's names none): resuming it
+    would report that run's result, or restore its checkpoint, as this
+    kind's.  The refusal is a :class:`ValueError` naming both kinds."""
+    if not isinstance(journal, CampaignJournal):
+        journal = CampaignJournal(journal)
+    for record in journal.records:
+        if record.get("type") == "start":
+            found = record.get("kind", "frame")
+            if found != kind:
+                raise ValueError(f"the journal holds a {found!r} "
+                                 f"campaign, not a {kind!r} campaign")
+            break
+    return journal
 
 
 def resume_campaign(journal: "CampaignJournal | str", build: Callable,

@@ -1,4 +1,4 @@
-"""Crash-safe campaign durability: journal, checkpoints, chaos IO.
+"""Crash-safe campaign durability: one log per campaign, chaos IO.
 
 The paper's campaigns run for hours against degrading targets (§V-§VI:
 the fuzzer is left running until the cluster latches "crash"), so the
@@ -7,18 +7,18 @@ an OOM kill, a full disk.  This module provides the three layers the
 campaign and the sharded runner build on:
 
 - :class:`WriteAheadJournal` -- an append-only JSONL log with a CRC32
-  per record and atomic segment rotation.  Findings and progress
-  records stream into it as they happen; on open, a torn tail (the
+  per record and atomic segment rotation.  On open, a torn tail (the
   classic crash-mid-write artefact) is detected and truncated so the
   log always ends on an intact record and never yields phantom
-  findings.
-- :class:`CampaignJournal` -- the campaign-facing facade: the journal
-  plus periodic durable checkpoints and the final result, all written
-  through one atomic write-fsync-rename helper with a generation
-  counter.  Every operation is wrapped in bounded retry with
+  records.
+- :class:`CampaignJournal` -- the campaign-facing facade over one such
+  log: findings and progress records stream into it as they happen,
+  and the periodic checkpoints and the final result are records of
+  the same log.  Every operation is wrapped in bounded retry with
   exponential backoff (:class:`RetryPolicy`); when the backend stays
   broken the journal *degrades* to in-memory-only operation with a
   recorded warning instead of wedging the campaign.
+  :func:`read_result` reads a log's result without repairing it.
 - :class:`FaultyStore` -- an IO fault-injection wrapper (EIO, ENOSPC,
   torn writes, latency) over any store, used by the chaos tests to
   prove the degradation path never hangs, raises into the campaign, or
@@ -26,11 +26,13 @@ campaign and the sharded runner build on:
 
 Storage goes through the small :class:`DirectoryStore` surface (append
 / replace / read / ...) so the fault injector can sit between the
-journal and the filesystem without either knowing.
+journal and the filesystem without either knowing.  Only this module
+knows the on-disk format.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import os
@@ -101,10 +103,10 @@ def atomic_write_json(path: str | os.PathLike, payload) -> None:
 class DirectoryStore:
     """Flat-file store rooted at one directory.
 
-    The minimal surface the journal and checkpoints need; every write
-    is flushed to the device (``fsync``) before returning, because a
-    write-ahead record that only reached the page cache is not ahead
-    of anything.
+    The minimal surface the journal and the sharded manifest need;
+    every write is flushed to the device (``fsync``) before returning,
+    because a write-ahead record that only reached the page cache is
+    not ahead of anything.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
@@ -258,8 +260,8 @@ class DiskQuotaExceeded(RuntimeError):
 class QuotaStore:
     """Byte-budget enforcement wrapper over any store.
 
-    Tracks bytes written through ``append``/``replace`` plus what is
-    already on disk at attach time, and raises
+    Tracks bytes written through ``append`` plus what is already on
+    disk at attach time, and raises
     :class:`DiskQuotaExceeded` *before* a write that would cross the
     budget.  Shared mutable accounting (`_usage` is a one-element list)
     spans :meth:`sub`-derived children, so the budget covers the whole
@@ -291,28 +293,14 @@ class QuotaStore:
     def used_bytes(self) -> int:
         return self._usage[0]
 
-    def _charge(self, delta: int, op: str, name: str) -> None:
-        if self._usage[0] + delta > self.quota_bytes:
-            raise DiskQuotaExceeded(
-                f"{op} of {delta} byte(s) to {name!r} would take usage "
-                f"to {self._usage[0] + delta} of a "
-                f"{self.quota_bytes} byte quota")
-        self._usage[0] += delta
-
     def append(self, name: str, data: bytes) -> None:
-        self._charge(len(data), "append", name)
+        usage = self._usage[0] + len(data)
+        if usage > self.quota_bytes:
+            raise DiskQuotaExceeded(
+                f"append of {len(data)} byte(s) to {name!r} would take "
+                f"usage to {usage} of a {self.quota_bytes} byte quota")
+        self._usage[0] = usage
         self.inner.append(name, data)
-
-    def replace(self, name: str, data: bytes) -> None:
-        # Replacement frees the old content; only charge the growth.
-        old = 0
-        try:
-            if self.inner.exists(name):
-                old = len(self.inner.read(name))
-        except OSError:
-            old = 0
-        self._charge(max(0, len(data) - old), "replace", name)
-        self.inner.replace(name, data)
 
     def read(self, name: str) -> bytes:
         return self.inner.read(name)
@@ -568,11 +556,24 @@ class WriteAheadJournal:
 
     def append(self, record: dict) -> None:
         """Durably append one record (rotating segments as needed)."""
-        data = encode_record(record)
+        self.write(encode_record(record))
+
+    def write(self, data: bytes) -> None:
+        """Durably append one record framed by :func:`encode_record`.
+
+        A failed append is cut back off the segment, so that a retry
+        does not leave damage that hides every later record.
+        """
         if self._size and self._size + len(data) > self.max_segment_bytes:
             self._index += 1
             self._size = 0
-        self.store.append(_segment_name(self._index), data)
+        name = _segment_name(self._index)
+        try:
+            self.store.append(name, data)
+        except OSError:
+            with contextlib.suppress(OSError):
+                self.store.truncate(name, self._size)
+            raise
         self._size += len(data)
 
 
@@ -580,47 +581,81 @@ class WriteAheadJournal:
 # Campaign-facing facade
 # ----------------------------------------------------------------------
 
+def refuse_legacy_files(store) -> None:
+    """Refuse a journal directory of the older format, which kept the
+    checkpoint and the result in files beside the log: nothing reads
+    them, so a resume would silently restart on top of the old log."""
+    for name in ("checkpoint.json", "result.json"):
+        if store.exists(name):
+            raise ValueError(
+                f"{store.path(name)}: {name} belongs to an older journal "
+                f"format that is no longer read; use a fresh directory")
+
+
+def read_result(store) -> tuple[dict | None, list[str]]:
+    """``(result, warnings)`` of a campaign log, read-only (for a process
+    that does not own the log): the latest intact ``result`` record's
+    payload, ``None`` before the run ends or when damage hides it."""
+    records, warnings = scan_records(store)
+    for record in reversed(records):
+        if record.get("type") == "result":
+            return record.get("result"), warnings
+    return None, warnings
+
+
 class CampaignJournal:
-    """Durable state for one campaign: WAL + checkpoints + result.
+    """Durable state for one campaign: one append-only log.
+
+    Events (start, finding, progress, resume, end), checkpoints and the
+    result are records of one :class:`WriteAheadJournal`, each written
+    with one encoding, one append and one fsync.  On open, the events
+    become :attr:`records`, and of the ``checkpoint`` and ``result``
+    records only the latest of each is kept.  Recovery ends the log at
+    its first damaged record, so a torn last checkpoint falls back to
+    the one before it.  A directory of the older format is refused
+    (:func:`refuse_legacy_files`).
 
     Every write goes through bounded retry (:class:`RetryPolicy`);
     when the backend stays broken, the journal flips to *degraded*
     mode -- all further IO is skipped, the full record stream is still
-    available in memory (:attr:`records`), and a warning explains what
-    was lost.  A degraded journal never raises into the campaign: a
-    fuzzing run with a dying disk finishes and reports, it does not
-    wedge.
-
-    Checkpoints and the final result are single JSON files replaced
-    atomically (write - fsync - rename), so readers -- including a
-    resuming process -- see the previous or the new checkpoint, never
-    a torn one.  Each checkpoint carries a monotonic generation number
-    and a CRC32 over its canonical state payload.
+    available in memory (:attr:`records`, the latest checkpoint and
+    result), and a warning explains what was lost.  A degraded journal
+    never raises into the campaign: a fuzzing run with a dying disk
+    finishes and reports, it does not wedge.
     """
-
-    CHECKPOINT = "checkpoint.json"
-    RESULT = "result.json"
 
     def __init__(self, store_or_path, *, retry: RetryPolicy | None = None,
                  max_segment_bytes: int = 1 << 20) -> None:
         if isinstance(store_or_path, (str, os.PathLike)):
             store_or_path = DirectoryStore(store_or_path)
+        refuse_legacy_files(store_or_path)
         self.store = store_or_path
         self.retry = retry or RetryPolicy()
         self.degraded = False
         self.warnings: list[str] = []
         self.records: list[dict] = []
-        self.generation = 0
+        #: The latest checkpoint and result: each a record found at
+        #: open, or the framed bytes written since.
+        self._latest: dict[str, dict | bytes] = {}
         self._wal: WriteAheadJournal | None = None
         try:
             wal: list[WriteAheadJournal] = []
             self.retry.run(lambda: wal.append(WriteAheadJournal(
                 self.store, max_segment_bytes=max_segment_bytes)))
             self._wal = wal[-1]
-            self.records.extend(self._wal.recovered_records)
-            self.warnings.extend(self._wal.recovery_warnings)
         except OSError as exc:
             self._degrade("journal open", exc)
+        else:
+            for record in self._wal.recovered_records:
+                if record.get("type") in ("checkpoint", "result"):
+                    self._latest[record["type"]] = record
+                else:
+                    self.records.append(record)
+            self._wal.recovered_records = []  # drop older checkpoints
+            self.warnings.extend(self._wal.recovery_warnings)
+        #: Checkpoints written to this log, counting from its first.
+        self.generation = self._latest.get("checkpoint", {}).get(
+            "generation", 0)
 
     # -- degradation ---------------------------------------------------
     def _degrade(self, what: str, exc: OSError) -> None:
@@ -649,85 +684,35 @@ class CampaignJournal:
         degraded journal still knows the complete record stream.
         """
         self.records.append(record)
-        if self._wal is not None:
-            self._guarded("journal append",
-                          lambda: self._wal.append(record))
+        self._guarded("journal append", lambda: self._wal.append(record))
 
-    def finding_records(self) -> list[dict]:
-        return [r for r in self.records if r.get("type") == "finding"]
+    # -- checkpoints and the result ------------------------------------
+    def _save_latest(self, record: dict) -> None:
+        data = encode_record(record)
+        self._latest[record["type"]] = data
+        self._guarded(f"{record['type']} append",
+                      lambda: self._wal.write(data))
 
-    def last_progress(self) -> dict | None:
-        """The most recent record carrying a ``frames_sent`` counter."""
-        for record in reversed(self.records):
-            if "frames_sent" in record:
-                return record
-        return None
-
-    # -- checkpoints ---------------------------------------------------
-    @staticmethod
-    def _canonical(state: dict) -> bytes:
-        return json.dumps(state, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
+    def _load_latest(self, kind: str, field: str) -> dict | None:
+        latest = self._latest.get(kind)
+        if isinstance(latest, bytes):
+            latest = _decode_line(latest[:-1])
+        return None if latest is None else latest.get(field)
 
     def save_checkpoint(self, state: dict) -> None:
-        """Atomically replace the durable checkpoint (bumps generation)."""
+        """Append one ``checkpoint`` record (bumps generation)."""
         self.generation += 1
-        payload = {
-            "generation": self.generation,
-            "crc": f"{zlib.crc32(self._canonical(state)):08x}",
-            "state": state,
-        }
-        data = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._guarded("checkpoint write",
-                      lambda: self.store.replace(self.CHECKPOINT, data))
+        self._save_latest({"type": "checkpoint",
+                           "generation": self.generation, "state": state})
 
     def load_checkpoint(self) -> dict | None:
-        """The last durable checkpoint's state, or ``None``.
+        """The latest checkpoint's state, or ``None``."""
+        return self._load_latest("checkpoint", "state")
 
-        A missing, unreadable, or CRC-mismatched checkpoint yields
-        ``None`` with a warning -- resume then restarts from scratch
-        rather than trusting damaged state.
-        """
-        try:
-            data = self.store.read(self.CHECKPOINT)
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            self.warnings.append(f"checkpoint unreadable: {exc}")
-            return None
-        try:
-            payload = json.loads(data)
-            state = payload["state"]
-            stored_crc = payload["crc"]
-            generation = int(payload["generation"])
-        except (ValueError, KeyError, TypeError):
-            self.warnings.append("checkpoint corrupt; ignoring it")
-            return None
-        if f"{zlib.crc32(self._canonical(state)):08x}" != stored_crc:
-            self.warnings.append("checkpoint CRC mismatch; ignoring it")
-            return None
-        self.generation = max(self.generation, generation)
-        return state
-
-    # -- final result --------------------------------------------------
     def save_result(self, payload: dict) -> None:
-        data = json.dumps(payload, indent=2,
-                          sort_keys=True).encode("utf-8")
-        self._guarded("result write",
-                      lambda: self.store.replace(self.RESULT, data))
+        """Append the ``result`` record of a completed run."""
+        self._save_latest({"type": "result", "result": payload})
 
     def load_result(self) -> dict | None:
         """The completed run's result payload, or ``None``."""
-        try:
-            data = self.store.read(self.RESULT)
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            self.warnings.append(f"result unreadable: {exc}")
-            return None
-        try:
-            payload = json.loads(data)
-        except ValueError:
-            self.warnings.append("result corrupt; ignoring it")
-            return None
-        return payload if isinstance(payload, dict) else None
+        return self._load_latest("result", "result")

@@ -56,8 +56,8 @@ from typing import Any, Callable, Sequence
 # path, and no worker imports it again per job.
 from repro.fuzz.batch import run_shard_batch
 from repro.fuzz.campaign import CampaignLimits, FuzzCampaign
-from repro.fuzz.durability import (CampaignJournal, DirectoryStore,
-                                   scan_records)
+from repro.fuzz.durability import (DirectoryStore, read_result,
+                                   refuse_legacy_files, scan_records)
 from repro.fuzz.oracle import Finding
 from repro.fuzz.session import (FALLBACK_WARNING_PREFIX
                                 as _FALLBACK_WARNING_PREFIX)
@@ -765,8 +765,12 @@ class ShardedCampaign:
         *mismatch* is a hard error; a merely unreadable or unwritable
         manifest degrades with a warning, like every other durability
         failure, and so does a manifest that predates the pinning of
-        some identity field (it is rewritten to pin them).
+        some identity field (it is rewritten to pin them).  A shard
+        directory in the older checkpoint-file format is refused too.
         """
+        for index in range(self.shards):
+            if os.path.isdir(self._shard_dir(index)):
+                refuse_legacy_files(self._shard_store(index))
         manifest = {"format": 1, "master_seed": self.master_seed,
                     "shard_count": self.shards,
                     "limits": asdict(limits),
@@ -824,16 +828,11 @@ class ShardedCampaign:
         """A shard's surviving result from a previous run, if any."""
         if self.journal_dir is None:
             return None
-        store = self._shard_store(spec.index)
         try:
-            data = store.read(CampaignJournal.RESULT)
+            payload, _ = read_result(self._shard_store(spec.index))
         except OSError:
             return None
-        try:
-            payload = json.loads(data)
-        except ValueError:
-            return None
-        if not isinstance(payload, dict):
+        if payload is None:
             return None
         return ShardOutcome(
             index=spec.index, seed=spec.seed, attempt=spec.attempt,

@@ -82,9 +82,9 @@ def _finding_from_dict(item: dict, requests: dict | None = None) -> Finding:
     )
 
 
-# Public names for the finding codec: durable checkpoints and journal
-# records serialise findings with the same schema the result file uses,
-# so a finding round-trips identically through either path.
+# Public names for the finding codec: checkpoint, finding and result
+# records all serialise findings with one schema, so a finding
+# round-trips identically through any of them.
 finding_to_dict = _finding_to_dict
 finding_from_dict = _finding_from_dict
 

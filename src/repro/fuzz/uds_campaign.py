@@ -33,7 +33,8 @@ import json
 from collections import deque
 from typing import Callable
 
-from repro.fuzz.campaign import CampaignLimits, resume_campaign
+from repro.fuzz.campaign import (CampaignLimits, journal_of_kind,
+                                 resume_campaign)
 from repro.fuzz.durability import CampaignJournal
 from repro.fuzz.oracle import Finding
 from repro.fuzz.session import (FuzzResult, finding_from_dict,
@@ -126,7 +127,7 @@ class UdsFuzzCampaign:
         :meth:`repro.fuzz.campaign.FuzzCampaign.resume`; ``build``
         must reconstruct the same bench and generator (same seed).
         """
-        return resume_campaign(journal, build,
+        return resume_campaign(journal_of_kind(journal, "uds"), build,
                                checkpoint_every=checkpoint_every)
 
     def attach_journal(self, journal: CampaignJournal, *,

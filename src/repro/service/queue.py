@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from repro.fuzz.durability import (CampaignJournal, DirectoryStore,
-                                   RetryPolicy, scan_records)
+                                   RetryPolicy, read_result, scan_records)
 
 #: States a job can rest in.  ``pending`` and ``leased`` are live;
 #: ``completed`` and ``quarantined`` are terminal.
@@ -398,33 +398,32 @@ class JobQueue:
         self._artefact_warned.add(text)
         self.artefact_warnings.append(text)
 
-    def load_result(self, job_id: str) -> dict | None:
-        """The job's full campaign result from its own journal dir.
-
-        A missing file is the normal not-finished-yet case and stays
-        silent; a file that exists but is corrupt (unreadable, invalid
-        JSON, wrong shape) records a warning and returns ``None`` --
-        the API must never 500 because a disk bit flipped.
-        """
-        path = self.job_dir(job_id) / CampaignJournal.RESULT
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
+    def _read_job_log(self, job_id: str, read: Callable):
+        """``read(store)`` over the job's journal, which returns
+        ``(value, scan warnings)``; the warnings are recorded.  ``None``
+        when the job has no journal yet or it is unreadable."""
+        directory = self.job_dir(job_id)
+        if not directory.is_dir():
             return None
+        try:
+            value, scan_warnings = read(DirectoryStore(directory))
         except OSError as exc:
-            self._warn_artefact(job_id, f"unreadable result file: {exc}")
+            self._warn_artefact(job_id, f"unreadable journal: {exc}")
             return None
-        try:
-            payload = json.loads(data)
-        except ValueError:
-            self._warn_artefact(
-                job_id, f"corrupt result file ({len(data)} bytes of "
-                        f"invalid JSON)")
-            return None
-        if not isinstance(payload, dict):
-            self._warn_artefact(job_id, "result file is not a JSON object")
-            return None
-        return payload
+        for warning in scan_warnings:
+            self._warn_artefact(job_id, warning)
+        return value
+
+    def load_result(self, job_id: str) -> dict | None:
+        """The job's full campaign result, from its own journal.
+
+        Reads the job's log with the read-only recovery scan
+        (:func:`~repro.fuzz.durability.read_result`).  No result yet
+        is the normal not-finished-yet case and stays silent; damage
+        to the log records a warning and hides what follows it -- the
+        API must never 500 because a disk bit flipped.
+        """
+        return self._read_job_log(job_id, read_result)
 
     def job_findings(self, job_id: str) -> list[dict]:
         """Findings streamed so far, deduplicated by fingerprint.
@@ -436,17 +435,7 @@ class JobQueue:
         exactly-once findings.  Torn or corrupt journal records are
         surfaced as recorded warnings, never raised to the caller.
         """
-        directory = self.job_dir(job_id)
-        if not directory.is_dir():
-            return []
-        try:
-            records, scan_warnings = scan_records(
-                DirectoryStore(directory))
-        except OSError as exc:
-            self._warn_artefact(job_id, f"unreadable journal: {exc}")
-            return []
-        for warning in scan_warnings:
-            self._warn_artefact(job_id, warning)
+        records = self._read_job_log(job_id, scan_records) or []
         seen: set[str] = set()
         findings: list[dict] = []
         for record in records:

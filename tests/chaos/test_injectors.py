@@ -106,14 +106,6 @@ class TestQuotaStore:
         assert not isinstance(excinfo.value, OSError)
         assert isinstance(excinfo.value, RuntimeError)
 
-    def test_replace_charges_only_growth(self, tmp_path):
-        store = QuotaStore(DirectoryStore(tmp_path), quota_bytes=100)
-        store.replace("c.json", b"a" * 80)
-        store.replace("c.json", b"b" * 90)  # +10, not +90
-        assert store.used_bytes == 90
-        with pytest.raises(DiskQuotaExceeded):
-            store.replace("c.json", b"c" * 101)
-
     def test_remove_refunds_the_bytes(self, tmp_path):
         store = QuotaStore(DirectoryStore(tmp_path), quota_bytes=100)
         store.append("a.bin", b"x" * 80)

@@ -111,11 +111,15 @@ class TestAttacks:
         assert receiver.verify(CanFrame(CMD_ID, b"\x20"))[0] \
             is AuthVerdict.MALFORMED
 
-    @settings(max_examples=200)
+    @settings(max_examples=200, derandomize=True, database=None)
     @given(payload=st.binary(min_size=3, max_size=8))
     def test_property_random_frames_never_authentic(self, payload):
-        """The fuzzer's view: a random 8-byte payload authenticates
-        with probability 2^-16 per counter value; 200 draws never do."""
+        """The fuzzer's view: a random payload authenticates with
+        probability at most 2^-16 per draw (a 2-byte truncated tag), so
+        200 draws never do -- on a fixed sample.  Over free draws some
+        checkout eventually meets a payload that passes, and an example
+        database would then replay it on every run there; a fixed seed
+        and no database check the same 200 payloads everywhere."""
         from repro.can.frame import CanFrame
         _, receiver = linked_pair()
         verdict, _ = receiver.verify(CanFrame(CMD_ID, payload))

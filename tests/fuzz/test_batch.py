@@ -11,7 +11,6 @@ boundaries, durability and the sharded runner's workers.
 """
 
 import functools
-import json
 import random
 import shutil
 
@@ -30,6 +29,8 @@ from repro.sim.clock import MS
 from repro.testbench.bcm import STATUS_ID, UNLOCK_ACK_ID
 from repro.testbench.bench import UnlockTestbench
 from repro.testbench.factory import UnlockBenchFactory, _unlock_ack
+
+from tests.journals import kill_after_last_checkpoint, record_types
 
 from .reference import reference_resume, reference_shards
 
@@ -290,17 +291,10 @@ class TestJournalParity:
             for spec in specs:
                 scalar_dir = tmp_path / f"{tag}/scalar/shard-{spec.index:04d}"
                 batch_dir = tmp_path / f"{tag}/batch/shard-{spec.index:04d}"
-                assert read_records(scalar_dir) == read_records(batch_dir)
-                scalar_store = DirectoryStore(str(scalar_dir))
-                batch_store = DirectoryStore(str(batch_dir))
-                assert (json.loads(scalar_store.read(CampaignJournal.RESULT))
-                        == json.loads(
-                            batch_store.read(CampaignJournal.RESULT)))
-                if scalar_store.exists(CampaignJournal.CHECKPOINT):
-                    assert (json.loads(
-                        scalar_store.read(CampaignJournal.CHECKPOINT))
-                        == json.loads(
-                            batch_store.read(CampaignJournal.CHECKPOINT)))
+                # The whole log: events, every checkpoint, the result.
+                records = read_records(scalar_dir)
+                assert records == read_records(batch_dir)
+                assert records[-1]["type"] == "result"
 
     def test_kill_resume_matches_scalar_resume_both_ways(self, tmp_path):
         # The resume contract: a fast-path resume of a surviving journal
@@ -316,12 +310,10 @@ class TestJournalParity:
             journal = CampaignJournal(DirectoryStore(str(source)))
             reference_resume(journal, lambda: journal_build(spec),
                              checkpoint_every=every)
-            assert DirectoryStore(str(source)).exists(
-                CampaignJournal.CHECKPOINT)
             ctl, bat = tmp_path / f"ctl-{every}", tmp_path / f"bat-{every}"
             for target in (ctl, bat):
                 shutil.copytree(source, target)
-                DirectoryStore(str(target)).remove(CampaignJournal.RESULT)
+                kill_after_last_checkpoint(target)
             control = reference_resume(
                 CampaignJournal(DirectoryStore(str(ctl))),
                 lambda: journal_build(spec), checkpoint_every=every)
@@ -359,7 +351,7 @@ class TestJournalParity:
         ctl, bat = tmp_path / "ctl", tmp_path / "bat"
         for target in (ctl, bat):
             shutil.copytree(source, target)
-            DirectoryStore(str(target)).remove(CampaignJournal.RESULT)
+            kill_after_last_checkpoint(target)
         checkpoint = CampaignJournal(
             DirectoryStore(str(bat))).load_checkpoint()
         control = reference_resume(
@@ -458,8 +450,8 @@ class TestHypothesisParity:
            checkpoint_every=st.integers(min_value=100, max_value=600))
     def test_kill_resume_of_batched_run(self, tmp_path_factory, seed,
                                         checkpoint_every):
-        # Run on the fast path with a journal, simulate a kill by
-        # dropping the final result, then resume -- fast-path and
+        # Run on the fast path with a journal, simulate a kill right
+        # after the last checkpoint, then resume -- fast-path and
         # reference resumes of the surviving journal must agree
         # exactly.
         tmp_path = tmp_path_factory.mktemp("batch-resume")
@@ -470,12 +462,11 @@ class TestHypothesisParity:
         run_shard_batch(
             journal_build, [spec],
             journal_infos=[(None, str(batch_dir), checkpoint_every)])
-        store = DirectoryStore(str(batch_dir))
-        if not store.exists(CampaignJournal.CHECKPOINT):
+        if "checkpoint" not in record_types(batch_dir):
             return  # found a defect before the first checkpoint
         shutil.copytree(batch_dir, tmp_path / "ctl")
-        store.remove(CampaignJournal.RESULT)
-        DirectoryStore(str(tmp_path / "ctl")).remove(CampaignJournal.RESULT)
+        kill_after_last_checkpoint(batch_dir)
+        kill_after_last_checkpoint(tmp_path / "ctl")
         control = reference_resume(
             CampaignJournal(DirectoryStore(str(tmp_path / "ctl"))),
             lambda: journal_build(spec),

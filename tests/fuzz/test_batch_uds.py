@@ -11,7 +11,6 @@ must run on the reference kernel with a recorded reason, never a
 wrong result.
 """
 
-import json
 import shutil
 
 import pytest
@@ -24,6 +23,8 @@ from repro.fuzz.coverage import ProtocolStateCoverage
 from repro.fuzz.durability import CampaignJournal, DirectoryStore, scan_records
 from repro.fuzz.parallel import ShardSpec, ShardedCampaign, derive_shard_seed
 from repro.testbench.factory import UdsBenchFactory, UnlockBenchFactory
+
+from tests.journals import kill_after_last_checkpoint
 
 from .reference import (reference_record_batch, reference_resume,
                         reference_shards)
@@ -154,19 +155,11 @@ class TestJournalParity:
         for spec in specs:
             scalar_dir = tmp_path / f"scalar/shard-{spec.index:04d}"
             batch_dir = tmp_path / f"batch/shard-{spec.index:04d}"
-            assert read_records(scalar_dir) == read_records(batch_dir)
-            scalar_store = DirectoryStore(str(scalar_dir))
-            batch_store = DirectoryStore(str(batch_dir))
-            assert (json.loads(scalar_store.read(CampaignJournal.RESULT))
-                    == json.loads(batch_store.read(CampaignJournal.RESULT)))
-            assert (json.loads(
-                scalar_store.read(CampaignJournal.CHECKPOINT))
-                == json.loads(
-                    batch_store.read(CampaignJournal.CHECKPOINT)))
-
-    def kill(self, directory):
-        """Turn a completed journal into a mid-flight casualty."""
-        DirectoryStore(str(directory)).remove(CampaignJournal.RESULT)
+            # The whole log: events, every checkpoint, the result.
+            records = read_records(scalar_dir)
+            assert records == read_records(batch_dir)
+            kinds = [record["type"] for record in records]
+            assert "checkpoint" in kinds and kinds[-1] == "result"
 
     def test_batch_killed_run_resumes_identically_on_both_engines(
             self, tmp_path):
@@ -174,11 +167,9 @@ class TestJournalParity:
         batch_dir = tmp_path / "bat"
         run_shard_batch(KEEP_GOING, [spec],
                         journal_infos=[(None, str(batch_dir), 100)])
-        assert DirectoryStore(str(batch_dir)).exists(
-            CampaignJournal.CHECKPOINT)
         shutil.copytree(batch_dir, tmp_path / "ctl")
-        self.kill(batch_dir)
-        self.kill(tmp_path / "ctl")
+        kill_after_last_checkpoint(batch_dir)
+        kill_after_last_checkpoint(tmp_path / "ctl")
         control = reference_resume(
             CampaignJournal(DirectoryStore(str(tmp_path / "ctl"))),
             lambda: KEEP_GOING(spec), checkpoint_every=100)
@@ -197,11 +188,9 @@ class TestJournalParity:
         journal = CampaignJournal(DirectoryStore(str(scalar_dir)))
         reference_resume(journal, lambda: KEEP_GOING(spec),
                          checkpoint_every=100)
-        assert DirectoryStore(str(scalar_dir)).exists(
-            CampaignJournal.CHECKPOINT)
         shutil.copytree(scalar_dir, tmp_path / "bat")
-        self.kill(scalar_dir)
-        self.kill(tmp_path / "bat")
+        kill_after_last_checkpoint(scalar_dir)
+        kill_after_last_checkpoint(tmp_path / "bat")
         control = reference_resume(
             CampaignJournal(DirectoryStore(str(scalar_dir))),
             lambda: KEEP_GOING(spec), checkpoint_every=100)
@@ -290,8 +279,8 @@ class TestHypothesisParity:
            checkpoint_every=st.integers(min_value=40, max_value=200))
     def test_kill_resume_parity_both_directions(self, tmp_path_factory,
                                                 seed, checkpoint_every):
-        # One full fast-path journalled run, killed by dropping the
-        # saved result, then resumed by BOTH kernels from identical
+        # One full fast-path journalled run, killed right after its
+        # last checkpoint, then resumed by BOTH kernels from identical
         # copies: the reference resume is the specification the
         # fast-path resume must reproduce byte-for-byte, records
         # included.
@@ -301,11 +290,9 @@ class TestHypothesisParity:
         run_shard_batch(
             KEEP_GOING, [spec],
             journal_infos=[(None, str(batch_dir), checkpoint_every)])
-        store = DirectoryStore(str(batch_dir))
-        assert store.exists(CampaignJournal.CHECKPOINT)
         shutil.copytree(batch_dir, tmp_path / "ctl")
-        store.remove(CampaignJournal.RESULT)
-        DirectoryStore(str(tmp_path / "ctl")).remove(CampaignJournal.RESULT)
+        kill_after_last_checkpoint(batch_dir)
+        kill_after_last_checkpoint(tmp_path / "ctl")
         control = reference_resume(
             CampaignJournal(DirectoryStore(str(tmp_path / "ctl"))),
             lambda: KEEP_GOING(spec), checkpoint_every=checkpoint_every)

@@ -1,5 +1,6 @@
 """Tests for the durability layer: stores, WAL, checkpoints, chaos IO."""
 
+import errno
 import json
 import os
 import random
@@ -280,6 +281,22 @@ class TestFaultyStore:
         assert slept == [0.25]
 
 
+class CountingStore(DirectoryStore):
+    """A directory store that counts the calls of each write kind."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.calls = {"append": 0, "replace": 0}
+
+    def append(self, name, data):
+        self.calls["append"] += 1
+        super().append(name, data)
+
+    def replace(self, name, data):
+        self.calls["replace"] += 1
+        super().replace(name, data)
+
+
 class TestCampaignJournal:
     def test_records_and_recovery(self, tmp_path):
         journal = CampaignJournal(tmp_path)
@@ -287,8 +304,25 @@ class TestCampaignJournal:
         journal.append({"type": "progress", "frames_sent": 9})
         reopened = CampaignJournal(tmp_path)
         assert len(reopened.records) == 2
-        assert len(reopened.finding_records()) == 1
-        assert reopened.last_progress()["frames_sent"] == 9
+        assert [r["type"] for r in reopened.records].count("finding") == 1
+        assert reopened.records[-1]["frames_sent"] == 9
+
+    def test_reopened_journal_keeps_only_the_latest_checkpoint(
+            self, tmp_path):
+        journal = CampaignJournal(tmp_path)
+        journal.append({"type": "start"})
+        for sent in (10, 20, 30):
+            journal.append({"type": "progress", "frames_sent": sent})
+            journal.save_checkpoint({"frames_sent": sent})
+        journal.append({"type": "end"})
+        journal.save_result({"frames_sent": 30})
+        reopened = CampaignJournal(tmp_path)
+        assert reopened.load_checkpoint() == {"frames_sent": 30}
+        assert reopened.load_result() == {"frames_sent": 30}
+        assert [r["type"] for r in reopened.records] == [
+            "start", "progress", "progress", "progress", "end"]
+        kinds = [r["type"] for r in scan_records(DirectoryStore(tmp_path))[0]]
+        assert kinds.count("checkpoint") == 3 and kinds[-1] == "result"
 
     def test_checkpoint_generation_and_crc(self, tmp_path):
         journal = CampaignJournal(tmp_path)
@@ -301,16 +335,69 @@ class TestCampaignJournal:
         # Next checkpoint continues the generation sequence.
         reopened.save_checkpoint({"frames_sent": 30})
         assert reopened.generation == 3
+        assert reopened.load_checkpoint() == {"frames_sent": 30}
 
     def test_corrupt_checkpoint_is_ignored_with_warning(self, tmp_path):
         journal = CampaignJournal(tmp_path)
         journal.save_checkpoint({"frames_sent": 10})
-        payload = json.loads((tmp_path / "checkpoint.json").read_text())
-        payload["state"]["frames_sent"] = 999  # CRC no longer matches
-        (tmp_path / "checkpoint.json").write_text(json.dumps(payload))
+        segment = tmp_path / "journal-000000.wal"
+        data = segment.read_bytes()
+        segment.write_bytes(data.replace(b":10}", b":99}"))  # CRC fails
         reopened = CampaignJournal(tmp_path)
         assert reopened.load_checkpoint() is None
-        assert any("CRC" in w for w in reopened.warnings)
+        assert reopened.generation == 0
+        assert any("corrupt record" in w for w in reopened.warnings)
+
+    @pytest.mark.parametrize("damage", ["torn", "bit-flip"])
+    def test_damaged_last_checkpoint_falls_back_to_the_one_before(
+            self, tmp_path, damage):
+        journal = CampaignJournal(tmp_path)
+        journal.save_checkpoint({"frames_sent": 10})
+        journal.save_checkpoint({"frames_sent": 20})
+        segment = tmp_path / "journal-000000.wal"
+        data = bytearray(segment.read_bytes())
+        if damage == "torn":
+            del data[-7:]
+        else:
+            data[-5] ^= 0x01
+        segment.write_bytes(bytes(data))
+        reopened = CampaignJournal(tmp_path)
+        assert reopened.load_checkpoint() == {"frames_sent": 10}
+        assert reopened.generation == 1
+        assert len(reopened.warnings) == 1
+
+    def test_torn_append_is_cut_before_the_retry(self, tmp_path):
+        class TearOnce(DirectoryStore):
+            torn = False
+
+            def append(self, name, data):
+                if not self.torn:
+                    self.torn = True
+                    super().append(name, data[:5])
+                    raise OSError(errno.EIO, "torn append")
+                super().append(name, data)
+
+        journal = CampaignJournal(TearOnce(tmp_path), retry=FAST_RETRY)
+        journal.save_checkpoint({"frames_sent": 10})
+        assert not journal.degraded
+        reopened = CampaignJournal(tmp_path)
+        assert reopened.warnings == []
+        assert reopened.load_checkpoint() == {"frames_sent": 10}
+
+    def test_one_checkpoint_is_one_append(self, tmp_path):
+        store = CountingStore(tmp_path)
+        journal = CampaignJournal(store)
+        journal.save_checkpoint({"frames_sent": 10})
+        assert store.calls == {"append": 1, "replace": 0}
+        journal.save_result({"frames_sent": 10})
+        assert store.calls == {"append": 2, "replace": 0}
+
+    @pytest.mark.parametrize("name", ["checkpoint.json", "result.json"])
+    def test_directory_in_the_older_format_is_refused(self, tmp_path,
+                                                      name):
+        (tmp_path / name).write_text("{}")
+        with pytest.raises(ValueError, match=f"{name}.*fresh directory"):
+            CampaignJournal(tmp_path)
 
     def test_result_round_trip(self, tmp_path):
         journal = CampaignJournal(tmp_path)
@@ -429,9 +516,9 @@ class TestChaosCampaign:
         frames = [r["frames_sent"] for r in records
                   if r.get("type") == "progress"]
         assert frames == sorted(frames)
-        for name in ("checkpoint.json", "result.json"):
-            if inner.exists(name):
-                json.loads(inner.read(name))
+        checkpoints = [r["state"]["frames_sent"] for r in records
+                       if r.get("type") == "checkpoint"]
+        assert checkpoints == sorted(checkpoints)
 
     def test_total_outage_degrades_with_warning(self, tmp_path):
         store = FaultyStore(DirectoryStore(tmp_path), seed=1,
@@ -442,7 +529,9 @@ class TestChaosCampaign:
         assert journal.degraded
         assert any("degraded" in w for w in journal.warnings)
         # The in-memory mirror still has the full record stream.
-        assert journal.last_progress()["frames_sent"] == 300
+        assert [r for r in journal.records
+                if "frames_sent" in r][-1]["frames_sent"] == 300
+        assert journal.load_result()["frames_sent"] == 300
 
     def test_faults_do_not_change_the_result(self, tmp_path):
         clean = _build_chaos_campaign(

@@ -24,6 +24,7 @@ from repro.fuzz.parallel import ShardSpec, derive_shard_seed
 from repro.testbench.bench import UnlockTestbench
 from repro.testbench.factory import UdsBenchFactory, UnlockBenchFactory
 from repro.uds.client import UdsClient
+from tests.journals import kill_after_last_checkpoint
 
 from .reference import reference_resume
 
@@ -109,8 +110,7 @@ class TestDefaultPathReachesTheKernels:
                                 checkpoint_every=every)
         for name in ("ref", "fast"):
             shutil.copytree(source, tmp_path / name)
-            DirectoryStore(str(tmp_path / name)).remove(
-                CampaignJournal.RESULT)
+            kill_after_last_checkpoint(tmp_path / name)
         checkpoint = journal_at(tmp_path / "fast").load_checkpoint()
         sent = checkpoint.get("frames_sent", checkpoint.get("requests_sent"))
         assert 0 < sent < full.frames_sent

@@ -32,6 +32,7 @@ from repro.fuzz.parallel import ShardedCampaign, ShardSpec
 from repro.sim.clock import MS, SECOND
 from repro.sim.kernel import Simulator
 from repro.testbench.factory import UnlockBenchFactory
+from tests.journals import record_types
 
 
 def _build_tiny_campaign() -> FuzzCampaign:
@@ -394,9 +395,9 @@ class TestSigkillResume:
             # whole process group -- parent and both workers -- with
             # the one signal no handler can soften.
             deadline = time.monotonic() + 90
-            checkpoints = [journal_dir / f"shard-{i:04d}" / "checkpoint.json"
-                           for i in range(2)]
-            while not any(c.exists() for c in checkpoints):
+            shards = [journal_dir / f"shard-{i:04d}" for i in range(2)]
+            while not any("checkpoint" in record_types(shard)
+                          for shard in shards):
                 assert proc.poll() is None, \
                     "runner exited before its first checkpoint"
                 assert time.monotonic() < deadline, \

@@ -1,12 +1,10 @@
 """Corrupt artefact handling: recorded warnings, never a 500.
 
-Bit-flip and truncate ``result.json`` and the findings journal under
-``jobs/<id>/`` and assert every read path -- queue methods and the
-HTTP routes over them -- degrades to a recorded warning with the
+Bit-flip and truncate the result and finding records of the journal
+under ``jobs/<id>/`` and assert every read path -- queue methods and
+the HTTP routes over them -- degrades to a recorded warning with the
 intact data prefix, instead of raising a traceback through the API.
 """
-
-import json
 
 import pytest
 
@@ -24,10 +22,6 @@ def queue(tmp_path):
     return queue
 
 
-def write_result(queue, job_id, data: bytes) -> None:
-    (queue.job_dir(job_id) / "result.json").write_bytes(data)
-
-
 def write_journal(queue, job_id, data: bytes) -> None:
     (queue.job_dir(job_id) / "journal-000000.wal").write_bytes(data)
 
@@ -37,39 +31,51 @@ def finding_record(index: int) -> bytes:
                           "finding": {"kind": "crash", "id": index}})
 
 
+def result_record(payload) -> bytes:
+    return encode_record({"type": "result", "result": payload})
+
+
+START = encode_record({"type": "start", "name": "j1"})
+
+
 class TestLoadResult:
     def test_intact_result_loads_silently(self, queue):
-        write_result(queue, "j1", json.dumps({"seed": 3}).encode())
+        write_journal(queue, "j1", START + result_record({"seed": 3}))
         assert queue.load_result("j1") == {"seed": 3}
         assert queue.artefact_warnings == []
 
     def test_missing_result_is_silent(self, queue):
         # Not-finished-yet is the normal case, not corruption.
         assert queue.load_result("j1") is None
+        write_journal(queue, "j1", START + finding_record(0))
+        assert queue.load_result("j1") is None
         assert queue.artefact_warnings == []
 
     def test_bit_flipped_result_warns_and_returns_none(self, queue):
-        data = bytearray(json.dumps({"seed": 3}).encode())
-        data[2] ^= 0xFF
-        write_result(queue, "j1", bytes(data))
+        data = bytearray(START + result_record({"seed": 3}))
+        data[-4] ^= 0xFF
+        write_journal(queue, "j1", bytes(data))
         assert queue.load_result("j1") is None
-        assert any("corrupt result file" in warning
+        assert any("corrupt record" in warning
                    for warning in queue.warnings_for_job("j1"))
 
     def test_truncated_result_warns_and_returns_none(self, queue):
-        write_result(queue, "j1",
-                     json.dumps({"seed": 3}).encode()[:-4])
+        write_journal(queue, "j1",
+                      START + result_record({"seed": 3})[:-4])
         assert queue.load_result("j1") is None
         assert len(queue.warnings_for_job("j1")) == 1
 
-    def test_non_object_result_warns(self, queue):
-        write_result(queue, "j1", b"[1, 2, 3]")
+    def test_damage_before_the_result_hides_it(self, queue):
+        # The log ends at its first bad record, whatever follows.
+        data = bytearray(START + finding_record(0))
+        data[-4] ^= 0xFF
+        write_journal(queue, "j1", bytes(data) + result_record({"seed": 3}))
         assert queue.load_result("j1") is None
-        assert any("not a JSON object" in warning
+        assert any("journal-000000.wal" in warning
                    for warning in queue.warnings_for_job("j1"))
 
     def test_warnings_are_deduplicated_across_reads(self, queue):
-        write_result(queue, "j1", b"garbage")
+        write_journal(queue, "j1", b"garbage")
         for _ in range(5):
             queue.load_result("j1")
         assert len(queue.warnings_for_job("j1")) == 1
@@ -107,7 +113,6 @@ class TestApiSurface:
         return ServiceApi(queue, Orchestrator(queue))
 
     def test_artefacts_route_degrades_not_500(self, queue, api):
-        write_result(queue, "j1", b"\xde\xad\xbe\xef")
         write_journal(queue, "j1",
                       finding_record(0) + finding_record(1)[:-3])
         status, payload, _ = api._route("GET", "/jobs/j1/artefacts",
@@ -115,7 +120,8 @@ class TestApiSurface:
         assert status == 200
         assert payload["result"] is None
         assert [f["id"] for f in payload["findings"]] == [0]
-        assert len(payload["warnings"]) == 2
+        # Both readers met the one torn record; it is reported once.
+        assert len(payload["warnings"]) == 1
 
     def test_findings_route_degrades_not_500(self, queue, api):
         write_journal(queue, "j1", b"not a journal at all\n")
@@ -126,7 +132,7 @@ class TestApiSurface:
         assert payload["warnings"]
 
     def test_status_surfaces_artefact_warnings(self, queue, api):
-        write_result(queue, "j1", b"garbage")
+        write_journal(queue, "j1", b"garbage")
         queue.load_result("j1")
         status, payload, _ = api._route("GET", "/status", {}, b"")
         assert status == 200

@@ -15,10 +15,11 @@ import sys
 import time
 from pathlib import Path
 
-from repro.fuzz.durability import CampaignJournal, RetryPolicy
+from repro.fuzz.durability import RetryPolicy
 from repro.service.orchestrator import Orchestrator, shard_spec_for
 from repro.service.queue import JobQueue, JobSpec, result_fingerprint
 from repro.testbench.factory import UdsBenchFactory
+from tests.journals import record_types
 
 from .helpers import register_test_kinds
 
@@ -130,8 +131,8 @@ class TestOrchestratorSigkill:
             # Wait for durable progress: a checkpoint under any job dir
             # proves a worker is mid-run with state worth resuming.
             deadline = time.monotonic() + 60.0
-            while not list(root.glob(
-                    f"jobs/*/{CampaignJournal.CHECKPOINT}")):
+            while not any("checkpoint" in record_types(job)
+                          for job in root.glob("jobs/*")):
                 assert proc.poll() is None, proc.stdout.read().decode()
                 assert time.monotonic() < deadline, \
                     "no checkpoint before the kill"

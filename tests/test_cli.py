@@ -4,14 +4,15 @@ import pytest
 
 from repro.cli import main
 from repro.fuzz.durability import CampaignJournal
+from tests.journals import kill_after_last_checkpoint
 
 
-def start_only_journal(path) -> str:
+def start_only_journal(path, **kind) -> str:
     """A journal directory as a run killed before its first checkpoint
     leaves it: one write-ahead ``start`` record, no checkpoint, no
-    result."""
+    result.  A UDS campaign's start record carries ``kind="uds"``."""
     CampaignJournal(str(path)).append(
-        {"type": "start", "name": "killed", "started_at": 0})
+        {"type": "start", "name": "killed", "started_at": 0, **kind})
     return str(path)
 
 
@@ -102,9 +103,16 @@ class TestFuzzBench:
         capsys.readouterr()
         assert main(argv) == 2
         assert "pass --resume" in capsys.readouterr().err
-        # The single-process mode refuses the sharded run's directory too.
+        # The single-process mode refuses the sharded run's directory too,
+        # and the sharded mode a single-process run's.
         assert main(["fuzz-bench", "--seed", "5", "--max-seconds", "2",
                      "--journal", str(tmp_path / "journal")]) == 2
+        single = str(tmp_path / "single")
+        assert main(["fuzz-bench", "--seed", "5", "--max-seconds", "1",
+                     "--journal", single]) == 1
+        capsys.readouterr()
+        assert main(self.sharded_journal_run(single)) == 2
+        assert "pass --resume" in capsys.readouterr().err
 
     def test_journal_killed_before_its_first_checkpoint_is_occupied(
             self, capsys, tmp_path):
@@ -285,7 +293,7 @@ class TestFuzzUds:
 
     def test_journal_killed_before_its_first_checkpoint_is_occupied(
             self, capsys, tmp_path):
-        journal = start_only_journal(tmp_path / "journal")
+        journal = start_only_journal(tmp_path / "journal", kind="uds")
         argv = ["fuzz-uds", "--seed", "0", "--requests", "300",
                 "--journal", journal]
         assert main(argv) == 2
@@ -295,6 +303,62 @@ class TestFuzzUds:
 
     def test_resume_requires_journal(self, capsys):
         assert main(["fuzz-uds", "--resume"]) == 2
+
+
+class TestJournalOfTheOtherKind:
+    """``--resume`` refuses a journal the other command wrote, whether
+    that run completed or was killed after its last checkpoint."""
+
+    UDS = ["fuzz-uds", "--seed", "3", "--requests", "400",
+           "--checkpoint-every", "50"]
+    BENCH = ["fuzz-bench", "--seed", "3", "--max-seconds", "2",
+             "--checkpoint-every", "500"]
+
+    def refused(self, capsys, tmp_path, write, code, resume, killed):
+        journal = str(tmp_path / "journal")
+        assert main(write + ["--journal", journal]) == code
+        if killed:
+            kill_after_last_checkpoint(journal)
+        capsys.readouterr()
+        assert main(resume + ["--journal", journal, "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("killed", [False, True],
+                             ids=["completed", "killed"])
+    def test_fuzz_bench_refuses_a_uds_journal(self, capsys, tmp_path,
+                                              killed):
+        err = self.refused(capsys, tmp_path, self.UDS, 0, self.BENCH,
+                           killed)
+        assert "'uds' campaign" in err and "'frame' campaign" in err
+
+    @pytest.mark.parametrize("killed", [False, True],
+                             ids=["completed", "killed"])
+    def test_fuzz_uds_refuses_a_frame_journal(self, capsys, tmp_path,
+                                              killed):
+        err = self.refused(capsys, tmp_path, self.BENCH, 1, self.UDS,
+                           killed)
+        assert "'frame' campaign" in err and "'uds' campaign" in err
+
+
+class TestOlderJournalFormat:
+    """A journal directory with the older format's checkpoint or result
+    file is refused with exit 2, in every mode."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["fuzz-bench", "--max-seconds", "1"], "checkpoint.json"),
+        (["fuzz-bench", "--max-seconds", "1", "--shards", "2",
+          "--jobs", "2"], "shard-0001/result.json"),
+        (["fuzz-uds", "--requests", "50"], "result.json"),
+    ], ids=["fuzz-bench", "fuzz-bench-sharded", "fuzz-uds"])
+    def test_refused(self, capsys, tmp_path, argv, name):
+        journal = tmp_path / "journal"
+        (journal / name).parent.mkdir(parents=True)
+        (journal / name).write_text("{}")
+        assert main(argv + ["--journal", str(journal), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert name.split("/")[-1] in err and "fresh directory" in err
 
 
 class TestTable5:
