@@ -846,13 +846,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "are shed with 413 before reading")
     serve.add_argument("--worker-cpu-seconds", type=int, default=0,
                        metavar="SECONDS",
-                       help="RLIMIT_CPU per worker (0 = unlimited); a "
-                            "breach dies by SIGXCPU and is recorded "
-                            "as a fault strike")
+                       help="CPU budget per job, as RLIMIT_CPU on its "
+                            "worker (0 = unlimited); a breach dies by "
+                            "SIGXCPU and is recorded as a fault strike")
     serve.add_argument("--worker-memory-mb", type=int, default=0,
                        metavar="MB",
-                       help="RLIMIT_AS per worker (0 = unlimited); a "
-                            "breach raises MemoryError in the worker")
+                       help="RLIMIT_AS per worker, the same for every "
+                            "job (0 = unlimited); a breach raises "
+                            "MemoryError in the worker")
     serve.add_argument("--job-quota-mb", type=int, default=0,
                        metavar="MB",
                        help="disk quota on each jobs/<id>/ directory, "

@@ -1203,10 +1203,6 @@ class _FrameEngine:
         }
         if plan.jitter_json is not None:
             state["jitter_rng"] = plan.jitter_json
-        plan.journal.append({"type": "progress",
-                             "frames_sent": int(self.sent),
-                             "sim_now": tick,
-                             "findings": len(self.findings)})
         plan.journal.save_checkpoint(state)
 
 

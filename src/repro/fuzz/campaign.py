@@ -78,7 +78,7 @@ class FuzzCampaign:
             continues (power-cycle the SUT, §I.A's "the system is
             reset").
         recent_window: transmit frames remembered for finding context.
-        journal: durable journal findings/progress stream into; a
+        journal: durable journal findings and checkpoints go into; a
             checkpoint is written every ``checkpoint_every`` frames and
             the final result is persisted for :meth:`resume`.
         checkpoint_every: frames between durable checkpoints.
@@ -207,7 +207,8 @@ class FuzzCampaign:
 
     def attach_journal(self, journal: CampaignJournal, *,
                        checkpoint_every: int | None = None) -> None:
-        """Stream this campaign's findings/progress into ``journal``."""
+        """Stream this campaign's findings and checkpoints into
+        ``journal``."""
         self.journal = journal
         if checkpoint_every is not None:
             if checkpoint_every < 1:
@@ -355,10 +356,6 @@ class FuzzCampaign:
     def _write_checkpoint(self) -> None:
         journal = self.journal
         self._next_checkpoint = self.frames_sent + self.checkpoint_every
-        journal.append({"type": "progress",
-                        "frames_sent": self.frames_sent,
-                        "sim_now": self._clock._now,
-                        "findings": len(self._findings)})
         journal.save_checkpoint(self._state_dict())
 
     def _config_rows(self) -> list[tuple[str, str, str]]:

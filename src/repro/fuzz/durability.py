@@ -12,7 +12,7 @@ campaign and the sharded runner build on:
   log always ends on an intact record and never yields phantom
   records.
 - :class:`CampaignJournal` -- the campaign-facing facade over one such
-  log: findings and progress records stream into it as they happen,
+  log: findings and lifecycle records stream into it as they happen,
   and the periodic checkpoints and the final result are records of
   the same log.  Every operation is wrapped in bounded retry with
   exponential backoff (:class:`RetryPolicy`); when the backend stays
@@ -606,7 +606,7 @@ def read_result(store) -> tuple[dict | None, list[str]]:
 class CampaignJournal:
     """Durable state for one campaign: one append-only log.
 
-    Events (start, finding, progress, resume, end), checkpoints and the
+    Events (start, finding, resume, end), checkpoints and the
     result are records of one :class:`WriteAheadJournal`, each written
     with one encoding, one append and one fsync.  On open, the events
     become :attr:`records`, and of the ``checkpoint`` and ``result``
@@ -678,7 +678,7 @@ class CampaignJournal:
 
     # -- write-ahead records -------------------------------------------
     def append(self, record: dict) -> None:
-        """Record an event (finding, progress, lifecycle) durably.
+        """Record an event (a finding or a lifecycle step) durably.
 
         The in-memory mirror is updated first, so even a fully
         degraded journal still knows the complete record stream.

@@ -43,6 +43,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
+import signal
 import time
 import traceback
 from collections import deque
@@ -90,7 +92,9 @@ class ResourceGuards:
     """OS-level resource limits applied inside a worker process.
 
     Crosses the process boundary by pickle and is applied via
-    :meth:`apply` as the first thing a worker does.  Each guard turns
+    :meth:`apply` as the first thing each job does in its worker.  The
+    CPU guard is a budget per job: a reused worker's limit adds the
+    whole seconds of CPU it has already used.  Each guard turns
     a runaway job into a *visible, bounded* failure instead of a hang
     or a host-wide outage: blowing the CPU budget delivers SIGXCPU
     (the worker dies, the parent records a fault strike), blowing the
@@ -130,7 +134,11 @@ class ResourceGuards:
         if self.cpu_seconds is not None:
             try:
                 soft, hard = resource.getrlimit(resource.RLIMIT_CPU)
-                limit = self.cpu_seconds
+                # RLIMIT_CPU counts the whole process: a reused worker
+                # gets the budget on top of its whole seconds so far.
+                usage = resource.getrusage(resource.RUSAGE_SELF)
+                limit = self.cpu_seconds + int(usage.ru_utime
+                                               + usage.ru_stime)
                 if hard != resource.RLIM_INFINITY:
                     limit = min(limit, hard)
                 resource.setrlimit(resource.RLIMIT_CPU, (limit, hard))
@@ -158,10 +166,11 @@ def send(conn, message) -> None:
     """Best-effort send to the supervising process; does nothing when
     ``conn`` is ``None`` (an inline run).
 
-    A dead parent (a SIGKILLed supervisor) breaks the pipe; the worker
-    keeps running as a benign orphan -- everything it does is
+    A dead parent (a SIGKILLed supervisor) breaks the pipe; a busy
+    worker finishes its job as a benign orphan -- everything it does is
     journalled and deterministic, so a restarted supervisor either
-    finds its saved result or re-executes to the identical fingerprint.
+    finds its saved result or re-executes to the identical fingerprint
+    -- and then exits (:func:`worker_main`).
     """
     if conn is not None:
         with contextlib.suppress(OSError):
@@ -183,31 +192,75 @@ def call_body(body: Callable[..., tuple], conn, *args) -> tuple:
         return ("error", traceback.format_exc())
 
 
+#: Seconds an idle worker waits for a task between two checks that its
+#: supervisor is still alive.
+ORPHAN_CHECK_S = 1.0
+
+
 def worker_main(conn, body: Callable[..., tuple], *args) -> None:
-    """Worker process entry point: run ``body`` and send its reply."""
+    """Worker process entry point: run ``body``, send its reply and,
+    after an ``ok`` reply, wait for the next ``(body, args)`` task.
+
+    Any other reply, a stop message (``None``), a broken pipe, or a
+    new parent pid -- the supervisor died -- ends the process.  EOF
+    cannot end it: this worker, and every worker forked after it, holds
+    a copy of this pipe's supervisor end.  SIGTERM gets its default
+    action back, and the signal wakeup fd is dropped: a worker forked
+    from an asyncio supervisor would otherwise ignore SIGTERM and hand
+    it to the supervisor's event loop.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
     try:
-        send(conn, call_body(body, conn, *args))
+        while True:
+            reply = call_body(body, conn, *args)
+            send(conn, reply)
+            task = _next_task(conn, parent) if reply[0] == "ok" else None
+            if task is None:
+                return
+            body, args = task
     finally:
         conn.close()
 
 
+def _next_task(conn, parent: int):
+    """The supervisor's next ``(body, args)``, or ``None`` when the
+    worker should exit."""
+    try:
+        while not conn.poll(ORPHAN_CHECK_S):
+            if os.getppid() != parent:
+                return None
+        return conn.recv()
+    except (EOFError, OSError):
+        return None
+
+
 @dataclass(eq=False)
 class PoolWorker:
-    """One live worker process of a :class:`WorkerPool`."""
+    """One task running on a live worker process of a
+    :class:`WorkerPool`."""
 
     key: Any  # the supervisor's name for the work running here
     process: multiprocessing.process.BaseProcess
     conn: Any
-    started: float  # pool clock reading at spawn
+    started: float  # pool clock reading when the task was handed over
+    #: The last message read was an ``ok`` reply: the process now
+    #: waits for its next task.
+    reusable: bool = False
 
 
 class WorkerPool:
-    """Spawn, read, reap and kill worker processes.
+    """Spawn, reuse, read, reap and kill worker processes.
 
     The process layer of :class:`ShardedCampaign` and the service's
     :class:`~repro.service.orchestrator.Orchestrator`, which keep only
-    their policy.  Every wait on a process is bounded: a worker that
-    outlives its purpose is SIGKILLed after ``terminate_grace``.
+    their policy.  A worker whose last message was an ``ok`` reply
+    outlives its task: :meth:`release` keeps it idle and :meth:`start`
+    hands it the next task, forking only when no idle worker is alive.
+    Every other outcome retires the worker.  Every wait on a process is
+    bounded: a worker that outlives its purpose is SIGKILLed after
+    ``terminate_grace``.  :meth:`close` retires them all.
 
     Args:
         slots: concurrency cap; :meth:`shed` lowers it when the OS
@@ -215,7 +268,7 @@ class WorkerPool:
         mp_context: multiprocessing start-method context (default: the
             platform default, ``fork`` on Linux).
         terminate_grace: seconds a worker gets to exit -- after its
-            last message, or after SIGTERM -- before SIGKILL.
+            stop message, or after SIGTERM -- before SIGKILL.
         clock: monotonic time source for :attr:`PoolWorker.started`.
     """
 
@@ -226,19 +279,44 @@ class WorkerPool:
         self.terminate_grace = terminate_grace
         self.clock = clock
         self._ctx = mp_context or multiprocessing.get_context()
-        #: key -> live worker.
+        #: key -> worker running that task.
         self.workers: dict[Any, PoolWorker] = {}
+        #: Live workers waiting for a task.
+        self.idle: list[PoolWorker] = []
+        #: Processes forked so far.
+        self.spawned = 0
 
     @property
     def free(self) -> bool:
-        """True when another worker fits under the slot cap."""
+        """True when another task fits under the slot cap."""
         return len(self.workers) < self.slots
 
     def start(self, key, body: Callable[..., tuple], *args) -> bool:
-        """Run ``body(conn, *args)`` in a new worker process under
-        ``key``; False when the OS refuses the pipe or the process."""
+        """Run ``body(conn, *args)`` under ``key`` on an idle worker, or
+        else in a new worker process; False when the OS refuses the
+        pipe or the process.
+
+        A task reaches an idle worker pickled.  One that does not pickle
+        retires the idle worker and reaches a new one through the fork,
+        as every first task does.
+        """
+        while self.idle:
+            worker = self.idle.pop()
+            try:
+                if worker.process.is_alive():
+                    worker.conn.send((body, args))
+                    self.workers[key] = PoolWorker(
+                        key=key, process=worker.process, conn=worker.conn,
+                        started=self.clock())
+                    return True
+            except OSError:
+                pass  # it died while idle
+            except (pickle.PicklingError, TypeError, AttributeError):
+                self._retire(worker)
+                break
+            self._retire(worker)
         try:
-            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+            parent_conn, child_conn = self._ctx.Pipe()
         except OSError:
             return False
         try:
@@ -251,13 +329,14 @@ class WorkerPool:
             child_conn.close()
             return False
         child_conn.close()
+        self.spawned += 1
         self.workers[key] = PoolWorker(key=key, process=process,
                                        conn=parent_conn,
                                        started=self.clock())
         return True
 
     def wait(self, timeout: float | None) -> list[PoolWorker]:
-        """Block up to ``timeout`` seconds until some worker has a
+        """Block up to ``timeout`` seconds until some busy worker has a
         message (or a closed pipe) to read; returns those workers."""
         ready = set(_connection_wait(
             [worker.conn for worker in self.workers.values()],
@@ -275,7 +354,7 @@ class WorkerPool:
         if not worker.conn.poll():
             return None
         try:
-            return worker.conn.recv()
+            message = worker.conn.recv()
         except (EOFError, OSError):
             self.release(worker)
             return ("crashed",
@@ -283,26 +362,50 @@ class WorkerPool:
                     f"{worker.process.exitcode}, "
                     f"{self.clock() - worker.started:.1f} s after "
                     f"launch)")
+        worker.reusable = message[0] == "ok"
+        return message
 
     def release(self, worker: PoolWorker) -> None:
-        """Forget a worker that is done and reap its process, SIGKILLing
-        it if it has not exited within ``terminate_grace``.  Releasing
-        a released worker does nothing."""
-        self.workers.pop(worker.key, None)
-        with contextlib.suppress(OSError):
-            worker.conn.close()
-        worker.process.join(timeout=self.terminate_grace)
-        if worker.process.is_alive():
-            worker.process.kill()
-            worker.process.join()
+        """Forget a task that is done.  Its worker stays idle when its
+        last message was an ``ok`` reply, and is retired otherwise.
+        Releasing a released task does nothing."""
+        if self.workers.get(worker.key) is not worker:
+            return
+        del self.workers[worker.key]
+        if worker.reusable:
+            self.idle.append(worker)
+        else:
+            self._retire(worker)
 
     def stop(self, worker: PoolWorker) -> str | None:
         """Kill a worker and release it.  Returns the escalation note
         when SIGTERM was not enough (see :func:`terminate_and_reap`)."""
         note = terminate_and_reap(worker.process,
                                   grace=self.terminate_grace)
+        worker.reusable = False
         self.release(worker)
         return note
+
+    def close(self) -> None:
+        """Stop every busy worker (:meth:`stop`) and retire every idle
+        one; the pool forks afresh if used again."""
+        for worker in list(self.workers.values()):
+            self.stop(worker)
+        idle, self.idle = self.idle, []
+        self._retire(*idle)
+
+    def _retire(self, *workers: PoolWorker) -> None:
+        """Send each worker the stop message, then close its pipe and
+        reap it, SIGKILLing any still alive after ``terminate_grace``."""
+        for worker in workers:
+            send(worker.conn, None)
+        for worker in workers:
+            with contextlib.suppress(OSError):
+                worker.conn.close()
+            worker.process.join(timeout=self.terminate_grace)
+            if worker.process.is_alive():
+                worker.process.kill()
+                worker.process.join()
 
     def shed(self) -> bool:
         """Apply the spawn-refusal rule after :meth:`start` failed.
@@ -315,7 +418,7 @@ class WorkerPool:
         return not self.workers
 
     def pids(self) -> dict:
-        """key -> OS pid of each live worker."""
+        """key -> OS pid of each busy worker."""
         return {key: worker.process.pid
                 for key, worker in self.workers.items()}
 
@@ -704,7 +807,7 @@ class ShardedCampaign:
             in the chunk (the parent cannot tell which one caused it),
             and each shard that faulted retries alone.
         terminate_grace: seconds a worker gets to exit -- after its
-            result, or after SIGTERM -- before SIGKILL.
+            stop message, or after SIGTERM -- before SIGKILL.
     """
 
     def __init__(self, factory: CampaignFactory, *, shards: int,
@@ -849,9 +952,11 @@ class ShardedCampaign:
         except OSError:
             return ""
         for record in reversed(records):
-            if "frames_sent" in record:
-                return (f", last journaled frames_sent="
-                        f"{record['frames_sent']}")
+            if record.get("type") == "checkpoint":
+                state = record["state"]
+                sent = ("requests_sent" if "requests_sent" in state
+                        else "frames_sent")
+                return f", last journaled {sent}={state[sent]}"
         return ", no journaled progress"
 
     # ------------------------------------------------------------------
@@ -887,9 +992,15 @@ class ShardedCampaign:
     # ------------------------------------------------------------------
     def run(self) -> ShardedResult:
         """Execute all shards across worker processes and merge."""
-        started = time.perf_counter()
         pool = WorkerPool(self.jobs, mp_context=self._mp_context,
                           terminate_grace=self.terminate_grace)
+        try:
+            return self._run(pool)
+        finally:
+            pool.close()
+
+    def _run(self, pool: WorkerPool) -> ShardedResult:
+        started = time.perf_counter()
         outcomes: dict[int, ShardOutcome] = {}
         failures: dict[int, ShardFailure] = {}
         fault_log: dict[int, list[str]] = {

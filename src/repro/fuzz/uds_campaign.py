@@ -132,7 +132,8 @@ class UdsFuzzCampaign:
 
     def attach_journal(self, journal: CampaignJournal, *,
                        checkpoint_every: int | None = None) -> None:
-        """Stream this campaign's findings/progress into ``journal``."""
+        """Stream this campaign's findings and checkpoints into
+        ``journal``."""
         self.journal = journal
         if checkpoint_every is not None:
             if checkpoint_every < 1:
@@ -195,6 +196,7 @@ class UdsFuzzCampaign:
         if journal is not None:
             journal.append({"type": "end",
                             "requests_sent": self.requests_sent,
+                            "findings": len(self._findings),
                             "stop_reason": self._stop_reason})
             journal.save_result(result.to_dict())
         return result
@@ -274,10 +276,6 @@ class UdsFuzzCampaign:
         if not self._quiescent():
             return  # defer to the next request boundary
         self._next_checkpoint = self.requests_sent + self.checkpoint_every
-        self.journal.append({"type": "progress",
-                             "requests_sent": self.requests_sent,
-                             "sim_now": self.sim.now,
-                             "findings": len(self._findings)})
         self.journal.save_checkpoint(self._state_dict())
 
     def _quiescent(self) -> bool:

@@ -165,6 +165,11 @@ class ServiceApi:
             writer.write(("\r\n".join(head) + "\r\n\r\n")
                          .encode("latin-1") + body)
             await writer.drain()
+            # End the response with a FIN now: a worker forked while
+            # this connection was open holds a copy of the socket for
+            # as long as it lives, and close() alone sends nothing
+            # while any copy is open.
+            writer.write_eof()
         except (ConnectionError, OSError):
             pass
         finally:

@@ -3,12 +3,13 @@
 The service's control loop.  Each tick it (1) drains worker messages
 -- heartbeats renew leases, results complete jobs, tracebacks fault
 them; (2) expires leases whose workers went silent, killing wedged
-survivors; (3) grants leases for pending jobs onto fresh workers,
-honouring per-job jittered backoff after faults.  The worker processes
-themselves -- spawning, reading, bounded reaping, SIGTERM-then-SIGKILL,
-degrading to fewer slots (ultimately inline execution) when the OS
-refuses processes -- are the :class:`~repro.fuzz.parallel.WorkerPool`
-that :class:`~repro.fuzz.parallel.ShardedCampaign` uses too.
+survivors; (3) grants leases for pending jobs onto idle or fresh
+workers, honouring per-job jittered backoff after faults.  The worker
+processes themselves -- spawning, reuse after a clean reply, reading,
+bounded reaping, SIGTERM-then-SIGKILL, degrading to fewer slots
+(ultimately inline execution) when the OS refuses processes -- are the
+:class:`~repro.fuzz.parallel.WorkerPool` that
+:class:`~repro.fuzz.parallel.ShardedCampaign` uses too.
 
 The crash-handoff guarantee rests on three existing pieces: every job
 runs inside its own :class:`~repro.fuzz.durability.CampaignJournal`
@@ -106,13 +107,14 @@ def shard_spec_for(spec: JobSpec) -> ShardSpec:
 # ----------------------------------------------------------------------
 
 class _HeartbeatJournal(CampaignJournal):
-    """A campaign journal whose appends double as lease heartbeats.
+    """A campaign journal whose writes double as lease heartbeats.
 
-    Campaigns already append progress records every
-    ``checkpoint_every`` frames and write-ahead every finding; piggy-
-    backing heartbeats on those appends means a worker heartbeats
-    exactly as often as it proves durable progress -- a wedged
-    campaign cannot fake liveness.  Must be a real
+    Campaigns write a checkpoint every ``checkpoint_every`` frames and
+    write-ahead every finding; piggy-backing heartbeats on those writes
+    (and on the start, resume and end records) means a worker
+    heartbeats exactly as often as it proves durable progress -- a
+    wedged campaign cannot fake liveness.  Each heartbeat carries the
+    campaign's finding count so far.  Must be a real
     :class:`CampaignJournal` subclass: :func:`resume_campaign` wraps
     anything else in a fresh journal and the heartbeats would vanish.
     """
@@ -121,20 +123,36 @@ class _HeartbeatJournal(CampaignJournal):
                  retry: RetryPolicy | None = None) -> None:
         super().__init__(store, retry=retry)
         self._conn = conn
+        self._findings = 0
 
     def append(self, record: dict) -> None:
         super().append(record)
-        if record.get("type") in ("start", "resume", "progress",
-                                  "finding", "end"):
-            # Frame campaigns count frames_sent, UDS campaigns
-            # requests_sent; normalise for the status API.
-            sent = record.get("frames_sent",
-                              record.get("requests_sent", 0))
-            send(self._conn, ("heartbeat", {
-                "frames_sent": sent,
-                "findings": record.get("findings", 0),
-                "phase": record.get("type"),
-            }))
+        kind = record.get("type")
+        if kind == "start":
+            self._findings = 0
+        elif kind == "resume":
+            # The run continues from the checkpoint found at open.
+            self._findings = len(self.load_checkpoint()["findings"])
+        elif kind == "finding":
+            self._findings += 1
+        elif kind == "end":
+            self._findings = record["findings"]
+        else:
+            return
+        self._heartbeat(kind, record)
+
+    def save_checkpoint(self, state: dict) -> None:
+        super().save_checkpoint(state)
+        self._findings = len(state["findings"])
+        self._heartbeat("checkpoint", state)
+
+    def _heartbeat(self, phase: str, source: dict) -> None:
+        # Frame campaigns count frames_sent, UDS campaigns
+        # requests_sent; normalise for the status API.
+        sent = source.get("frames_sent", source.get("requests_sent", 0))
+        send(self._conn, ("heartbeat", {"frames_sent": sent,
+                                        "findings": self._findings,
+                                        "phase": phase}))
 
 
 def _run_job(conn, factory, spec: ShardSpec, journal_dir: str,
@@ -191,7 +209,7 @@ class Orchestrator:
         poll_interval: the longest wait between two ticks of the
             control loop; a tick comes sooner when a worker reports.
         terminate_grace: seconds a worker gets to exit -- after its
-            result, or after SIGTERM -- before SIGKILL (see
+            stop message, or after SIGTERM -- before SIGKILL (see
             :class:`~repro.fuzz.parallel.WorkerPool`).
         mp_context: multiprocessing start-method context.
         clock: monotonic time source (tests inject a fake to step
@@ -326,23 +344,29 @@ class Orchestrator:
 
     def run_until_idle(self, timeout: float = 120.0) -> None:
         """Synchronous drive for tests: tick until the queue drains,
-        waiting between ticks as :meth:`run` does."""
+        waiting between ticks as :meth:`run` does, then shut down as
+        :meth:`run` does."""
         deadline = time.monotonic() + timeout
-        self.tick()
-        while not self.queue.idle():
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"queue not idle after {timeout:.0f} s: "
-                    f"{self.queue.counters()}")
-            if self.pool.workers:
-                self.pool.wait(self.poll_interval)
-            else:
-                time.sleep(self.poll_interval)
+        try:
             self.tick()
+            while not self.queue.idle():
+                if time.monotonic() > deadline:
+                    raise TimeoutError(
+                        f"queue not idle after {timeout:.0f} s: "
+                        f"{self.queue.counters()}")
+                if self.pool.workers:
+                    self.pool.wait(self.poll_interval)
+                else:
+                    time.sleep(self.poll_interval)
+                self.tick()
+        finally:
+            self.shutdown()
 
     def shutdown(self, note: str = "orchestrator shutdown: "
                                    "job requeued, not faulted") -> None:
-        """Stop every worker and requeue its job without a strike."""
+        """Stop every busy worker and requeue its job without a strike,
+        then retire the idle workers (the pool forks afresh if the
+        orchestrator ticks again)."""
         for worker in list(self.pool.workers.values()):
             job_id, worker_id = worker.key
             escalation = self.pool.stop(worker)
@@ -352,6 +376,7 @@ class Orchestrator:
             job = self.queue.get(job_id)
             if job is not None and job.state == "leased":
                 self.queue.requeue(job_id, note, fault=False)
+        self.pool.close()
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -368,6 +393,8 @@ class Orchestrator:
                 "configured": self.configured_workers,
                 "slots": self.pool.slots,
                 "busy": len(self.pool.workers),
+                "idle": len(self.pool.idle),
+                "spawned": self.pool.spawned,
                 "pids": self.worker_pids(),
             },
             "leases": self.leases.stats(),
@@ -459,8 +486,8 @@ class Orchestrator:
                 return
 
     def _start(self, job) -> bool:
-        """Lease one job onto a fresh worker; False when the OS refused
-        the process (caller stops launching this tick)."""
+        """Lease one job onto an idle or a fresh worker; False when the
+        OS refused the process (caller stops launching this tick)."""
         spec = job.spec
         try:
             factory = build_factory(spec)

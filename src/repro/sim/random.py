@@ -10,26 +10,38 @@ other component.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import random
+import struct
 
 
 def rng_state_to_json(state: tuple) -> list:
     """``random.Random.getstate()`` as a JSON-ready value.
 
-    The CPython state is ``(version, tuple_of_ints, gauss_next)``;
-    tuples become lists on the way out and are rebuilt by
+    The CPython state is ``(version, tuple_of_ints, gauss_next)``: 624
+    Mersenne Twister words and a position, all below 2**32.  They are
+    written as one base64 string of little-endian uint32 words, about
+    half the size of a JSON list of the same ints, and rebuilt by
     :func:`rng_state_from_json`.  Durable checkpoints store these so a
     resumed campaign draws the exact frame stream the killed run would
     have drawn.
     """
     version, internal, gauss_next = state
-    return [version, list(internal), gauss_next]
+    words = struct.pack(f"<{len(internal)}I", *internal)
+    return [version, base64.b64encode(words).decode("ascii"), gauss_next]
 
 
 def rng_state_from_json(payload: list) -> tuple:
-    """Inverse of :func:`rng_state_to_json`, ready for ``setstate``."""
+    """Inverse of :func:`rng_state_to_json`, ready for ``setstate``.
+
+    Also reads the older form, a JSON list of the ints, so a checkpoint
+    written before the compact form still resumes.
+    """
     version, internal, gauss_next = payload
+    if isinstance(internal, str):
+        words = base64.b64decode(internal)
+        internal = struct.unpack(f"<{len(words) // 4}I", words)
     return (version, tuple(internal), gauss_next)
 
 

@@ -58,7 +58,10 @@ class TestDiskQuota:
                     reason="rlimits are POSIX-only")
 class TestCpuGuard:
     def test_cpu_hog_dies_by_sigxcpu_and_strikes_out(self, tmp_path):
+        # The healthy job runs first, so the hog's first attempt runs
+        # on the worker it left idle; the retry forks a new one.
         queue = JobQueue(tmp_path)
+        queue.submit(job_id="ok", kind="uds", seed=1, max_frames=40)
         queue.submit(job_id="spin", kind="hog", seed=1, max_frames=40,
                      params={"mode": "cpu"})
         orch = Orchestrator(
@@ -67,18 +70,24 @@ class TestCpuGuard:
             terminate_grace=1.0, lease_duration=30.0,
             resource_guards=ResourceGuards(cpu_seconds=1))
         orch.run_until_idle(timeout=90.0)
+        assert queue.get("ok").state == "completed"
         job = queue.get("spin")
         assert job.state == "quarantined"
-        # SIGXCPU kills the worker outright: a crash strike, not a
-        # wedge waiting out the lease.
-        assert any("crashed" in note for note in job.faults)
+        # SIGXCPU kills the worker outright, reused or fresh: a crash
+        # strike, not a wedge waiting out the lease.
+        assert len(job.faults) == 2
+        assert all("crashed" in note for note in job.faults)
+        assert orch.status()["workers"]["spawned"] == 2
 
     def test_guards_leave_a_healthy_job_alone(self, tmp_path):
         queue = JobQueue(tmp_path)
-        queue.submit(job_id="ok", kind="uds", seed=1, max_frames=40)
+        for job_id in ("ok", "again"):
+            queue.submit(job_id=job_id, kind="uds", seed=1, max_frames=40)
         orch = Orchestrator(
             queue, workers=1, checkpoint_every=10, backoff=EAGER,
             poll_interval=0.01,
             resource_guards=ResourceGuards(cpu_seconds=60))
         orch.run_until_idle(timeout=60.0)
         assert queue.get("ok").state == "completed"
+        assert queue.get("again").state == "completed"
+        assert orch.status()["workers"]["spawned"] == 1

@@ -1,6 +1,7 @@
 """Per-layer injectors and guards: clock, storage, quota, rlimits."""
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -164,3 +165,24 @@ class TestResourceGuards:
         process.join()
         assert soft == 60
         assert any("RLIMIT_CPU" in note for note in notes)
+
+    def test_cpu_limit_adds_the_whole_seconds_already_used(self):
+        # A reused worker that has used 5.5 s of CPU gets 60 more.
+        resource = pytest.importorskip("resource")
+        import multiprocessing
+
+        def probe(conn):
+            resource.getrusage = lambda who: SimpleNamespace(
+                ru_utime=4.6, ru_stime=0.9)
+            ResourceGuards(cpu_seconds=60).apply()
+            conn.send(resource.getrlimit(resource.RLIMIT_CPU)[0])
+            conn.close()
+
+        parent, child = multiprocessing.Pipe(duplex=False)
+        process = multiprocessing.get_context("fork").Process(
+            target=probe, args=(child,))
+        process.start()
+        child.close()
+        soft = parent.recv()
+        process.join()
+        assert soft == 65

@@ -47,3 +47,15 @@ class RefusingContext:
 def refusing_mp_context() -> RefusingContext:
     """An ``mp_context`` whose every worker spawn is refused."""
     return RefusingContext()
+
+
+@pytest.fixture
+def no_worker_left_behind():
+    """Fail a test that leaves a worker process running.  What is left
+    is killed and reaped first, so the next test starts clean."""
+    yield
+    left = multiprocessing.active_children()
+    for process in left:
+        process.kill()
+        process.join()
+    assert not left, f"worker processes left running: {left}"

@@ -32,7 +32,12 @@ from repro.fuzz.parallel import ShardedCampaign, ShardSpec
 from repro.sim.clock import MS, SECOND
 from repro.sim.kernel import Simulator
 from repro.testbench.factory import UnlockBenchFactory
-from tests.journals import record_types
+from tests.journals import record_types, rewrite_in_older_format
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_left(no_worker_left_behind):
+    """No test here may leave a worker process running."""
 
 
 def _build_tiny_campaign() -> FuzzCampaign:
@@ -89,6 +94,21 @@ class TestCampaignResume:
                                           _build_tiny_campaign)
             assert resumed.to_json() == baseline.to_json(), case
 
+    def test_log_in_the_older_rng_encoding_resumes(self, tmp_path):
+        # A log written before the compact RNG encoding: the RNG words
+        # are JSON lists of ints, and a progress record precedes each
+        # checkpoint.  Resuming it still matches the uninterrupted run.
+        baseline = _build_tiny_campaign().run()
+        campaign = _build_tiny_campaign()
+        campaign.attach_journal(CampaignJournal(tmp_path),
+                                checkpoint_every=100)
+        self._crash_at(campaign, 250 * MS)
+        with pytest.raises(_SimulatedCrash):
+            campaign.run()
+        rewrite_in_older_format(tmp_path)
+        resumed = FuzzCampaign.resume(tmp_path, _build_tiny_campaign)
+        assert resumed.to_json() == baseline.to_json()
+
     def test_completed_run_resumes_without_rebuilding(self, tmp_path):
         campaign = _build_tiny_campaign()
         campaign.attach_journal(CampaignJournal(tmp_path))
@@ -116,7 +136,7 @@ class TestCampaignResume:
         kinds = [record["type"] for record in journal.records]
         assert kinds[0] == "start"
         assert kinds[-1] == "end"
-        assert kinds.count("progress") >= 3
+        assert record_types(tmp_path).count("checkpoint") >= 3
         # The journal survives a reopen byte-for-byte.
         assert CampaignJournal(tmp_path).records == journal.records
 

@@ -1,13 +1,18 @@
 """Tests for the sharded parallel campaign runner."""
 
+import asyncio
+import contextlib
 import hashlib
 import json
 import os
 import random
 import signal
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,7 @@ from repro.fuzz.parallel import (
     ShardedCampaign,
     ShardedResult,
     ShardSpec,
+    WorkerPool,
     derive_shard_seed,
     slice_limits,
 )
@@ -111,6 +117,42 @@ class LingerFactory:
 
 
 SMALL = CampaignLimits(max_frames=400, stop_on_finding=False)
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_left(no_worker_left_behind):
+    """No test here may leave a worker process running."""
+
+
+# Worker bodies for the pool tests (module level, so they pickle).
+def pid_body(conn, value=None) -> tuple:
+    return (os.getpid(), value)
+
+
+def raise_body(conn) -> tuple:
+    raise ValueError("deliberate body fault")
+
+
+def exit_body(conn) -> tuple:
+    os._exit(3)
+
+
+def sleep_body(conn) -> tuple:
+    time.sleep(60)
+    return ()
+
+
+def run_task(pool: WorkerPool, key, body, *args):
+    """Start one task, wait for its reply, release it; returns
+    ``(worker, reply)``."""
+    assert pool.start(key, body, *args)
+    worker = pool.workers[key]
+    deadline = time.monotonic() + 30
+    while (reply := pool.receive(worker)) is None:
+        assert time.monotonic() < deadline, "no reply within 30 s"
+        pool.wait(1.0)
+    pool.release(worker)
+    return worker, reply
 
 
 class TestSeedDerivation:
@@ -365,3 +407,145 @@ class TestRetryReport:
         report = merged.retry_report()
         assert report["shard_retries"]["0"] == 2  # initial + 1 retry
         assert report["total_retries"] == 2
+
+
+class TestWorkerReuse:
+    def test_clean_reply_keeps_the_worker_for_the_next_task(self):
+        pool = WorkerPool(1)
+        try:
+            first, reply = run_task(pool, "a", pid_body)
+            assert pool.idle == [first]
+            _, again = run_task(pool, "b", pid_body, "second")
+            assert again == ("ok", reply[1], "second")
+            assert pool.spawned == 1
+        finally:
+            pool.close()
+        assert not pool.idle
+        assert not first.process.is_alive()
+
+    @pytest.mark.parametrize("outcome", ["error", "crashed", "stopped"])
+    def test_faulted_worker_is_never_handed_another_task(self, outcome):
+        """An error reply, a crash, or a stop (a lease expiry, a
+        deadline) retires the worker: the next task gets a new one."""
+        pool = WorkerPool(1)
+        try:
+            if outcome == "stopped":
+                assert pool.start("bad", sleep_body)
+                bad = pool.workers["bad"]
+                pool.stop(bad)
+            else:
+                body = raise_body if outcome == "error" else exit_body
+                bad, reply = run_task(pool, "bad", body)
+                assert reply[0] == outcome
+            assert not bad.process.is_alive()
+            assert not pool.idle
+            _, reply = run_task(pool, "next", pid_body)
+            assert reply[1] != bad.process.pid
+            assert pool.spawned == 2
+        finally:
+            pool.close()
+
+    def test_retiring_a_worker_takes_well_under_terminate_grace(self):
+        pool = WorkerPool(2, terminate_grace=5.0)
+        try:
+            run_task(pool, "idle", pid_body)
+            assert pool.start("bad", raise_body) and pool.start("ok",
+                                                                pid_body)
+            started = time.monotonic()
+            for key in ("bad", "ok"):
+                worker = pool.workers[key]
+                while pool.receive(worker) is None:
+                    pool.wait(1.0)
+                pool.release(worker)
+            assert len(pool.idle) == 1
+            pool.close()
+            assert time.monotonic() - started < 1.0
+        finally:
+            pool.close()
+
+    def test_sigterm_ends_a_worker_of_an_asyncio_supervisor(self):
+        # A worker forked under an event loop's SIGTERM handler dies by
+        # SIGTERM, and the signal does not reach the supervisor's loop.
+        async def scenario() -> bool:
+            stop = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            loop.add_signal_handler(signal.SIGTERM, stop.set)
+            pool = WorkerPool(1, terminate_grace=5.0)
+            try:
+                run_task(pool, "a", pid_body)
+                assert pool.start("b", sleep_body)
+                started = time.monotonic()
+                assert pool.stop(pool.workers["b"]) is None
+                assert time.monotonic() - started < 1.0
+                await asyncio.sleep(0.1)
+                return stop.is_set()
+            finally:
+                loop.remove_signal_handler(signal.SIGTERM)
+                pool.close()
+
+        assert asyncio.run(scenario()) is False
+
+    def test_a_task_that_does_not_pickle_reaches_a_fresh_fork(self):
+        pool = WorkerPool(1)
+        try:
+            first, _ = run_task(pool, "a", pid_body)
+            _, reply = run_task(pool, "b", pid_body, lambda: None)
+            assert reply[1] != first.process.pid
+            assert not first.process.is_alive()
+            assert pool.spawned == 2
+        finally:
+            pool.close()
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` is a live process (a zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+_SUPERVISOR_SCRIPT = """
+import json, os, time
+from repro.fuzz.parallel import WorkerPool
+
+def body(conn):
+    return (os.getpid(),)
+
+pool = WorkerPool(2)
+for key in ("a", "b"):
+    pool.start(key, body)
+pids = []
+for worker in list(pool.workers.values()):
+    while (reply := pool.receive(worker)) is None:
+        pool.wait(1.0)
+    pids.append(reply[1])
+    pool.release(worker)
+print(json.dumps(pids), flush=True)
+time.sleep(60)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_idle_workers_exit_when_their_supervisor_is_killed():
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-c", _SUPERVISOR_SCRIPT],
+                            env=env, stdout=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        pids = json.loads(proc.stdout.readline())
+        assert len(pids) == 2 and all(map(_running, pids))
+        proc.kill()  # the supervisor alone: its idle workers live on
+        proc.wait()
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)):
+            assert time.monotonic() < deadline, \
+                "idle workers outlived their supervisor by 10 s"
+            time.sleep(0.1)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        proc.stdout.close()

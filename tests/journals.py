@@ -9,7 +9,9 @@ later findings, no ``end`` and no ``result`` record.
 from itertools import accumulate
 from pathlib import Path
 
-from repro.fuzz.durability import DirectoryStore, parse_records, scan_records
+from repro.fuzz.durability import (DirectoryStore, encode_record,
+                                   parse_records, scan_records)
+from repro.sim.random import rng_state_from_json
 
 
 def record_types(directory) -> list[str]:
@@ -40,3 +42,32 @@ def kill_after_last_checkpoint(directory) -> None:
     store.truncate(segments[position], size)
     for name in segments[position + 1:]:
         store.remove(name)
+
+
+def rewrite_in_older_format(directory) -> None:
+    """Rewrite the log in ``directory`` as the code before the compact
+    RNG encoding wrote it: a checkpoint's RNG states (the campaign's
+    jitter stream, the generator's stream) hold their words as a JSON
+    list of ints, and a ``progress`` record precedes each checkpoint."""
+    store = DirectoryStore(directory)
+    rewritten = 0
+    for name in sorted(n for n in store.list() if n.endswith(".wal")):
+        records, _, _ = parse_records(store.read(name))
+        data = b""
+        for record in records:
+            if record.get("type") == "checkpoint":
+                state = record["state"]
+                data += encode_record({
+                    "type": "progress", "frames_sent": state["frames_sent"],
+                    "sim_now": state["sim_now"],
+                    "findings": len(state["findings"])})
+                for holder, key in ((state, "jitter_rng"),
+                                    (state.get("generator", {}), "rng")):
+                    if key in holder:
+                        version, words, gauss_next = rng_state_from_json(
+                            holder[key])
+                        holder[key] = [version, list(words), gauss_next]
+                        rewritten += 1
+            data += encode_record(record)
+        store.replace(name, data)
+    assert rewritten, f"no RNG state in a checkpoint of {directory}"

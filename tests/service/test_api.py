@@ -207,3 +207,33 @@ class TestSocket:
             await api.close()
 
         asyncio.run(drive())
+
+    def test_response_ends_while_a_worker_holds_the_socket(self, tmp_path):
+        # A worker forked while a connection is open holds a copy of its
+        # socket and, idle after its job, outlives the response: the
+        # client must still read EOF at the end of the response.
+        queue = JobQueue(tmp_path)
+        queue.submit(job_id="a", kind="uds", seed=7, max_frames=50)
+        orch = Orchestrator(queue, workers=1)
+        api = ServiceApi(queue, orch)
+
+        async def drive():
+            host, port = await api.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                await asyncio.sleep(0.05)  # the server accepts it
+                while queue.get("a").state != "completed":
+                    orch.tick()  # forks the worker, then reads its reply
+                    await asyncio.sleep(0.02)
+                assert orch.status()["workers"]["idle"] == 1
+                writer.write(b"GET /status HTTP/1.1\r\nHost: x\r\n\r\n")
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(), timeout=5.0)
+                writer.close()
+                await writer.wait_closed()
+                assert raw.startswith(b"HTTP/1.1 200")
+            finally:
+                orch.shutdown()
+                await api.close()
+
+        asyncio.run(drive())

@@ -60,9 +60,20 @@ class TestCompletion:
         assert queue.load_result("a")["findings"], \
             "seed 7 finds the liveness bug in 400 frames"
 
-    def test_heartbeats_surface_progress(self, tmp_path):
+    def test_heartbeats_surface_progress(self, tmp_path, monkeypatch):
+        # The bench's seed-0 job-0000: a keep-going UDS job that finds
+        # the liveness bug five times in 200 requests.
         queue = JobQueue(tmp_path)
-        queue.submit(job_id="a", kind="uds", seed=7, max_frames=400)
+        queue.submit(job_id="a", kind="uds", seed=827307999,
+                     max_frames=200, stop_on_finding=False)
+        beats = []
+        update = queue.update_progress
+
+        def record(job_id: str, payload: dict) -> None:
+            beats.append(dict(payload))
+            update(job_id, payload)
+
+        monkeypatch.setattr(queue, "update_progress", record)
         orch = Orchestrator(queue, workers=1, checkpoint_every=50,
                             backoff=EAGER)
         orch.run_until_idle(timeout=60.0)
@@ -70,6 +81,11 @@ class TestCompletion:
         assert job.progress.get("phase") == "end"
         assert job.progress.get("frames_sent", 0) > 0
         assert orch.leases.stats()["renewed"] > 0
+        # The finding count never falls within the run and ends at the
+        # result's count, so GET /jobs/<id> shows one number twice.
+        counts = [beat["findings"] for beat in beats if "findings" in beat]
+        assert counts == sorted(counts)
+        assert counts[-1] == len(queue.load_result("a")["findings"]) == 5
 
     def test_keep_going_unlock_job_matches_its_reference_twin(self,
                                                               tmp_path):
@@ -89,6 +105,26 @@ class TestCompletion:
         assert [f.oracle for f in want.findings] == ["unlock-ack", "led"]
         assert want.stop_reason == "frame limit reached"
         assert job.fingerprint == result_fingerprint(want.to_dict())
+
+    def test_one_worker_runs_every_job(self, tmp_path):
+        # One slot drains mixed jobs on one reused process, and each
+        # result still equals its reference twin: a job's result does
+        # not depend on what the process ran before.
+        jobs = [dict(job_id=f"j{i}", kind=("uds", "unlock")[i % 2],
+                     seed=100 + i, max_frames=(200, 2000)[i % 2],
+                     stop_on_finding=False) for i in range(6)]
+        queue = JobQueue(tmp_path)
+        for fields in jobs:
+            queue.submit(**fields)
+        orch = Orchestrator(queue, workers=1, backoff=EAGER)
+        orch.run_until_idle(timeout=120.0)
+        for fields in jobs:
+            spec = JobSpec(**fields)
+            want = build_factory(spec)(shard_spec_for(spec))._execute(None)
+            assert queue.get(spec.job_id).fingerprint == \
+                result_fingerprint(want.to_dict()), spec.job_id
+        workers = orch.status()["workers"]
+        assert (workers["spawned"], workers["idle"]) == (1, 0)
 
     def test_status_is_json_ready(self, tmp_path):
         import json
