@@ -166,11 +166,11 @@ def send(conn, message) -> None:
     """Best-effort send to the supervising process; does nothing when
     ``conn`` is ``None`` (an inline run).
 
-    A dead parent (a SIGKILLed supervisor) breaks the pipe; a busy
-    worker finishes its job as a benign orphan -- everything it does is
+    A dead parent (a SIGKILLed supervisor) leaves a busy worker running:
+    it finishes its job as a benign orphan -- everything it does is
     journalled and deterministic, so a restarted supervisor either
     finds its saved result or re-executes to the identical fingerprint
-    -- and then exits (:func:`worker_main`).
+    -- and then exits (:func:`worker_main`).  Its reply goes unread.
     """
     if conn is not None:
         with contextlib.suppress(OSError):
@@ -202,16 +202,19 @@ def worker_main(conn, body: Callable[..., tuple], *args) -> None:
     after an ``ok`` reply, wait for the next ``(body, args)`` task.
 
     Any other reply, a stop message (``None``), a broken pipe, or a
-    new parent pid -- the supervisor died -- ends the process.  EOF
-    cannot end it: this worker, and every worker forked after it, holds
-    a copy of this pipe's supervisor end.  SIGTERM gets its default
-    action back, and the signal wakeup fd is dropped: a worker forked
-    from an asyncio supervisor would otherwise ignore SIGTERM and hand
-    it to the supervisor's event loop.
+    parent pid other than the supervisor's -- the supervisor died --
+    ends the process.  The supervisor's pid is the one recorded when it
+    created this process, so a supervisor that died before this
+    function ran still counts.  EOF cannot end it: this worker, and
+    every worker forked after it, holds a copy of this pipe's
+    supervisor end.  SIGTERM gets its default action back, and the
+    signal wakeup fd is dropped: a worker forked from an asyncio
+    supervisor would otherwise ignore SIGTERM and hand it to the
+    supervisor's event loop.
     """
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    parent = os.getppid()
+    parent = multiprocessing.parent_process().pid
     try:
         while True:
             reply = call_body(body, conn, *args)

@@ -507,42 +507,47 @@ def _running(pid: int) -> bool:
 
 
 _SUPERVISOR_SCRIPT = """
-import json, os, time
+import json, os, sys, time
 from repro.fuzz.parallel import WorkerPool
 
 def body(conn):
-    return (os.getpid(),)
+    return ()
 
+if sys.argv[1] == "starting":
+    # Hold each worker back right after its fork, so that its
+    # supervisor is dead before any of the worker's own code runs.
+    os.register_at_fork(after_in_child=lambda: time.sleep(1.0))
 pool = WorkerPool(2)
 for key in ("a", "b"):
     pool.start(key, body)
-pids = []
-for worker in list(pool.workers.values()):
-    while (reply := pool.receive(worker)) is None:
-        pool.wait(1.0)
-    pids.append(reply[1])
-    pool.release(worker)
+pids = list(pool.pids().values())
+if sys.argv[1] == "idle":
+    for worker in list(pool.workers.values()):
+        while pool.receive(worker) is None:
+            pool.wait(1.0)
+        pool.release(worker)
 print(json.dumps(pids), flush=True)
 time.sleep(60)
 """
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
-def test_idle_workers_exit_when_their_supervisor_is_killed():
+@pytest.mark.parametrize("phase", ["idle", "starting"])
+def test_workers_exit_when_their_supervisor_is_killed(phase):
     src = Path(__file__).resolve().parents[2] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.Popen([sys.executable, "-c", _SUPERVISOR_SCRIPT],
-                            env=env, stdout=subprocess.PIPE, text=True,
-                            start_new_session=True)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SUPERVISOR_SCRIPT, phase], env=env,
+        stdout=subprocess.PIPE, text=True, start_new_session=True)
     try:
         pids = json.loads(proc.stdout.readline())
         assert len(pids) == 2 and all(map(_running, pids))
-        proc.kill()  # the supervisor alone: its idle workers live on
+        proc.kill()  # the supervisor alone: its workers live on
         proc.wait()
         deadline = time.monotonic() + 10.0
         while any(map(_running, pids)):
             assert time.monotonic() < deadline, \
-                "idle workers outlived their supervisor by 10 s"
+                f"{phase} workers outlived their supervisor by 10 s"
             time.sleep(0.1)
     finally:
         with contextlib.suppress(ProcessLookupError):
