@@ -814,7 +814,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--checkpoint-every", type=int, default=200,
                        metavar="FRAMES",
                        help="frames between a job's durable "
-                            "checkpoints (also its heartbeat cadence)")
+                            "checkpoints; one heartbeats when the "
+                            "service's 50 ms poll interval has passed "
+                            "since the job's last heartbeat")
     serve.add_argument("--quarantine-after", type=int, default=3,
                        metavar="N",
                        help="faults before a repeat-crashing job is "

@@ -16,14 +16,14 @@ kernel:
   is parsed at once, vectorised over time, straight from the
   generator's MT19937 word stream
   (:meth:`~repro.sim.batch.BatchRandom.peek`), consuming words exactly
-  as CPython's generator calls would.  The block ends at the next
-  rare-event candidate -- a frame that matches the BCM's command check
-  or a watched id -- the next checkpoint frame or the step limit,
-  where an exact scalar handler whose timing arithmetic mirrors the
-  discrete-event kernel tick for tick runs the episode, writes the
-  checkpoint, reports a finding or ends the world (a world that keeps
+  as CPython's generator calls would.  At each rare-event candidate in
+  a block -- a frame that matches the BCM's command check or a watched
+  id -- and at the step limit, an exact scalar handler whose timing
+  arithmetic mirrors the discrete-event kernel tick for tick runs the
+  episode, reports a finding or ends the world (a world that keeps
   going after a finding latches the oracle that reported and runs
-  on).  The world then resumes at the next frame's first word
+  on); a checkpoint is written as its frame is sent, without ending
+  the block.  The world then resumes at the next frame's first word
   (:meth:`~repro.sim.batch.BatchRandom.commit`).
 - **UDS requests.**  The campaign's own loop
   (``UdsFuzzCampaign._execute``) runs on the real bench objects --
@@ -65,8 +65,8 @@ from repro.fuzz.generator import (RandomFrameGenerator,
                                   TargetedFrameGenerator)
 from repro.fuzz.oracle import AckMessageOracle, Finding, PhysicalStateOracle
 from repro.fuzz.session import (FALLBACK_WARNING_PREFIX, FuzzResult,
-                                finding_to_dict, frame_from_dict,
-                                frame_to_dict)
+                                data_frame_to_dict, finding_to_dict,
+                                frame_from_dict)
 from repro.fuzz.uds_campaign import UdsFuzzCampaign
 from repro.sim.batch import BatchRandom, state_from_random
 from repro.sim.clock import MS, SECOND
@@ -718,9 +718,31 @@ class _Block:
             value |= (int(self.words[start + 1]) >> (64 - 8 * dlc)) << 32
         return value.to_bytes(dlc, "little")
 
-    def __getitem__(self, i: int) -> tuple[int, int, bytes]:
-        """Frame ``i`` as a ``(time, id, payload)`` row."""
-        return self.tick(i), int(self.ids[i]), self.payload(i)
+    def __getitem__(self, span: slice) -> list[tuple[int, int, bytes]]:
+        """Frames ``span.start..span.stop-1`` as ``(time, id, payload)``
+        rows, each payload built as :meth:`payload` builds it."""
+        lo, hi = span.start, span.stop
+        ticks = range(self.tick(lo), self.tick(hi), self.interval)
+        ids = self.ids[lo:hi].tolist()
+        dlcs = self.dlcs[lo:hi].tolist()
+        pay = self.pay[lo:hi]
+        if self.byte_values is not None:
+            values = self.byte_values
+            payloads = [values[start:start + dlc].tobytes()
+                        for start, dlc in zip(pay.tolist(), dlcs)]
+        else:
+            last = self.words.size - 1
+            first = self.words[np.minimum(pay, last)].tolist()
+            second = self.words[np.minimum(pay + 1, last)].tolist()
+            payloads = []
+            for dlc, value, high in zip(dlcs, first, second):
+                if dlc > 4:
+                    value |= (high >> (64 - 8 * dlc)) << 32
+                elif dlc:
+                    value >>= 32 - 8 * dlc
+                payloads.append(value.to_bytes(dlc, "little") if dlc
+                                else b"")
+        return list(zip(ticks, ids, payloads))
 
 
 class _BlockParser:
@@ -853,6 +875,9 @@ class _FrameEngine:
         self.pending_time: int | None = None
         self.pending_hits: list[tuple[object, str]] = []
         self.findings: list[Finding] = []
+        #: Each finding as its ``finding`` record wrote it, for the
+        #: checkpoints after it (journalled worlds only).
+        self.finding_dicts: list[dict] = []
         self.recent: deque = deque()
         self.recent_len = 0
 
@@ -889,8 +914,7 @@ class _FrameEngine:
                 if result is not None:
                     return result
                 continue
-            block = self._parse(min(BLOCK_FRAMES, self.limit_step - base,
-                                    self.next_cp - self.sent))
+            block = self._parse(min(BLOCK_FRAMES, self.limit_step - base))
             done = 0
             for i, can_id, payload, is_unlock, is_lock in self._hot(block):
                 if base + i >= self.limit_step:
@@ -941,16 +965,20 @@ class _FrameEngine:
 
     def _advance(self, block: _Block, lo: int, hi: int) -> None:
         """Transmit block frames ``lo..hi-1``: consume their words,
-        count them, remember them, and checkpoint if one is due."""
-        used = int(block.ends[hi - 1]) - (int(block.ends[lo - 1]) if lo
-                                          else 0)
-        self.rng.commit(0, used)
-        self.step += hi - lo
-        self.sent += hi - lo
-        self._remember(block, lo, hi)
-        if self.sent >= self.next_cp:
-            self._write_checkpoint(block.tick(hi - 1))
-            self.next_cp = self.sent + self.plan.checkpoint_every
+        count them and remember them, split at each checkpoint frame,
+        whose checkpoint is written as that frame is sent."""
+        while lo < hi:
+            cut = min(hi, lo + self.next_cp - self.sent)
+            used = int(block.ends[cut - 1]) - (int(block.ends[lo - 1]) if lo
+                                               else 0)
+            self.rng.commit(0, used)
+            self.step += cut - lo
+            self.sent += cut - lo
+            self._remember(block, lo, cut)
+            if self.sent >= self.next_cp:
+                self._write_checkpoint(block.tick(cut - 1))
+                self.next_cp = self.sent + self.plan.checkpoint_every
+            lo = cut
 
     def _remember(self, source, lo: int, hi: int) -> None:
         """Append a segment to the recent tail, dropping the oldest
@@ -1097,13 +1125,15 @@ class _FrameEngine:
     # ------------------------------------------------------------------
     def _recent_rows(self) -> list[tuple[int, int, bytes]]:
         """The recent window as (time, id, payload), oldest first."""
-        maxlen = self.plan.recent_maxlen
-        rows: list[tuple[int, int, bytes]] = []
+        need = self.plan.recent_maxlen
+        parts = []
         for source, lo, hi in reversed(self.recent):
-            take = min(hi - lo, maxlen - len(rows))
-            rows.extend(source[i] for i in range(hi - 1, hi - 1 - take, -1))
-        rows.reverse()
-        return rows
+            if need <= 0:
+                break
+            start = max(lo, hi - need)
+            parts.append(source[start:hi])
+            need -= hi - start
+        return [row for part in reversed(parts) for row in part]
 
     def _window(self):
         extended = self.plan.extended
@@ -1138,9 +1168,11 @@ class _FrameEngine:
             else:
                 oracle.first_deviation_time = time
             if plan.journal is not None:
+                payload = finding_to_dict(finding)
+                self.finding_dicts.append(payload)
                 plan.journal.append({"type": "finding",
                                      "frames_sent": int(self.sent),
-                                     "finding": finding_to_dict(finding)})
+                                     "finding": payload})
         if plan.stop_on_finding:
             return self._assemble(ended_at=time,
                                   stop_reason=f"finding from oracle "
@@ -1175,10 +1207,13 @@ class _FrameEngine:
         return result
 
     def _write_checkpoint(self, tick: int) -> None:
+        """Append the checkpoint the reference writes after the frame
+        sent at ``tick``, built from what the engine holds: the recent
+        window from its rows, the findings as their records wrote them,
+        and the generator state from the stream's key words."""
         plan = self.plan
-        recent = [[time,
-                   frame_to_dict(trusted_frame(can_id, data, plan.extended,
-                                               False))]
+        extended = plan.extended
+        recent = [[time, data_frame_to_dict(can_id, data, extended)]
                   for time, can_id, data in self._recent_rows()]
         state = {
             "format": 1,
@@ -1190,7 +1225,7 @@ class _FrameEngine:
             "sim_now": tick,
             "next_tx_time": tick + plan.interval,
             "recent": recent,
-            "findings": [finding_to_dict(f) for f in self.findings],
+            "findings": list(self.finding_dicts),
             "write_errors": dict(plan.write_errors0),
             "oracles": {oracle.name: oracle.state_dict()
                         for oracle in plan.campaign.oracles},
@@ -1198,7 +1233,7 @@ class _FrameEngine:
                 "kind": "random",
                 "generated": plan.base_generated
                 + int(self.sent) - plan.base_frames,
-                "rng": rng_state_to_json(self.rng.getstate(0)),
+                "rng": self.rng.state_json(0),
             },
         }
         if plan.jitter_json is not None:

@@ -41,7 +41,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 # ----------------------------------------------------------------------
 # Atomic file replacement
@@ -407,7 +407,9 @@ class RetryPolicy:
 # One record per line: 8 hex digits of CRC32 over the JSON body, one
 # space, the compact JSON body, a newline.  The CRC detects every
 # single-bit flip in a line; the newline framing localises torn writes
-# to the final record.
+# to the final record.  :func:`encode_record` is the only writer, so
+# every line whose CRC holds is a record it encoded: compact JSON with
+# sorted keys.
 
 def encode_record(payload: dict) -> bytes:
     """Frame one journal record (CRC32-prefixed JSONL line)."""
@@ -416,8 +418,9 @@ def encode_record(payload: dict) -> bytes:
     return f"{zlib.crc32(body):08x} ".encode("ascii") + body + b"\n"
 
 
-def _decode_line(line: bytes) -> dict | None:
-    """Parse one framed line; ``None`` when torn or corrupt."""
+def _line_body(line: bytes) -> bytes | None:
+    """The JSON body of one framed line; ``None`` when its framing or
+    its CRC is broken."""
     if len(line) < 10 or line[8:9] != b" ":
         return None
     try:
@@ -427,16 +430,25 @@ def _decode_line(line: bytes) -> dict | None:
     body = line[9:]
     if zlib.crc32(body) != crc:
         return None
+    return body
+
+
+def _decode_body(body: bytes) -> dict | None:
     try:
         payload = json.loads(body)
     except ValueError:
         return None
-    if not isinstance(payload, dict):
-        return None
-    return payload
+    return payload if isinstance(payload, dict) else None
 
 
-def parse_records(data: bytes) -> tuple[list[dict], int, str | None]:
+def _decode_line(line: bytes) -> dict | None:
+    """Parse one framed line; ``None`` when torn or corrupt."""
+    body = _line_body(line)
+    return None if body is None else _decode_body(body)
+
+
+def parse_records(data: bytes, types: Collection[str] | None = None
+                  ) -> tuple[list[dict], int, str | None]:
     """Scan framed records, stopping at the first damage.
 
     Returns ``(records, clean_length, reason)``: the longest prefix of
@@ -444,7 +456,18 @@ def parse_records(data: bytes) -> tuple[list[dict], int, str | None]:
     description of the damage (``None`` for a clean log).  Everything
     after the first bad byte is untrusted -- a flipped bit can merge or
     split lines -- so recovery keeps exactly the intact prefix.
+
+    With ``types``, only records of those types are returned, and only
+    lines that may hold one are JSON-decoded.  Every line's framing and
+    CRC are still checked, so the clean length and the damage are the
+    same as without.  The filter misses nothing: a record's compact,
+    key-sorted body holds its top-level ``"type":"finding"`` verbatim,
+    so a line without that text is no finding; a line with it is
+    decoded and its type checked.  A line that is not decoded is
+    trusted on its CRC (see :func:`encode_record`).
     """
+    markers = None if types is None else [
+        b'"type":' + json.dumps(kind).encode("utf-8") for kind in types]
     records: list[dict] = []
     clean = 0
     position = 0
@@ -453,10 +476,15 @@ def parse_records(data: bytes) -> tuple[list[dict], int, str | None]:
         newline = data.find(b"\n", position)
         if newline == -1:
             return records, clean, f"torn tail at byte {position}"
-        record = _decode_line(data[position:newline])
-        if record is None:
+        body = _line_body(data[position:newline])
+        if body is None:
             return records, clean, f"corrupt record at byte {position}"
-        records.append(record)
+        if markers is None or any(marker in body for marker in markers):
+            record = _decode_body(body)
+            if record is None:
+                return records, clean, f"corrupt record at byte {position}"
+            if types is None or record.get("type") in types:
+                records.append(record)
         position = newline + 1
         clean = position
     return records, clean, None
@@ -480,22 +508,26 @@ def _segment_names(store) -> list[str]:
             and name.endswith(_SEGMENT_SUFFIX)]
 
 
-def scan_records(store) -> tuple[list[dict], list[str]]:
+def scan_records(store, types: Collection[str] | None = None
+                 ) -> tuple[list[dict], list[str]]:
     """Read-only recovery scan over every journal segment.
 
     Safe to run against a dead worker's journal from another process:
     nothing is repaired or truncated.  Returns the intact record prefix
-    and warnings describing any damage found.
+    -- only its records of ``types`` when given, which are the only
+    ones decoded (:func:`parse_records`) -- and warnings describing any
+    damage found; a warning's count of kept records counts every
+    intact record of its segment.
     """
     records: list[dict] = []
     warnings: list[str] = []
     for name in _segment_names(store):
         data = store.read(name)
-        segment_records, _, reason = parse_records(data)
+        segment_records, clean, reason = parse_records(data, types)
         records.extend(segment_records)
         if reason is not None:
-            warnings.append(f"{name}: {reason}; "
-                            f"kept {len(segment_records)} record(s)")
+            kept = data.count(b"\n", 0, clean)
+            warnings.append(f"{name}: {reason}; kept {kept} record(s)")
             break
     return records, warnings
 
@@ -596,10 +628,9 @@ def read_result(store) -> tuple[dict | None, list[str]]:
     """``(result, warnings)`` of a campaign log, read-only (for a process
     that does not own the log): the latest intact ``result`` record's
     payload, ``None`` before the run ends or when damage hides it."""
-    records, warnings = scan_records(store)
-    for record in reversed(records):
-        if record.get("type") == "result":
-            return record.get("result"), warnings
+    records, warnings = scan_records(store, ("result",))
+    if records:
+        return records[-1].get("result"), warnings
     return None, warnings
 
 

@@ -170,7 +170,9 @@ def send(conn, message) -> None:
     it finishes its job as a benign orphan -- everything it does is
     journalled and deterministic, so a restarted supervisor either
     finds its saved result or re-executes to the identical fingerprint
-    -- and then exits (:func:`worker_main`).  Its reply goes unread.
+    -- and then exits (:func:`worker_main`).  Its reply, however large,
+    fails with a broken pipe instead of blocking: no process holds the
+    supervisor's end any more.
     """
     if conn is not None:
         with contextlib.suppress(OSError):
@@ -197,21 +199,26 @@ def call_body(body: Callable[..., tuple], conn, *args) -> tuple:
 ORPHAN_CHECK_S = 1.0
 
 
-def worker_main(conn, body: Callable[..., tuple], *args) -> None:
+def worker_main(conn, body: Callable[..., tuple], *args,
+                inherited: Sequence = ()) -> None:
     """Worker process entry point: run ``body``, send its reply and,
     after an ``ok`` reply, wait for the next ``(body, args)`` task.
 
-    Any other reply, a stop message (``None``), a broken pipe, or a
-    parent pid other than the supervisor's -- the supervisor died --
-    ends the process.  The supervisor's pid is the one recorded when it
-    created this process, so a supervisor that died before this
-    function ran still counts.  EOF cannot end it: this worker, and
-    every worker forked after it, holds a copy of this pipe's
-    supervisor end.  SIGTERM gets its default action back, and the
-    signal wakeup fd is dropped: a worker forked from an asyncio
-    supervisor would otherwise ignore SIGTERM and hand it to the
-    supervisor's event loop.
+    Any other reply, a stop message (``None``), a broken pipe or EOF,
+    or a parent pid other than the supervisor's -- the supervisor died
+    -- ends the process.  The supervisor's pid is the one recorded when
+    it created this process, so a supervisor that died before this
+    function ran still counts.  ``inherited`` holds the supervisor-side
+    pipe ends a forked worker got copies of -- its own pipe's and every
+    other live worker's -- and they are closed first: with a copy open
+    here, a dead supervisor's pipes would not break, and a reply larger
+    than the pipe's buffer would block for good.  SIGTERM gets its
+    default action back, and the signal wakeup fd is dropped: a worker
+    forked from an asyncio supervisor would otherwise ignore SIGTERM
+    and hand it to the supervisor's event loop.
     """
+    for end in inherited:
+        end.close()
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     parent = multiprocessing.parent_process().pid
@@ -322,10 +329,12 @@ class WorkerPool:
             parent_conn, child_conn = self._ctx.Pipe()
         except OSError:
             return False
+        inherited = [parent_conn, *(worker.conn for worker in
+                                    (*self.workers.values(), *self.idle))]
         try:
             process = self._ctx.Process(
                 target=worker_main, args=(child_conn, body, *args),
-                daemon=True)
+                kwargs={"inherited": inherited}, daemon=True)
             process.start()
         except OSError:
             parent_conn.close()
@@ -951,16 +960,15 @@ class ShardedCampaign:
         if self.journal_dir is None:
             return ""
         try:
-            records, _ = scan_records(self._shard_store(spec.index))
+            records, _ = scan_records(self._shard_store(spec.index),
+                                      ("checkpoint",))
         except OSError:
             return ""
-        for record in reversed(records):
-            if record.get("type") == "checkpoint":
-                state = record["state"]
-                sent = ("requests_sent" if "requests_sent" in state
-                        else "frames_sent")
-                return f", last journaled {sent}={state[sent]}"
-        return ", no journaled progress"
+        if not records:
+            return ", no journaled progress"
+        state = records[-1]["state"]
+        sent = "requests_sent" if "requests_sent" in state else "frames_sent"
+        return f", last journaled {sent}={state[sent]}"
 
     # ------------------------------------------------------------------
     # Serial reference

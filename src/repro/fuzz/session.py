@@ -33,6 +33,13 @@ def frame_to_dict(frame) -> dict:
     }
 
 
+def data_frame_to_dict(can_id: int, data: bytes, extended: bool) -> dict:
+    """:func:`frame_to_dict` of a classic data frame (no RTR, FD or BRS
+    flag) from its fields, for callers that hold no frame object."""
+    return {"id": can_id, "data": data.hex(), "extended": extended,
+            "remote": False, "fd": False, "brs": False}
+
+
 def frame_from_dict(payload: dict):
     """Rebuild a frame; flag keys default to False for pre-flag JSON."""
     from repro.can.frame import CanFrame

@@ -319,8 +319,7 @@ class ServiceApi:
                 "warnings": self.queue.warnings_for_job(job_id),
             }, {}
         if rest == ["artefacts"]:
-            result = self.queue.load_result(job_id)
-            findings = self.queue.job_findings(job_id)
+            result, findings = self.queue.job_artefacts(job_id)
             return 200, {
                 "job_id": job_id,
                 "status": job.status_dict(),

@@ -112,17 +112,23 @@ class _HeartbeatJournal(CampaignJournal):
     Campaigns write a checkpoint every ``checkpoint_every`` frames and
     write-ahead every finding; piggy-backing heartbeats on those writes
     (and on the start, resume and end records) means a worker
-    heartbeats exactly as often as it proves durable progress -- a
-    wedged campaign cannot fake liveness.  Each heartbeat carries the
-    campaign's finding count so far.  Must be a real
+    heartbeats only after it proves durable progress -- a wedged
+    campaign cannot fake liveness.  Heartbeats are paced: one follows a
+    record only when ``pace`` seconds (the orchestrator's poll
+    interval, the finest it acts on) have passed since the last one,
+    while the first one (:meth:`beat`, sent before the campaign is
+    built) and the one after the ``end`` record always go.  Each
+    carries the campaign's finding count so far.  Must be a real
     :class:`CampaignJournal` subclass: :func:`resume_campaign` wraps
     anything else in a fresh journal and the heartbeats would vanish.
     """
 
-    def __init__(self, store, conn, *,
+    def __init__(self, store, conn, *, pace: float,
                  retry: RetryPolicy | None = None) -> None:
         super().__init__(store, retry=retry)
         self._conn = conn
+        self._pace = pace
+        self._last_beat = float("-inf")
         self._findings = 0
 
     def append(self, record: dict) -> None:
@@ -147,20 +153,28 @@ class _HeartbeatJournal(CampaignJournal):
         self._heartbeat("checkpoint", state)
 
     def _heartbeat(self, phase: str, source: dict) -> None:
+        if (phase != "end"
+                and time.monotonic() - self._last_beat < self._pace):
+            return
         # Frame campaigns count frames_sent, UDS campaigns
         # requests_sent; normalise for the status API.
         sent = source.get("frames_sent", source.get("requests_sent", 0))
-        send(self._conn, ("heartbeat", {"frames_sent": sent,
-                                        "findings": self._findings,
-                                        "phase": phase}))
+        self.beat({"frames_sent": sent, "findings": self._findings,
+                   "phase": phase})
+
+    def beat(self, payload: dict) -> None:
+        """Send one heartbeat now."""
+        self._last_beat = time.monotonic()
+        send(self._conn, ("heartbeat", payload))
 
 
 def _run_job(conn, factory, spec: ShardSpec, journal_dir: str,
-             checkpoint_every: int, store_factory=None,
-             guards: ResourceGuards | None = None,
+             checkpoint_every: int, poll_interval: float,
+             store_factory=None, guards: ResourceGuards | None = None,
              quota_bytes: int | None = None) -> tuple:
     """Worker body: resume the job's journal and run it out.  Returns
-    ``(result dict, durability warnings)``.
+    ``(result dict, durability warnings)``.  Heartbeats are paced at
+    the orchestrator's ``poll_interval`` (:class:`_HeartbeatJournal`).
 
     Resource guards are installed before any campaign code runs:
     rlimits bound the worker itself (CPU blow-out dies by SIGXCPU and
@@ -174,11 +188,11 @@ def _run_job(conn, factory, spec: ShardSpec, journal_dir: str,
     store = (store_factory or DirectoryStore)(journal_dir)
     if quota_bytes is not None:
         store = QuotaStore(store, quota_bytes=quota_bytes)
-    journal = _HeartbeatJournal(store, conn)
+    journal = _HeartbeatJournal(store, conn, pace=poll_interval)
     payload = {"phase": "building"}
     if guard_notes:
         payload["guard_notes"] = guard_notes
-    send(conn, ("heartbeat", payload))
+    journal.beat(payload)
     result = resume_campaign(journal, lambda: factory(spec),
                              checkpoint_every=checkpoint_every)
     return result.to_dict(), list(journal.warnings)
@@ -198,8 +212,8 @@ class Orchestrator:
         lease_duration: seconds a worker may go without a heartbeat
             before its job is re-granted.
         checkpoint_every: frames between a job's durable checkpoints
-            -- also its heartbeat cadence, so keep it well under
-            ``lease_duration`` worth of campaign progress.
+            -- also its slowest heartbeat cadence, so keep it well
+            under ``lease_duration`` worth of campaign progress.
         quarantine_after: faults that retire a job to quarantine
             instead of retrying it (repeat-crashers must not starve
             the healthy queue).
@@ -208,6 +222,8 @@ class Orchestrator:
             simultaneous faults does not thunder back as one herd.
         poll_interval: the longest wait between two ticks of the
             control loop; a tick comes sooner when a worker reports.
+            A worker heartbeats at most once per ``poll_interval``
+            (besides its first and its ``end`` heartbeat).
         terminate_grace: seconds a worker gets to exit -- after its
             stop message, or after SIGTERM -- before SIGKILL (see
             :class:`~repro.fuzz.parallel.WorkerPool`).
@@ -502,7 +518,7 @@ class Orchestrator:
         self.leases.grant(spec.job_id, worker_id)
         args = (factory, shard_spec_for(spec),
                 str(self.queue.job_dir(spec.job_id)), self.checkpoint_every,
-                self.store_factory)
+                self.poll_interval, self.store_factory)
         if self.pool.start((spec.job_id, worker_id), _run_job, *args,
                            self.resource_guards, self.job_quota_bytes):
             return True

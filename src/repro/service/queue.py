@@ -49,6 +49,22 @@ def result_fingerprint(payload: dict) -> str:
                    separators=(",", ":")).encode("utf-8")).hexdigest()
 
 
+def _unique_findings(records: list[dict]) -> list[dict]:
+    """The findings of the ``finding`` records, deduplicated by
+    fingerprint, first occurrence first."""
+    seen: set[str] = set()
+    findings: list[dict] = []
+    for record in records:
+        if record.get("type") != "finding":
+            continue
+        finding = record.get("finding", {})
+        fingerprint = result_fingerprint(finding)
+        if fingerprint not in seen:
+            seen.add(fingerprint)
+            findings.append(finding)
+    return findings
+
+
 @dataclass
 class JobSpec:
     """What a tenant asked the service to run: plain JSON values only.
@@ -176,8 +192,11 @@ class JobQueue:
         self.journal = CampaignJournal(
             self._store_factory(str(self.root / self.QUEUE_DIR)),
             retry=retry)
+        #: Every job, in submission order.
         self.jobs: dict[str, Job] = {}
-        self._order: list[str] = []
+        #: The live (pending or leased) jobs, in submission order: what
+        #: a tick and a submit look at, however many jobs have ended.
+        self._live: dict[str, Job] = {}
         self.divergent_completions = 0
         self.artefact_warnings: list[str] = []
         self._artefact_warned: set[str] = set()
@@ -191,7 +210,8 @@ class JobQueue:
         """Durably append one event, then fold it into the live view.
 
         The replay path and the live path share :meth:`_apply`, so a
-        reopened queue reconstructs exactly the state this one shows.
+        reopened queue reconstructs exactly the state this one shows,
+        its index of live jobs included.
         """
         self.journal.append(event)
         self._apply(event)
@@ -201,8 +221,8 @@ class JobQueue:
         if kind == "job-submitted":
             spec = JobSpec.from_dict(event["job"])
             if spec.job_id not in self.jobs:
-                self.jobs[spec.job_id] = Job(spec=spec)
-                self._order.append(spec.job_id)
+                job = Job(spec=spec)
+                self.jobs[spec.job_id] = self._live[spec.job_id] = job
             return
         job = self.jobs.get(event.get("job_id", ""))
         if job is None:
@@ -238,6 +258,10 @@ class JobQueue:
             job.state = "quarantined"
             job.worker = None
             job.faults.append(event.get("note", "quarantined"))
+        if job.terminal:
+            # A terminal state is final: leasing needs a pending job,
+            # and a requeue leaves a terminal job as it is.
+            self._live.pop(job.spec.job_id, None)
 
     # ------------------------------------------------------------------
     # Mutations (each durably journalled first)
@@ -329,8 +353,8 @@ class JobQueue:
         so a replayed ``leased`` state is always stale.  Not a fault --
         the job did nothing wrong.
         """
-        orphans = [job_id for job_id in self._order
-                   if self.jobs[job_id].state == "leased"]
+        orphans = [job_id for job_id, job in self._live.items()
+                   if job.state == "leased"]
         for job_id in orphans:
             self.requeue(job_id, note, fault=False)
         return orphans
@@ -342,20 +366,22 @@ class JobQueue:
         return self.jobs.get(job_id)
 
     def in_order(self) -> list[Job]:
-        return [self.jobs[job_id] for job_id in self._order]
+        return list(self.jobs.values())
 
     def pending(self) -> list[Job]:
-        return [job for job in self.in_order() if job.state == "pending"]
+        """Pending jobs in submission order (a requeued job keeps its
+        place), the order leases are granted in."""
+        return [job for job in self._live.values() if job.state == "pending"]
 
     def idle(self) -> bool:
         """True when every submitted job reached a terminal state."""
-        return all(job.terminal for job in self.jobs.values())
+        return not self._live
 
     def active_for_tenant(self, tenant: str) -> int:
         """Live (pending or leased) jobs a tenant currently owns --
         the quantity per-tenant quotas bound."""
-        return sum(1 for job in self.jobs.values()
-                   if job.spec.tenant == tenant and not job.terminal)
+        return sum(1 for job in self._live.values()
+                   if job.spec.tenant == tenant)
 
     @property
     def warnings(self) -> list[str]:
@@ -434,20 +460,25 @@ class JobQueue:
         fingerprint dedup collapses them -- at-least-once execution,
         exactly-once findings.  Torn or corrupt journal records are
         surfaced as recorded warnings, never raised to the caller.
+        Only the ``finding`` records are decoded.
         """
-        records = self._read_job_log(job_id, scan_records) or []
-        seen: set[str] = set()
-        findings: list[dict] = []
-        for record in records:
-            if record.get("type") != "finding":
-                continue
-            finding = record.get("finding", {})
-            fingerprint = result_fingerprint(finding)
-            if fingerprint in seen:
-                continue
-            seen.add(fingerprint)
-            findings.append(finding)
-        return findings
+        return _unique_findings(self._scan_job_log(job_id, ("finding",)))
+
+    def job_artefacts(self, job_id: str) -> tuple[dict | None, list[dict]]:
+        """``(result, findings)`` from one scan of the job's log: what
+        :meth:`load_result` and :meth:`job_findings` return."""
+        records = self._scan_job_log(job_id, ("finding", "result"))
+        results = [record.get("result") for record in records
+                   if record.get("type") == "result"]
+        return (results[-1] if results else None,
+                _unique_findings(records))
+
+    def _scan_job_log(self, job_id: str, types: tuple[str, ...]
+                      ) -> list[dict]:
+        """The job log's intact records of ``types``, the only ones
+        decoded (:func:`~repro.fuzz.durability.scan_records`)."""
+        return self._read_job_log(
+            job_id, lambda store: scan_records(store, types)) or []
 
     # ------------------------------------------------------------------
     # Internals

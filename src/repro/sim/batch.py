@@ -11,8 +11,9 @@ dispatch:
   :meth:`BatchRandom.commit` hand a world's upcoming words out as a
   block, so a caller can parse many draws at once and consume exactly
   the words they used; the stream can be exported back into a
-  ``random.Random`` at any word boundary (:meth:`BatchRandom.getstate`)
-  and continue scalar bit-identically.  The frame engine in
+  ``random.Random`` at any word boundary (:meth:`BatchRandom.getstate`,
+  or :meth:`BatchRandom.state_json` for a checkpoint) and continue
+  scalar bit-identically.  The frame engine in
   :mod:`repro.fuzz.batch` runs one world per instance.
 
 Two older pieces have no caller in the package and remain only while
@@ -31,6 +32,8 @@ import random
 from typing import Sequence
 
 import numpy as np
+
+from repro.sim.random import rng_words_to_json
 
 #: MT19937 state size in 32-bit words.
 MT_N = 624
@@ -311,21 +314,31 @@ class BatchRandom:
         return ((value[:, None] >> _BYTE_SHIFTS)
                 & np.uint64(0xFF)).astype(np.uint8)
 
+    def _key(self, world: int) -> tuple[np.ndarray, int]:
+        """The world's MT19937 key words and position.  A whole buffered
+        block's key is its untempered words (a rare, export-time cost);
+        before the first whole block the key is the transplanted one."""
+        pos = int(self._base_pos[world] + self._buf_pos[world])
+        if self._buf_len[world] == MT_N:
+            return _untemper(self._buf[world]), pos
+        return self._keys0[world], pos
+
     def getstate(self, world: int) -> tuple:
         """The world's logical ``random.Random.getstate()`` tuple.
 
         Feeding this to ``Random.setstate`` yields a scalar stream that
-        continues bit-identically from the words consumed so far.  A
-        whole buffered block's key is its untempered words (a rare,
-        export-time cost); before the first whole block the key is the
-        transplanted one.
+        continues bit-identically from the words consumed so far.
         """
-        pos = int(self._base_pos[world] + self._buf_pos[world])
-        if self._buf_len[world] == MT_N:
-            key = _untemper(self._buf[world])
-        else:
-            key = self._keys0[world]
+        key, pos = self._key(world)
         return (PY_STATE_VERSION, tuple(key.tolist()) + (pos,), None)
+
+    def state_json(self, world: int) -> list:
+        """``rng_state_to_json(getstate(world))``, packed straight from
+        the key words (a checkpoint's generator state)."""
+        key, pos = self._key(world)
+        words = key.astype("<u4", copy=False).tobytes() + pos.to_bytes(
+            4, "little")
+        return rng_words_to_json(PY_STATE_VERSION, words)
 
 
 class BatchRandomView:

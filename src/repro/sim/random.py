@@ -28,7 +28,15 @@ def rng_state_to_json(state: tuple) -> list:
     have drawn.
     """
     version, internal, gauss_next = state
-    words = struct.pack(f"<{len(internal)}I", *internal)
+    return rng_words_to_json(
+        version, struct.pack(f"<{len(internal)}I", *internal), gauss_next)
+
+
+def rng_words_to_json(version: int, words: bytes,
+                      gauss_next: float | None = None) -> list:
+    """:func:`rng_state_to_json` of a state whose internal words are
+    already packed as little-endian uint32 (``words``), so a caller
+    holding them as an array skips the tuple of ints."""
     return [version, base64.b64encode(words).decode("ascii"), gauss_next]
 
 

@@ -30,7 +30,8 @@ from repro.testbench.bcm import STATUS_ID, UNLOCK_ACK_ID
 from repro.testbench.bench import UnlockTestbench
 from repro.testbench.factory import UnlockBenchFactory, _unlock_ack
 
-from tests.journals import kill_after_last_checkpoint, record_types
+from tests.journals import (kill_after_last_checkpoint, log_bytes,
+                            record_types)
 
 from .reference import reference_resume, reference_shards
 
@@ -258,24 +259,30 @@ class TestJournalParity:
     def test_record_streams_checkpoints_and_results_identical(
             self, tmp_path, monkeypatch):
         # Default blocks; blocks that end exactly at each checkpoint;
-        # blocks the checkpoint cuts short; a checkpoint on shard 2's
-        # finding frame (checkpoint first, then the finding); an empty
-        # recent window.  Then keep-going runs, whose shards 0 and 2
-        # report the ack at frames 1056 and 261 and the LED poll at
-        # frames 1060 and 280: checkpoints on shard 2's ack frame and
-        # after both its findings, before shard 0's, and (in 7-frame
-        # blocks) on shard 0's LED frame.
-        runs = [("default", journal_build, None, 500, True),
-                ("cp-aligned", journal_build, 500, 500, True),
-                ("cp-cut", journal_build, 7, 500, True),
-                ("cp-on-finding", journal_build, None, 261, True),
+        # 7-frame blocks, which end between checkpoints; a checkpoint
+        # on shard 2's finding frame (checkpoint first, then the
+        # finding); an empty recent window; a checkpoint after every
+        # frame.  Then keep-going runs, whose shards 0 and 2 report the
+        # ack at frames 1056 and 261 and the LED poll at frames 1060
+        # and 280: checkpoints on shard 2's ack frame and after both
+        # its findings, before shard 0's, and (in 7-frame blocks) on
+        # shard 0's LED frame; and a checkpoint after every frame, so
+        # shard 2's checkpoints after frame 261 carry its ack finding
+        # and those after frame 280 both findings.
+        runs = [("default", journal_build, None, 500, True, 1200),
+                ("cp-aligned", journal_build, 500, 500, True, 1200),
+                ("cp-cut", journal_build, 7, 500, True, 1200),
+                ("cp-on-finding", journal_build, None, 261, True, 1200),
                 ("window0", functools.partial(journal_build,
                                               recent_window=0), None, 500,
-                 True),
-                ("kg-cp-on-ack", journal_build, None, 261, False),
-                ("kg-cp-on-led", journal_build, 7, 1060, False)]
-        for tag, build, block, every, stop in runs:
-            specs = [journal_spec(i, stop_on_finding=stop) for i in range(3)]
+                 True, 1200),
+                ("cp-every-frame", journal_build, None, 1, True, 300),
+                ("kg-cp-on-ack", journal_build, None, 261, False, 1200),
+                ("kg-cp-on-led", journal_build, 7, 1060, False, 1200),
+                ("kg-cp-every-frame", journal_build, None, 1, False, 300)]
+        for tag, build, block, every, stop, frames in runs:
+            specs = [journal_spec(i, max_frames=frames, stop_on_finding=stop)
+                     for i in range(3)]
             if block is not None:
                 monkeypatch.setattr(batch_engine, "BLOCK_FRAMES", block)
             for spec in specs:
@@ -291,10 +298,20 @@ class TestJournalParity:
             for spec in specs:
                 scalar_dir = tmp_path / f"{tag}/scalar/shard-{spec.index:04d}"
                 batch_dir = tmp_path / f"{tag}/batch/shard-{spec.index:04d}"
-                # The whole log: events, every checkpoint, the result.
+                # The whole log, byte for byte: events, every checkpoint,
+                # the result.
+                assert log_bytes(batch_dir) == log_bytes(scalar_dir), tag
                 records = read_records(scalar_dir)
-                assert records == read_records(batch_dir)
                 assert records[-1]["type"] == "result"
+                checkpoints = [record["state"] for record in records
+                               if record["type"] == "checkpoint"]
+                if every == 1:
+                    assert len(checkpoints) == records[-1]["result"][
+                        "frames_sent"]
+                if tag == "kg-cp-every-frame" and spec.index == 2:
+                    assert [len(state["findings"])
+                            for state in checkpoints] == \
+                        [0] * 261 + [1] * 19 + [2] * 20
 
     def test_kill_resume_matches_scalar_resume_both_ways(self, tmp_path):
         # The resume contract: a fast-path resume of a surviving journal

@@ -4,9 +4,11 @@ import errno
 import json
 import os
 import random
+import tempfile
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.can.adapter import PcanStyleAdapter
 from repro.can.bus import CanBus
@@ -24,12 +26,16 @@ from repro.fuzz.durability import (
     atomic_write_json,
     encode_record,
     parse_records,
+    read_result,
     scan_records,
 )
 from repro.fuzz.generator import BitWalkGenerator, RandomFrameGenerator
+from repro.service.queue import JobQueue
 from repro.sim.kernel import Simulator
 from repro.sim.random import (RandomStreams, rng_state_from_json,
                               rng_state_to_json)
+
+from tests.journals import full_job_findings, full_read_result, full_scan
 
 
 def _no_sleep(_seconds: float) -> None:
@@ -77,6 +83,104 @@ class TestRecordFraming:
         line = f"{zlib.crc32(body):08x} ".encode() + body + b"\n"
         records, _, reason = parse_records(line)
         assert records == [] and reason is not None
+
+
+#: Record types of a campaign log.
+RECORD_TYPES = ("start", "finding", "checkpoint", "resume", "end", "result")
+
+#: Strings, some holding what a typed scan looks for.
+_TEXT = st.one_of(st.text(max_size=12), st.sampled_from(
+    ['"type":"finding"', '"type":"result"', '{"type":"checkpoint"}',
+     "\n", "type"]))
+
+_FINDING = st.fixed_dictionaries({
+    "time": st.integers(0, 10 ** 9), "oracle": st.sampled_from(["a", "b"]),
+    "description": _TEXT,
+    "recent_times": st.lists(st.integers(0, 99), max_size=3)})
+
+
+@st.composite
+def damaged_logs(draw) -> list[bytes]:
+    """A campaign log holding every record type, as 1-3 segments, left
+    intact, torn at its tail, or with one bit flipped in any record.
+    Findings repeat (a from-zero re-execution writes them again), and
+    checkpoints and results carry findings and nested ``"type"`` keys,
+    so a typed scan meets lines that hold its marker text."""
+    pool = draw(st.lists(_FINDING, min_size=1, max_size=3))
+    findings = st.lists(st.sampled_from(pool), max_size=2)
+    count = st.integers(0, 9999)
+
+    def record(kind: str) -> dict:
+        if kind == "start":
+            return {"type": kind, "name": draw(_TEXT),
+                    "started_at": draw(count)}
+        if kind == "finding":
+            return {"type": kind, "frames_sent": draw(count),
+                    "finding": draw(st.sampled_from(pool))}
+        if kind == "checkpoint":
+            nested = draw(st.sampled_from(RECORD_TYPES))
+            return {"type": kind, "generation": draw(count),
+                    "state": {"findings": draw(findings),
+                              "frames_sent": draw(count),
+                              "oracles": {"o": {"type": nested}}}}
+        if kind == "result":
+            return {"type": kind,
+                    "result": {"findings": draw(findings),
+                               "stop_reason": draw(_TEXT)}}
+        return {"type": kind, "frames_sent": draw(count),
+                "findings": draw(count)}
+
+    kinds = list(RECORD_TYPES) + draw(
+        st.lists(st.sampled_from(RECORD_TYPES), max_size=8))
+    lines = [encode_record(record(kind))
+             for kind in draw(st.permutations(kinds))]
+    cuts = sorted(draw(st.sets(st.integers(1, len(lines) - 1),
+                               max_size=2)))
+    bounds = list(zip([0, *cuts], [*cuts, len(lines)]))
+    segments = [bytearray(b"".join(lines[lo:hi])) for lo, hi in bounds]
+    damage = draw(st.sampled_from(["none", "torn", "flip"]))
+    if damage == "torn":
+        del segments[-1][draw(st.integers(0, len(segments[-1]) - 1)):]
+    elif damage == "flip":
+        hit = draw(st.integers(0, len(lines) - 1))
+        index = next(i for i, (lo, hi) in enumerate(bounds) if hit < hi)
+        offset = sum(map(len, lines[bounds[index][0]:hit])) + draw(
+            st.integers(0, len(lines[hit]) - 1))
+        segments[index][offset] ^= 1 << draw(st.integers(0, 7))
+    return [bytes(segment) for segment in segments]
+
+
+class TestTypedScans:
+    """A typed scan decodes only the records its reader reads, and
+    must return what a full decode returns: the same records, ending at
+    the same damage with the same warning."""
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(segments=damaged_logs())
+    def test_typed_reads_equal_a_full_decode(self, segments):
+        with tempfile.TemporaryDirectory() as root:
+            queue = JobQueue(root)
+            store = DirectoryStore(queue.job_dir("j"))
+            for index, data in enumerate(segments):
+                (store.root / f"journal-{index:06d}.wal").write_bytes(data)
+            for types in (("finding",), ("result",), ("checkpoint",),
+                          ("finding", "result"), None):
+                assert scan_records(store, types) == full_scan(store, types)
+            assert read_result(store) == full_read_result(store)
+            findings, warnings = full_job_findings(store)
+            assert queue.job_findings("j") == findings
+            assert queue.job_artefacts("j") == (
+                full_read_result(store)[0], findings)
+            assert queue.warnings_for_job("j") == [
+                f"job j: {warning}" for warning in warnings]
+
+    def test_a_nested_type_is_decoded_and_dropped(self):
+        record = {"type": "checkpoint", "state": {"type": "finding"}}
+        data = encode_record(record) + encode_record({"type": "finding"})
+        records, clean, reason = parse_records(data, ("finding",))
+        assert records == [{"type": "finding"}]
+        assert (clean, reason) == (len(data), None)
 
 
 class TestDirectoryStore:

@@ -513,14 +513,20 @@ from repro.fuzz.parallel import WorkerPool
 def body(conn):
     return ()
 
+def reply_1mb(conn):
+    # Far more than a pipe holds: the send blocks until it is read.
+    return (b"x" * (1 << 20),)
+
 if sys.argv[1] == "starting":
     # Hold each worker back right after its fork, so that its
     # supervisor is dead before any of the worker's own code runs.
     os.register_at_fork(after_in_child=lambda: time.sleep(1.0))
 pool = WorkerPool(2)
 for key in ("a", "b"):
-    pool.start(key, body)
+    pool.start(key, reply_1mb if sys.argv[1] == "replying" else body)
 pids = list(pool.pids().values())
+if sys.argv[1] == "replying":
+    time.sleep(0.5)  # both workers block in their reply's send
 if sys.argv[1] == "idle":
     for worker in list(pool.workers.values()):
         while pool.receive(worker) is None:
@@ -532,7 +538,7 @@ time.sleep(60)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
-@pytest.mark.parametrize("phase", ["idle", "starting"])
+@pytest.mark.parametrize("phase", ["idle", "starting", "replying"])
 def test_workers_exit_when_their_supervisor_is_killed(phase):
     src = Path(__file__).resolve().parents[2] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

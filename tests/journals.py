@@ -11,7 +11,65 @@ from pathlib import Path
 
 from repro.fuzz.durability import (DirectoryStore, encode_record,
                                    parse_records, scan_records)
+from repro.service.queue import result_fingerprint
 from repro.sim.random import rng_state_from_json
+
+
+def segment_names(store) -> list[str]:
+    """The log's segment names, in order."""
+    return [name for name in store.list()
+            if name.startswith("journal-") and name.endswith(".wal")]
+
+
+def log_bytes(directory) -> bytes:
+    """The log in ``directory``: its segments' bytes, in order."""
+    store = DirectoryStore(directory)
+    return b"".join(store.read(name) for name in segment_names(store))
+
+
+def full_scan(store, types=None) -> tuple[list[dict], list[str]]:
+    """What a typed :func:`scan_records` must return: every intact
+    record JSON-decoded, then only those of ``types`` kept (all when
+    ``None``), with the warning of the first damage."""
+    records: list[dict] = []
+    warnings: list[str] = []
+    for name in segment_names(store):
+        segment, _, reason = parse_records(store.read(name))
+        records.extend(segment)
+        if reason is not None:
+            warnings.append(f"{name}: {reason}; "
+                            f"kept {len(segment)} record(s)")
+            break
+    if types is not None:
+        records = [record for record in records
+                   if record.get("type") in types]
+    return records, warnings
+
+
+def full_read_result(store) -> tuple[dict | None, list[str]]:
+    """``read_result`` over a full decode: the latest result record's
+    payload."""
+    records, warnings = full_scan(store)
+    results = [record.get("result") for record in records
+               if record.get("type") == "result"]
+    return (results[-1] if results else None), warnings
+
+
+def full_job_findings(store) -> tuple[list[dict], list[str]]:
+    """``JobQueue.job_findings`` over a full decode: the findings of
+    the finding records, deduplicated by fingerprint."""
+    records, warnings = full_scan(store)
+    findings: list[dict] = []
+    seen: set[str] = set()
+    for record in records:
+        if record.get("type") != "finding":
+            continue
+        finding = record.get("finding", {})
+        fingerprint = result_fingerprint(finding)
+        if fingerprint not in seen:
+            seen.add(fingerprint)
+            findings.append(finding)
+    return findings, warnings
 
 
 def record_types(directory) -> list[str]:
@@ -29,7 +87,7 @@ def kill_after_last_checkpoint(directory) -> None:
     leaves it."""
     store = DirectoryStore(directory)
     cut = None
-    segments = [name for name in store.list() if name.endswith(".wal")]
+    segments = segment_names(store)
     for position, name in enumerate(segments):
         data = store.read(name)
         records, _, _ = parse_records(data)

@@ -87,6 +87,41 @@ class TestCompletion:
         assert counts == sorted(counts)
         assert counts[-1] == len(queue.load_result("a")["findings"]) == 5
 
+    @pytest.mark.parametrize("fields, every", [
+        # Seed 268's keep-going unlock job finds twice in 4000 frames;
+        # the seed-0 bench's job-0000 finds five times in 200 requests.
+        (dict(kind="unlock", seed=268, max_frames=4000), 10),
+        (dict(kind="uds", seed=827307999, max_frames=200), 1)],
+        ids=["unlock", "uds"])
+    def test_paced_heartbeats_keep_the_first_and_the_end(
+            self, tmp_path, monkeypatch, fields, every):
+        # Every checkpoint falls inside one poll interval, so only the
+        # first heartbeat and the end record's go, and the progress the
+        # job shows at the end equals its result.
+        queue = JobQueue(tmp_path)
+        queue.submit(job_id="a", stop_on_finding=False, **fields)
+        beats = []
+        update = queue.update_progress
+
+        def record(job_id: str, payload: dict) -> None:
+            beats.append(dict(payload))
+            update(job_id, payload)
+
+        monkeypatch.setattr(queue, "update_progress", record)
+        orch = Orchestrator(queue, workers=1, checkpoint_every=every,
+                            poll_interval=60.0, backoff=EAGER)
+        orch.run_until_idle(timeout=60.0)
+        job = queue.get("a")
+        assert job.state == "completed", job.faults
+        assert [beat["phase"] for beat in beats] == ["building", "end"]
+        assert orch.leases.stats()["renewed"] == 2
+        result = queue.load_result("a")
+        assert len(result["findings"]) > 1
+        assert job.progress["phase"] == "end"
+        assert job.progress["frames_sent"] == result["frames_sent"] \
+            == fields["max_frames"]
+        assert job.progress["findings"] == len(result["findings"])
+
     def test_keep_going_unlock_job_matches_its_reference_twin(self,
                                                               tmp_path):
         # Seed 268's 4000-frame unlock world sees the unlock and the

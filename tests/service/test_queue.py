@@ -144,6 +144,49 @@ class TestReplay:
             assert replayed.fingerprint == original.fingerprint
         assert reopened.counters() == queue.counters()
 
+    def test_live_jobs_keep_submission_order(self, tmp_path):
+        # pending(), idle() and active_for_tenant() read an index of
+        # the live jobs; after every step each equals a scan of every
+        # job, a requeued job keeps its place, and a reopened queue
+        # rebuilds the same index from the log.
+        queue = JobQueue(tmp_path)
+
+        def check(q):
+            live = [job for job in q.in_order() if not job.terminal]
+            assert q.pending() == [job for job in live
+                                   if job.state == "pending"]
+            assert q.idle() == (not live)
+            for tenant in ("t1", "t2"):
+                assert q.active_for_tenant(tenant) == sum(
+                    job.spec.tenant == tenant for job in live)
+            return [job.spec.job_id for job in q.pending()]
+
+        steps = [
+            lambda: [_submit(queue, job_id, tenant=f"t{i % 2 + 1}")
+                     for i, job_id in enumerate("abcde")],
+            lambda: queue.mark_leased("a", "w1"),
+            lambda: queue.mark_leased("b", "w2"),
+            lambda: queue.requeue("a", "worker crashed"),
+            lambda: queue.quarantine("c", "job cannot be built"),
+            lambda: queue.mark_completed("b", RESULT),
+            lambda: _submit(queue, "f", tenant="t2"),
+            lambda: queue.mark_leased("d", "w3"),
+            lambda: queue.requeue("d", "shutdown", fault=False),
+            lambda: queue.mark_leased("e", "w4"),
+        ]
+        for step in steps:
+            step()
+            check(queue)
+        assert check(queue) == ["a", "d", "f"]
+        reopened = JobQueue(tmp_path)
+        assert check(reopened) == ["a", "d", "f"]
+        assert reopened.release_orphans("restart") == ["e"]
+        assert check(reopened) == ["a", "d", "e", "f"]
+        for job_id in ("a", "d", "e", "f"):
+            reopened.mark_leased(job_id, "w9")
+            reopened.mark_completed(job_id, RESULT)
+        assert check(reopened) == [] and reopened.idle()
+
     def test_release_orphans_requeues_stale_leases(self, tmp_path):
         queue = JobQueue(tmp_path)
         _submit(queue, "a")

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.batch import BatchRandom, state_from_random
+from repro.sim.random import rng_state_to_json
 
 
 def scalar_randbelow(rng, n):
@@ -187,5 +188,8 @@ class TestPeekCommit:
                                     for _ in range(used)]
             batch.commit(0, used)
             assert batch.getstate(0) == reference.getstate()
+            # A checkpoint's form of it, packed from the key words.
+            assert batch.state_json(0) == rng_state_to_json(
+                reference.getstate())
             # The vectorised draws continue from the committed word.
             assert int(batch.next_words(idx)[0]) == reference.getrandbits(32)
