@@ -815,8 +815,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="FRAMES",
                        help="frames between a job's durable "
                             "checkpoints; one heartbeats when the "
-                            "service's 50 ms poll interval has passed "
-                            "since the job's last heartbeat")
+                            "service's 50 ms poll interval (at most a "
+                            "quarter of the lease) has passed since "
+                            "the job's last heartbeat")
     serve.add_argument("--quarantine-after", type=int, default=3,
                        metavar="N",
                        help="faults before a repeat-crashing job is "

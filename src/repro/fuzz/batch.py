@@ -65,7 +65,7 @@ from repro.fuzz.generator import (RandomFrameGenerator,
                                   TargetedFrameGenerator)
 from repro.fuzz.oracle import AckMessageOracle, Finding, PhysicalStateOracle
 from repro.fuzz.session import (FALLBACK_WARNING_PREFIX, FuzzResult,
-                                data_frame_to_dict, finding_to_dict,
+                                finding_to_dict, frame_fields_to_dict,
                                 frame_from_dict)
 from repro.fuzz.uds_campaign import UdsFuzzCampaign
 from repro.sim.batch import BatchRandom, state_from_random
@@ -720,29 +720,9 @@ class _Block:
 
     def __getitem__(self, span: slice) -> list[tuple[int, int, bytes]]:
         """Frames ``span.start..span.stop-1`` as ``(time, id, payload)``
-        rows, each payload built as :meth:`payload` builds it."""
-        lo, hi = span.start, span.stop
-        ticks = range(self.tick(lo), self.tick(hi), self.interval)
-        ids = self.ids[lo:hi].tolist()
-        dlcs = self.dlcs[lo:hi].tolist()
-        pay = self.pay[lo:hi]
-        if self.byte_values is not None:
-            values = self.byte_values
-            payloads = [values[start:start + dlc].tobytes()
-                        for start, dlc in zip(pay.tolist(), dlcs)]
-        else:
-            last = self.words.size - 1
-            first = self.words[np.minimum(pay, last)].tolist()
-            second = self.words[np.minimum(pay + 1, last)].tolist()
-            payloads = []
-            for dlc, value, high in zip(dlcs, first, second):
-                if dlc > 4:
-                    value |= (high >> (64 - 8 * dlc)) << 32
-                elif dlc:
-                    value >>= 32 - 8 * dlc
-                payloads.append(value.to_bytes(dlc, "little") if dlc
-                                else b"")
-        return list(zip(ticks, ids, payloads))
+        rows."""
+        return [(self.tick(i), int(self.ids[i]), self.payload(i))
+                for i in range(span.start, span.stop)]
 
 
 class _BlockParser:
@@ -1213,7 +1193,7 @@ class _FrameEngine:
         and the generator state from the stream's key words."""
         plan = self.plan
         extended = plan.extended
-        recent = [[time, data_frame_to_dict(can_id, data, extended)]
+        recent = [[time, frame_fields_to_dict(can_id, data, extended)]
                   for time, can_id, data in self._recent_rows()]
         state = {
             "format": 1,

@@ -23,21 +23,24 @@ def frame_to_dict(frame) -> dict:
     frame, and replaying or minimising the loaded result would probe
     the wrong input.
     """
+    return frame_fields_to_dict(frame.can_id, frame.data, frame.extended,
+                                remote=frame.remote, fd=frame.fd,
+                                brs=frame.brs)
+
+
+def frame_fields_to_dict(can_id: int, data: bytes, extended: bool, *,
+                         remote: bool = False, fd: bool = False,
+                         brs: bool = False) -> dict:
+    """:func:`frame_to_dict` from a frame's fields, for callers that
+    hold no frame object; the flags default to a classic data frame's."""
     return {
-        "id": frame.can_id,
-        "data": frame.data.hex(),
-        "extended": frame.extended,
-        "remote": frame.remote,
-        "fd": frame.fd,
-        "brs": frame.brs,
+        "id": can_id,
+        "data": data.hex(),
+        "extended": extended,
+        "remote": remote,
+        "fd": fd,
+        "brs": brs,
     }
-
-
-def data_frame_to_dict(can_id: int, data: bytes, extended: bool) -> dict:
-    """:func:`frame_to_dict` of a classic data frame (no RTR, FD or BRS
-    flag) from its fields, for callers that hold no frame object."""
-    return {"id": can_id, "data": data.hex(), "extended": extended,
-            "remote": False, "fd": False, "brs": False}
 
 
 def frame_from_dict(payload: dict):

@@ -319,7 +319,8 @@ class ServiceApi:
                 "warnings": self.queue.warnings_for_job(job_id),
             }, {}
         if rest == ["artefacts"]:
-            result, findings = self.queue.job_artefacts(job_id)
+            result = self.queue.load_result(job_id)
+            findings = self.queue.job_findings(job_id)
             return 200, {
                 "job_id": job_id,
                 "status": job.status_dict(),

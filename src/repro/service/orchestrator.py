@@ -114,13 +114,13 @@ class _HeartbeatJournal(CampaignJournal):
     (and on the start, resume and end records) means a worker
     heartbeats only after it proves durable progress -- a wedged
     campaign cannot fake liveness.  Heartbeats are paced: one follows a
-    record only when ``pace`` seconds (the orchestrator's poll
-    interval, the finest it acts on) have passed since the last one,
-    while the first one (:meth:`beat`, sent before the campaign is
-    built) and the one after the ``end`` record always go.  Each
-    carries the campaign's finding count so far.  Must be a real
-    :class:`CampaignJournal` subclass: :func:`resume_campaign` wraps
-    anything else in a fresh journal and the heartbeats would vanish.
+    record only when ``pace`` seconds (:attr:`Orchestrator.heartbeat_pace`)
+    have passed since the last one, while the first one (:meth:`beat`,
+    sent before the campaign is built) and the one after the ``end``
+    record always go.  Each carries the campaign's finding count so
+    far.  Must be a real :class:`CampaignJournal` subclass:
+    :func:`resume_campaign` wraps anything else in a fresh journal and
+    the heartbeats would vanish.
     """
 
     def __init__(self, store, conn, *, pace: float,
@@ -169,12 +169,12 @@ class _HeartbeatJournal(CampaignJournal):
 
 
 def _run_job(conn, factory, spec: ShardSpec, journal_dir: str,
-             checkpoint_every: int, poll_interval: float,
+             checkpoint_every: int, pace: float,
              store_factory=None, guards: ResourceGuards | None = None,
              quota_bytes: int | None = None) -> tuple:
     """Worker body: resume the job's journal and run it out.  Returns
-    ``(result dict, durability warnings)``.  Heartbeats are paced at
-    the orchestrator's ``poll_interval`` (:class:`_HeartbeatJournal`).
+    ``(result dict, durability warnings)``.  Heartbeats are at least
+    ``pace`` seconds apart (:class:`_HeartbeatJournal`).
 
     Resource guards are installed before any campaign code runs:
     rlimits bound the worker itself (CPU blow-out dies by SIGXCPU and
@@ -188,7 +188,7 @@ def _run_job(conn, factory, spec: ShardSpec, journal_dir: str,
     store = (store_factory or DirectoryStore)(journal_dir)
     if quota_bytes is not None:
         store = QuotaStore(store, quota_bytes=quota_bytes)
-    journal = _HeartbeatJournal(store, conn, pace=poll_interval)
+    journal = _HeartbeatJournal(store, conn, pace=pace)
     payload = {"phase": "building"}
     if guard_notes:
         payload["guard_notes"] = guard_notes
@@ -222,8 +222,7 @@ class Orchestrator:
             simultaneous faults does not thunder back as one herd.
         poll_interval: the longest wait between two ticks of the
             control loop; a tick comes sooner when a worker reports.
-            A worker heartbeats at most once per ``poll_interval``
-            (besides its first and its ``end`` heartbeat).
+            It also paces heartbeats (:attr:`heartbeat_pace`).
         terminate_grace: seconds a worker gets to exit -- after its
             stop message, or after SIGTERM -- before SIGKILL (see
             :class:`~repro.fuzz.parallel.WorkerPool`).
@@ -272,6 +271,11 @@ class Orchestrator:
         self.checkpoint_every = checkpoint_every
         self.quarantine_after = quarantine_after
         self.poll_interval = poll_interval
+        #: The least time between two of a worker's heartbeats, besides
+        #: its first and its ``end`` heartbeat: the poll interval, the
+        #: finest the loop acts on, but at most a quarter of the lease,
+        #: so a long poll interval cannot starve a healthy job's lease.
+        self.heartbeat_pace = min(poll_interval, lease_duration / 4)
         if job_quota_bytes is not None and job_quota_bytes < 1:
             raise ValueError("job_quota_bytes must be >= 1")
         self.clock = clock
@@ -518,7 +522,7 @@ class Orchestrator:
         self.leases.grant(spec.job_id, worker_id)
         args = (factory, shard_spec_for(spec),
                 str(self.queue.job_dir(spec.job_id)), self.checkpoint_every,
-                self.poll_interval, self.store_factory)
+                self.heartbeat_pace, self.store_factory)
         if self.pool.start((spec.job_id, worker_id), _run_job, *args,
                            self.resource_guards, self.job_quota_bytes):
             return True

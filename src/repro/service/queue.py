@@ -49,22 +49,6 @@ def result_fingerprint(payload: dict) -> str:
                    separators=(",", ":")).encode("utf-8")).hexdigest()
 
 
-def _unique_findings(records: list[dict]) -> list[dict]:
-    """The findings of the ``finding`` records, deduplicated by
-    fingerprint, first occurrence first."""
-    seen: set[str] = set()
-    findings: list[dict] = []
-    for record in records:
-        if record.get("type") != "finding":
-            continue
-        finding = record.get("finding", {})
-        fingerprint = result_fingerprint(finding)
-        if fingerprint not in seen:
-            seen.add(fingerprint)
-            findings.append(finding)
-    return findings
-
-
 @dataclass
 class JobSpec:
     """What a tenant asked the service to run: plain JSON values only.
@@ -462,23 +446,18 @@ class JobQueue:
         surfaced as recorded warnings, never raised to the caller.
         Only the ``finding`` records are decoded.
         """
-        return _unique_findings(self._scan_job_log(job_id, ("finding",)))
-
-    def job_artefacts(self, job_id: str) -> tuple[dict | None, list[dict]]:
-        """``(result, findings)`` from one scan of the job's log: what
-        :meth:`load_result` and :meth:`job_findings` return."""
-        records = self._scan_job_log(job_id, ("finding", "result"))
-        results = [record.get("result") for record in records
-                   if record.get("type") == "result"]
-        return (results[-1] if results else None,
-                _unique_findings(records))
-
-    def _scan_job_log(self, job_id: str, types: tuple[str, ...]
-                      ) -> list[dict]:
-        """The job log's intact records of ``types``, the only ones
-        decoded (:func:`~repro.fuzz.durability.scan_records`)."""
-        return self._read_job_log(
-            job_id, lambda store: scan_records(store, types)) or []
+        records = self._read_job_log(
+            job_id, lambda store: scan_records(store, ("finding",))) or []
+        seen: set[str] = set()
+        findings: list[dict] = []
+        for record in records:
+            finding = record.get("finding", {})
+            fingerprint = result_fingerprint(finding)
+            if fingerprint in seen:
+                continue
+            seen.add(fingerprint)
+            findings.append(finding)
+        return findings
 
     # ------------------------------------------------------------------
     # Internals

@@ -170,8 +170,7 @@ class TestTypedScans:
             assert read_result(store) == full_read_result(store)
             findings, warnings = full_job_findings(store)
             assert queue.job_findings("j") == findings
-            assert queue.job_artefacts("j") == (
-                full_read_result(store)[0], findings)
+            assert queue.load_result("j") == full_read_result(store)[0]
             assert queue.warnings_for_job("j") == [
                 f"job j: {warning}" for warning in warnings]
 

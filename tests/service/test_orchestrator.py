@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.fuzz.durability import RetryPolicy
-from repro.service.orchestrator import (Orchestrator, build_factory,
-                                        shard_spec_for)
+from repro.fuzz.durability import DirectoryStore, RetryPolicy, scan_records
+from repro.service.orchestrator import (Orchestrator, _run_job,
+                                        build_factory, shard_spec_for)
 from repro.service.queue import JobQueue, JobSpec, result_fingerprint
 from repro.testbench.factory import UdsBenchFactory
+from tests.journals import kill_after_last_checkpoint
 
 from .helpers import register_test_kinds
 
@@ -28,6 +29,24 @@ def _no_sleep(_seconds: float) -> None:
 #: No wait between a fault and the re-grant -- retries land on the
 #: next tick so the tests stay fast.
 EAGER = RetryPolicy(attempts=1, backoff=0.0, sleep=_no_sleep)
+
+
+class _Pipe:
+    """A worker's pipe to its supervisor that keeps what is sent."""
+
+    def __init__(self) -> None:
+        self.sent: list = []
+
+    def send(self, message) -> None:
+        self.sent.append(message)
+
+
+class _SlowStore(DirectoryStore):
+    """A job journal whose every append takes 20 ms longer."""
+
+    def append(self, name: str, data: bytes) -> None:
+        time.sleep(0.02)
+        super().append(name, data)
 
 
 def direct_fingerprint(**fields) -> str:
@@ -62,7 +81,8 @@ class TestCompletion:
 
     def test_heartbeats_surface_progress(self, tmp_path, monkeypatch):
         # The bench's seed-0 job-0000: a keep-going UDS job that finds
-        # the liveness bug five times in 200 requests.
+        # the liveness bug five times in 200 requests.  Unpaced, every
+        # record heartbeats.
         queue = JobQueue(tmp_path)
         queue.submit(job_id="a", kind="uds", seed=827307999,
                      max_frames=200, stop_on_finding=False)
@@ -76,16 +96,50 @@ class TestCompletion:
         monkeypatch.setattr(queue, "update_progress", record)
         orch = Orchestrator(queue, workers=1, checkpoint_every=50,
                             backoff=EAGER)
+        orch.heartbeat_pace = 0.0
         orch.run_until_idle(timeout=60.0)
         job = queue.get("a")
         assert job.progress.get("phase") == "end"
         assert job.progress.get("frames_sent", 0) > 0
-        assert orch.leases.stats()["renewed"] > 0
-        # The finding count never falls within the run and ends at the
-        # result's count, so GET /jobs/<id> shows one number twice.
+        phases = [beat["phase"] for beat in beats]
+        assert phases[:2] == ["building", "start"]
+        assert phases.count("finding") == 5
+        assert phases.count("checkpoint") == 4
+        assert phases[-1] == "end"
+        assert orch.leases.stats()["renewed"] == len(beats)
+        # The finding count rises one finding at a time, never falls,
+        # and ends at the result's count, so GET /jobs/<id> shows one
+        # number twice.
         counts = [beat["findings"] for beat in beats if "findings" in beat]
         assert counts == sorted(counts)
+        assert sorted(set(counts)) == [0, 1, 2, 3, 4, 5]
         assert counts[-1] == len(queue.load_result("a")["findings"]) == 5
+
+    def test_a_resumed_run_heartbeats_its_checkpoints_findings(
+            self, tmp_path):
+        # The job above, run in process, cut back to its last
+        # checkpoint and run again: the resume heartbeat carries the
+        # findings that checkpoint holds, and counting goes on from
+        # there.
+        spec = JobSpec(job_id="a", kind="uds", seed=827307999,
+                       max_frames=200, stop_on_finding=False)
+        args = (build_factory(spec), shard_spec_for(spec), str(tmp_path),
+                60, 0.0)
+        _run_job(_Pipe(), *args)
+        kill_after_last_checkpoint(tmp_path)
+        records, _ = scan_records(DirectoryStore(tmp_path), ("checkpoint",))
+        held = len(records[-1]["state"]["findings"])
+        pipe = _Pipe()
+        result, _ = _run_job(pipe, *args)
+        beats = [payload for _, payload in pipe.sent]
+        assert [beat["phase"] for beat in beats[:2]] == ["building",
+                                                         "resume"]
+        assert 0 < held < len(result["findings"]) == 5
+        counts = [beat["findings"] for beat in beats[1:]]
+        assert counts == sorted(counts)
+        assert counts[0] == held
+        assert counts[-1] == 5
+        assert beats[-1]["phase"] == "end"
 
     @pytest.mark.parametrize("fields, every", [
         # Seed 268's keep-going unlock job finds twice in 4000 frames;
@@ -121,6 +175,29 @@ class TestCompletion:
         assert job.progress["frames_sent"] == result["frames_sent"] \
             == fields["max_frames"]
         assert job.progress["findings"] == len(result["findings"])
+
+    def test_a_long_poll_interval_keeps_a_short_lease_alive(self,
+                                                             tmp_path):
+        # A job that outlives two leases (108 appends of at least
+        # 20 ms), with a poll interval far longer than the lease:
+        # heartbeats are paced at a quarter of the lease, so its lease
+        # never lapses and no heartbeat is late.
+        queue = JobQueue(tmp_path)
+        queue.submit(job_id="a", kind="uds", seed=827307999,
+                     max_frames=200, stop_on_finding=False)
+        orch = Orchestrator(queue, workers=1, checkpoint_every=2,
+                            lease_duration=1.0, poll_interval=30.0,
+                            backoff=EAGER, store_factory=_SlowStore)
+        assert orch.heartbeat_pace == 0.25
+        started = time.monotonic()
+        orch.run_until_idle(timeout=60.0)
+        job = queue.get("a")
+        assert job.state == "completed", job.faults
+        assert job.attempts == 1
+        assert time.monotonic() - started > 2 * 1.0
+        assert orch.leases.stats()["expired"] == 0
+        assert orch.leases.stats()["renewed"] > 4
+        assert orch.notes == []
 
     def test_keep_going_unlock_job_matches_its_reference_twin(self,
                                                               tmp_path):
