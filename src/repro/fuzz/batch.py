@@ -13,10 +13,14 @@ kernel:
   bench answers only to command frames, and the BCM's status broadcast
   rides the same grid -- so :class:`_FrameEngine` *block-steps* the
   world instead of dispatching its events.  A block of upcoming frames
-  is parsed at once, vectorised over time, straight from the
-  generator's MT19937 word stream
+  (at most :data:`BLOCK_FRAMES`, 2048) is parsed at once, vectorised
+  over time, straight from the generator's MT19937 word stream
   (:meth:`~repro.sim.batch.BatchRandom.peek`), consuming words exactly
-  as CPython's generator calls would.  At each rare-event candidate in
+  as CPython's generator calls would: every frame starts at an
+  accepted id word, each id word's frame end names the id word of the
+  frame after it, and the block's frames are that chain from the first
+  id word, read off by pointer doubling rather than frame by frame
+  (:class:`_BlockParser`).  At each rare-event candidate in
   a block -- a frame that matches the BCM's command check or a watched
   id -- and at the step limit, an exact scalar handler whose timing
   arithmetic mirrors the discrete-event kernel tick for tick runs the
@@ -82,8 +86,10 @@ _CHECK_MODES = ("byte", "byte+dlc", "two-byte")
 
 #: Most frames one block parses.  A block's arrays cost a few dozen
 #: bytes per frame, so this constant -- not the world's length --
-#: bounds the frame engine's working memory.
-BLOCK_FRAMES = 1024
+#: bounds the frame engine's working memory.  2048 ran the Table V
+#: workload fastest: 1024 pays each block's fixed costs twice as
+#: often, and 4096 was slower again.
+BLOCK_FRAMES = 2048
 
 
 class ScalarFallback(Exception):
@@ -732,11 +738,14 @@ class _BlockParser:
     rejection (``_randbelow``: one word per try, its top bits kept,
     redrawn while out of range), then the payload: ``randbytes``
     words for the full byte range (none for 0 bytes, one for 1-4, two
-    for 5-8), one ``_randbelow`` per byte otherwise.  :meth:`scan`
-    computes, vectorised over every word of a peeked block, where a
-    frame starting at that word would end; the frames are the chain of
-    those ends from word 0, and the block's consumption is exactly the
-    words CPython would draw for them.
+    for 5-8), one ``_randbelow`` per byte otherwise.  Every frame
+    starts at an accepted id word, so :meth:`scan` works per id word of
+    a peeked block: vectorised, it computes where each id word's frame
+    ends and so the id word the next frame starts at (``jump``, or a
+    sink when the frame does not fit in the block).  The frames are
+    the chain ``0, jump[0], jump[jump[0]], ...``, read in at most
+    ceil(log2(count)) rounds of pointer doubling, and the block's
+    consumption is exactly the words CPython would draw for them.
     """
 
     def __init__(self, plan: _WorldPlan) -> None:
@@ -776,51 +785,62 @@ class _BlockParser:
         size = words.size
         id_draw = words >> self.id_shift
         dlc_draw = words >> self.dlc_shift
-        id_at = _next_accepted(id_draw < self.id_count)
-        dlc_at = _next_accepted(dlc_draw < self.dlc_count)
-        # A frame starting at word p draws its id at id_at[p] and its
-        # DLC at dlc_at[id_at[p] + 1]; ``size`` there means the block
-        # ran out, which pushes the frame's end past the block.
-        dlc_word = dlc_at[id_at[:size] + 1]
+        is_id = id_draw < self.id_count
+        # The id words: every frame starts at the first one at or after
+        # its predecessor's end (the word after its last).  rank[p]
+        # counts the id words before word p, so the first one at or
+        # after p is heads[rank[p]].
+        heads = np.flatnonzero(is_id)
+        rank = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(is_id, out=rank[1:])
+        # An id word h's frame draws its DLC at the first accepted DLC
+        # word after h; ``size`` there means the block ran out, which
+        # pushes the frame's end past the block.
+        dlc_word = _next_accepted(dlc_draw < self.dlc_count)[heads + 1]
         dlc_raw = dlc_draw[np.minimum(dlc_word, size - 1)]
         byte_values = None
         if self.byte_span is None:
-            end = dlc_word + 1 + self.tail_words[dlc_raw]
+            pay = dlc_word + 1
+            end = pay + self.tail_words[dlc_raw]
         else:
             byte_draw = words >> self.byte_shift
             accepted = byte_draw < self.byte_span
             hits = np.flatnonzero(accepted)
             byte_values = (self.byte_min + byte_draw[hits]).astype(np.uint8)
-            # rank[q]: accepted byte draws at or before word q, so the
-            # payload after a DLC at q starts at hits[rank[q]].
-            rank = np.cumsum(accepted)
-            first = rank[np.minimum(dlc_word, size - 1)]
+            # byte_rank[q]: accepted byte draws at or before word q, so
+            # the payload after a DLC at q starts at hits[byte_rank[q]].
+            byte_rank = np.cumsum(accepted)
+            pay = byte_rank[np.minimum(dlc_word, size - 1)]
             dlc = self.dlc_of[dlc_raw]
             after = np.concatenate([hits + 1, np.full(9, size + 1)])
-            end = np.where(dlc > 0, after[first + dlc - 1], dlc_word + 1)
-        ends = end.tolist()
-        ends.append(size + 1)
-        starts = []
-        at = 0
-        for _ in range(count):
-            stop = ends[at]
-            if stop > size:
-                break
-            starts.append(at)
-            at = stop
-        frames = np.array(starts, dtype=np.int64)
-        id_word = id_at[frames]
-        dlc_word = dlc_at[id_word + 1]
+            end = np.where(dlc > 0, after[pay + dlc - 1], dlc_word + 1)
+        # jump[k]: the id index of the frame after id word k's frame.
+        # Index ``heads.size`` is a sink, its own successor; rank[size]
+        # equals it, so a frame ending at or past the block's end jumps
+        # there.  The frames are the chain from index 0 up to its first
+        # frame that does not fit.
+        sink = heads.size
+        fits = np.append(end <= size, False)
+        jump = np.append(rank[np.minimum(end, size)], sink)
+        # Pointer doubling: reach holds the chain's first len(reach)
+        # indices, and jump is squared before each later round so that
+        # it takes len(reach) links at once.
+        reach = np.zeros(1, dtype=np.int64)
+        while reach.size < count and reach[-1] != sink:
+            if reach.size > 1:
+                jump = jump[jump]
+            reach = np.concatenate([reach, jump[reach]])
+        frames = reach[:count]
+        frames = frames[fits[frames]]
         block = _Block()
         block.tick0 = tick0
         block.interval = interval
-        block.ids = self.pool_ids[id_draw[id_word]]
-        block.dlcs = self.pool_dlcs[dlc_draw[dlc_word]]
+        block.ids = self.pool_ids[id_draw[heads[frames]]]
+        block.dlcs = self.pool_dlcs[dlc_raw[frames]]
         block.ends = end[frames]
         block.words = words
         block.byte_values = byte_values
-        block.pay = (dlc_word + 1 if byte_values is None
-                     else rank[dlc_word])
+        block.pay = pay[frames]
         return block
 
 

@@ -181,6 +181,11 @@ class JobQueue:
         #: The live (pending or leased) jobs, in submission order: what
         #: a tick and a submit look at, however many jobs have ended.
         self._live: dict[str, Job] = {}
+        #: Jobs per state, duplicate completions and faults, kept as
+        #: :meth:`_apply` folds each event (what :meth:`counters` reads).
+        self._states = dict.fromkeys(JOB_STATES, 0)
+        self._duplicates = 0
+        self._retries = 0
         self.divergent_completions = 0
         self.artefact_warnings: list[str] = []
         self._artefact_warned: set[str] = set()
@@ -207,10 +212,12 @@ class JobQueue:
             if spec.job_id not in self.jobs:
                 job = Job(spec=spec)
                 self.jobs[spec.job_id] = self._live[spec.job_id] = job
+                self._states[job.state] += 1
             return
         job = self.jobs.get(event.get("job_id", ""))
         if job is None:
             return  # event for a job whose submit record was torn away
+        state = job.state
         if kind == "job-leased":
             job.state = "leased"
             job.attempts += 1
@@ -222,6 +229,7 @@ class JobQueue:
             note = event.get("note", "requeued")
             if event.get("fault", True):
                 job.faults.append(note)
+                self._retries += 1
             else:
                 job.notes.append(note)
         elif kind == "job-completed":
@@ -233,6 +241,7 @@ class JobQueue:
                 for key in ("frames_sent", "findings", "stop_reason")}
         elif kind == "job-duplicate":
             job.duplicate_completions += 1
+            self._duplicates += 1
         elif kind == "job-divergent":
             self.divergent_completions += 1
             job.notes.append(
@@ -242,6 +251,9 @@ class JobQueue:
             job.state = "quarantined"
             job.worker = None
             job.faults.append(event.get("note", "quarantined"))
+            self._retries += 1
+        self._states[state] -= 1
+        self._states[job.state] += 1
         if job.terminal:
             # A terminal state is final: leasing needs a pending job,
             # and a requeue leaves a terminal job as it is.
@@ -372,17 +384,12 @@ class JobQueue:
         return list(self.journal.warnings)
 
     def counters(self) -> dict:
-        states = {state: 0 for state in JOB_STATES}
-        for job in self.jobs.values():
-            states[job.state] += 1
         return {
             "jobs": len(self.jobs),
-            "states": states,
-            "duplicate_completions": sum(
-                job.duplicate_completions for job in self.jobs.values()),
+            "states": dict(self._states),
+            "duplicate_completions": self._duplicates,
             "divergent_completions": self.divergent_completions,
-            "total_retries": sum(len(job.faults)
-                                 for job in self.jobs.values()),
+            "total_retries": self._retries,
         }
 
     # ------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.fuzz.durability import CampaignJournal, DirectoryStore, scan_records
 from repro.fuzz.generator import RandomFrameGenerator, TargetedFrameGenerator
 from repro.fuzz.oracle import AckMessageOracle, PhysicalStateOracle
 from repro.fuzz.parallel import ShardSpec, ShardedCampaign, derive_shard_seed
+from repro.sim.batch import BatchRandom
 from repro.sim.clock import MS
 from repro.testbench.bcm import STATUS_ID, UNLOCK_ACK_ID
 from repro.testbench.bench import UnlockTestbench
@@ -158,6 +159,74 @@ class TestFreshParity:
                 assert world.run().to_dict() == want, (case, size)
                 assert oracle_states(world) == oracle_states(twin), (case,
                                                                      size)
+
+
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts the 32-bit words it draws (every
+    draw the frame generator makes goes through ``getrandbits``)."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += -(-k // 32)
+        return super().getrandbits(k)
+
+
+@functools.lru_cache(maxsize=None)
+def block_parser(kind):
+    """A fresh world's generator config and the frame engine's parser
+    for its plan."""
+    campaign = build_world(kind, 0)
+    plan = batch_engine.plan_frame_world(campaign, campaign.bench, None)
+    return campaign.generator.config, batch_engine._BlockParser(plan)
+
+
+class TestBlockParser:
+    """``_BlockParser.scan`` on its own, against the scalar generator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["factory", "narrow", "targeted"]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           skip=st.integers(min_value=0, max_value=1400),
+           count=st.integers(min_value=1,
+                             max_value=batch_engine.BLOCK_FRAMES),
+           data=st.data())
+    def test_block_holds_the_scalar_frames_that_fit(self, kind, seed, skip,
+                                                    count, data):
+        config, parser = block_parser(kind)
+        # The scalar generator's first ``count`` frames from a state
+        # ``skip`` words into the stream (mid-block, or on a twist),
+        # with its state and the words drawn so far after each frame.
+        rng = CountingRandom(seed)
+        rng.getrandbits(32 * skip)
+        start = rng.getstate()
+        rng.words = 0
+        generator = RandomFrameGenerator(config, rng)
+        frames, states, used = [], [], []
+        for _ in range(count):
+            frame = generator.next_frame()
+            frames.append((frame.can_id, len(frame.data), frame.data))
+            states.append(rng.getstate())
+            used.append(rng.words)
+        # Cut the words anywhere up to past the last frame, often right
+        # at a frame's end (too short for the first frame included).
+        cut = data.draw(st.one_of(
+            st.integers(min_value=0, max_value=used[-1] + 8),
+            st.builds(lambda end, shift: max(0, end + shift),
+                      st.sampled_from(used), st.integers(-1, 1))))
+        words = BatchRandom([start]).peek(0, cut)
+        block = parser.scan(words, count, 0, 1)
+        fitting = sum(end <= cut for end in used)
+        assert block.size == fitting
+        assert block.ends.tolist() == used[:fitting]
+        assert [(int(block.ids[i]), int(block.dlcs[i]), block.payload(i))
+                for i in range(block.size)] == frames[:fitting]
+        batch = BatchRandom([start])
+        committed = 0
+        for end, state in zip(block.ends.tolist(), states):
+            batch.commit(0, end - committed)
+            committed = end
+            assert batch.getstate(0) == state
 
 
 class TestScalarFallback:

@@ -3,11 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fuzz.durability import (DirectoryStore, FaultyStore,
                                    RetryPolicy)
-from repro.service.queue import (JobQueue, JobSpec, TERMINAL_STATES,
-                                 result_fingerprint)
+from repro.service.queue import (JOB_STATES, JobQueue, JobSpec,
+                                 TERMINAL_STATES, result_fingerprint)
 
 
 def _no_sleep(_seconds: float) -> None:
@@ -209,6 +210,57 @@ class TestReplay:
         assert queue.active_for_tenant("t1") == 1
         assert queue.active_for_tenant("t2") == 1
         assert queue.active_for_tenant("nobody") == 0
+
+
+def recount(queue):
+    """``counters()`` recounted from every job the queue holds."""
+    states = dict.fromkeys(JOB_STATES, 0)
+    for job in queue.in_order():
+        states[job.state] += 1
+    return {
+        "jobs": len(queue.jobs),
+        "states": states,
+        "duplicate_completions": sum(job.duplicate_completions
+                                     for job in queue.in_order()),
+        "divergent_completions": queue.divergent_completions,
+        "total_retries": sum(len(job.faults) for job in queue.in_order()),
+    }
+
+
+def submitted(job_id):
+    return {"type": "job-submitted",
+            "job": JobSpec(job_id=job_id, max_frames=10).to_dict()}
+
+
+#: Any event the fold may meet, in any order: the mutation methods'
+#: guards do not hold for a log, so events for unknown or terminal
+#: jobs, repeated submits and unknown types are drawn too.
+EVENTS = st.one_of(
+    st.builds(submitted, st.sampled_from("abc")),
+    st.builds(lambda kind, job_id, fault: {
+        "type": kind, "job_id": job_id, "worker": "w", "note": kind,
+        "fault": fault, "fingerprint": "f", "frames_sent": 1,
+        "findings": 0, "stop_reason": "done"},
+        st.sampled_from(["job-leased", "job-requeued", "job-completed",
+                         "job-duplicate", "job-divergent",
+                         "job-quarantined", "job-unknown"]),
+        st.sampled_from("abcd"), st.booleans()))
+
+
+class TestCounters:
+    @settings(max_examples=60, deadline=None)
+    @given(events=st.lists(EVENTS, max_size=25))
+    def test_counters_equal_a_recount_live_and_reopened(
+            self, tmp_path_factory, events):
+        root = tmp_path_factory.mktemp("counters")
+        queue = JobQueue(root)
+        # Most drawn events then find their job (one job id is never
+        # submitted).
+        for event in [submitted("a"), submitted("b")] + events:
+            queue._record(event)
+            assert queue.counters() == recount(queue)
+        reopened = JobQueue(root)
+        assert reopened.counters() == recount(reopened) == queue.counters()
 
 
 class TestTornWriteChaos:
