@@ -419,15 +419,15 @@ def encode_record(payload: dict) -> bytes:
 
 
 def _line_body(line: bytes) -> bytes | None:
-    """The JSON body of one framed line (newline included); ``None``
-    when its framing or its CRC is broken."""
-    if len(line) < 11 or line[8:9] != b" ":
+    """The JSON body of one framed line; ``None`` when its framing or
+    its CRC is broken."""
+    if len(line) < 10 or line[8:9] != b" ":
         return None
     try:
         crc = int(line[:8], 16)
     except ValueError:
         return None
-    body = line[9:-1]
+    body = line[9:]
     if zlib.crc32(body) != crc:
         return None
     return body
@@ -447,26 +447,8 @@ def _decode_line(line: bytes) -> dict | None:
     return None if body is None else _decode_body(body)
 
 
-def _framed_type(line: bytes, kinds: Collection[str]) -> str | None:
-    """The kind in ``kinds`` that a framed line's record names as its
-    type in its last key, told from the line's tail alone (``None``
-    when it names none).
-
-    A body that ends in ``,"type":"<kind>"}`` holds exactly such a
-    record: the comma before the key's opening quote lies outside any
-    string (a quote inside one is escaped), and the final brace closes
-    the top-level object.  A checkpoint or a result record names its
-    type in its last key, since :func:`encode_record` sorts the keys.
-    """
-    for kind in kinds:
-        if line.endswith(b',"type":"' + kind.encode("ascii") + b'"}\n'):
-            return kind
-    return None
-
-
-def parse_records(data: bytes, types: Collection[str] | None = None, *,
-                  framed: Collection[str] = ()
-                  ) -> tuple[list[dict | bytes], int, str | None]:
+def parse_records(data: bytes, types: Collection[str] | None = None
+                  ) -> tuple[list[dict], int, str | None]:
     """Scan framed records, stopping at the first damage.
 
     Returns ``(records, clean_length, reason)``: the longest prefix of
@@ -483,14 +465,10 @@ def parse_records(data: bytes, types: Collection[str] | None = None, *,
     so a line without that text is no finding; a line with it is
     decoded and its type checked.  A line that is not decoded is
     trusted on its CRC (see :func:`encode_record`).
-
-    With ``framed``, a line whose tail shows a record of one of those
-    types (:func:`_framed_type`) is not decoded either: its framed
-    line, newline included, stands in the list for the record.
     """
     markers = None if types is None else [
         b'"type":' + json.dumps(kind).encode("utf-8") for kind in types]
-    records: list[dict | bytes] = []
+    records: list[dict] = []
     clean = 0
     position = 0
     length = len(data)
@@ -498,13 +476,10 @@ def parse_records(data: bytes, types: Collection[str] | None = None, *,
         newline = data.find(b"\n", position)
         if newline == -1:
             return records, clean, f"torn tail at byte {position}"
-        line = data[position:newline + 1]
-        body = _line_body(line)
+        body = _line_body(data[position:newline])
         if body is None:
             return records, clean, f"corrupt record at byte {position}"
-        if framed and _framed_type(line, framed):
-            records.append(line)
-        elif markers is None or any(marker in body for marker in markers):
+        if markers is None or any(marker in body for marker in markers):
             record = _decode_body(body)
             if record is None:
                 return records, clean, f"corrupt record at byte {position}"
@@ -565,35 +540,33 @@ class WriteAheadJournal:
     its segment back to the last intact record, and any later segments
     are discarded -- they were written after the damage point and an
     append-only log must stay a prefix of history.  The surviving
-    records are exposed as :attr:`recovered_records` (those of the
-    ``framed`` types as their framed lines, see :func:`parse_records`);
-    appends continue where the intact prefix ends.
+    records are exposed as :attr:`recovered_records`; appends continue
+    where the intact prefix ends.
 
     Rotation is atomic by construction: a new segment is only ever
     *created* by appending a complete record to a fresh name, so no
     reader can observe a half-rotated state.
     """
 
-    def __init__(self, store, *, max_segment_bytes: int = 1 << 20,
-                 framed: Collection[str] = ()) -> None:
+    def __init__(self, store, *, max_segment_bytes: int = 1 << 20) -> None:
         if max_segment_bytes < 64:
             raise ValueError("max_segment_bytes must be >= 64")
         self.store = store
         self.max_segment_bytes = max_segment_bytes
-        self.recovered_records: list[dict | bytes] = []
+        self.recovered_records: list[dict] = []
         self.recovery_warnings: list[str] = []
         self._index = 0
         self._size = 0
-        self._recover(framed)
+        self._recover()
 
-    def _recover(self, framed: Collection[str]) -> None:
+    def _recover(self) -> None:
         names = _segment_names(self.store)
         if not names:
             return
         damaged_at: int | None = None
         for position, name in enumerate(names):
             data = self.store.read(name)
-            records, clean, reason = parse_records(data, framed=framed)
+            records, clean, reason = parse_records(data)
             self.recovered_records.extend(records)
             self._index = int(name[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)])
             self._size = clean
@@ -661,11 +634,6 @@ def read_result(store) -> tuple[dict | None, list[str]]:
     return None, warnings
 
 
-#: The record types of which a :class:`CampaignJournal` keeps only the
-#: latest.
-_LATEST = ("checkpoint", "result")
-
-
 class CampaignJournal:
     """Durable state for one campaign: one append-only log.
 
@@ -673,9 +641,7 @@ class CampaignJournal:
     result are records of one :class:`WriteAheadJournal`, each written
     with one encoding, one append and one fsync.  On open, the events
     become :attr:`records`, and of the ``checkpoint`` and ``result``
-    records only the latest of each is kept, as its framed line: the
-    latest checkpoint is decoded for its generation, the result only
-    when it is loaded, and no older one at all.  Recovery ends the log at
+    records only the latest of each is kept.  Recovery ends the log at
     its first damaged record, so a torn last checkpoint falls back to
     the one before it.  A directory of the older format is refused
     (:func:`refuse_legacy_files`).
@@ -699,34 +665,28 @@ class CampaignJournal:
         self.degraded = False
         self.warnings: list[str] = []
         self.records: list[dict] = []
-        #: The latest checkpoint and result: each a decoded record, or
-        #: a framed line (found at open or written since) decoded when
-        #: it is loaded.
+        #: The latest checkpoint and result: each a record found at
+        #: open, or the framed bytes written since.
         self._latest: dict[str, dict | bytes] = {}
         self._wal: WriteAheadJournal | None = None
         try:
             wal: list[WriteAheadJournal] = []
             self.retry.run(lambda: wal.append(WriteAheadJournal(
-                self.store, max_segment_bytes=max_segment_bytes,
-                framed=_LATEST)))
+                self.store, max_segment_bytes=max_segment_bytes)))
             self._wal = wal[-1]
         except OSError as exc:
             self._degrade("journal open", exc)
         else:
             for record in self._wal.recovered_records:
-                kind = (_framed_type(record, _LATEST)
-                        if isinstance(record, bytes) else record.get("type"))
-                if kind in _LATEST:
-                    self._latest[kind] = record
+                if record.get("type") in ("checkpoint", "result"):
+                    self._latest[record["type"]] = record
                 else:
                     self.records.append(record)
             self._wal.recovered_records = []  # drop older checkpoints
             self.warnings.extend(self._wal.recovery_warnings)
-        checkpoint = self._latest.get("checkpoint")
-        if isinstance(checkpoint, bytes):
-            checkpoint = self._latest["checkpoint"] = _decode_line(checkpoint)
         #: Checkpoints written to this log, counting from its first.
-        self.generation = (checkpoint or {}).get("generation", 0)
+        self.generation = self._latest.get("checkpoint", {}).get(
+            "generation", 0)
 
     # -- degradation ---------------------------------------------------
     def _degrade(self, what: str, exc: OSError) -> None:
@@ -767,7 +727,7 @@ class CampaignJournal:
     def _load_latest(self, kind: str, field: str) -> dict | None:
         latest = self._latest.get(kind)
         if isinstance(latest, bytes):
-            latest = _decode_line(latest)
+            latest = _decode_line(latest[:-1])
         return None if latest is None else latest.get(field)
 
     def save_checkpoint(self, state: dict) -> None:

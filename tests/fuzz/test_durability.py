@@ -14,7 +14,6 @@ from repro.can.adapter import PcanStyleAdapter
 from repro.can.bus import CanBus
 from repro.can.frame import CanFrame
 from repro.can.timing import CAN_500K
-from repro.fuzz import durability
 from repro.fuzz.campaign import CampaignLimits, FuzzCampaign
 from repro.fuzz.config import FuzzConfig
 from repro.fuzz.durability import (
@@ -36,8 +35,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.random import (RandomStreams, rng_state_from_json,
                               rng_state_to_json)
 
-from tests.journals import (full_job_findings, full_open, full_read_result,
-                            full_scan)
+from tests.journals import full_job_findings, full_read_result, full_scan
 
 
 def _no_sleep(_seconds: float) -> None:
@@ -175,19 +173,6 @@ class TestTypedScans:
             assert queue.load_result("j") == full_read_result(store)[0]
             assert queue.warnings_for_job("j") == [
                 f"job j: {warning}" for warning in warnings]
-            # Opening the log decodes its events and latest checkpoint
-            # only, and must find (and cut) what a full decode does.
-            twin = DirectoryStore(os.path.join(root, "twin"))
-            for index, data in enumerate(segments):
-                (twin.root / f"journal-{index:06d}.wal").write_bytes(data)
-            journal = CampaignJournal(store)
-            assert {"records": journal.records,
-                    "checkpoint": journal.load_checkpoint(),
-                    "result": journal.load_result(),
-                    "generation": journal.generation,
-                    "warnings": journal.warnings} == full_open(twin)
-            assert [store.read(name) for name in store.list()] == [
-                twin.read(name) for name in twin.list()]
 
     def test_a_nested_type_is_decoded_and_dropped(self):
         record = {"type": "checkpoint", "state": {"type": "finding"}}
@@ -441,48 +426,6 @@ class TestCampaignJournal:
             "start", "progress", "progress", "progress", "end"]
         kinds = [r["type"] for r in scan_records(DirectoryStore(tmp_path))[0]]
         assert kinds.count("checkpoint") == 3 and kinds[-1] == "result"
-
-    def test_open_decodes_the_latest_checkpoint_only(self, tmp_path,
-                                                     monkeypatch):
-        journal = CampaignJournal(tmp_path)
-        journal.append({"type": "start"})
-        for sent in range(1, 21):
-            journal.save_checkpoint({"frames_sent": sent})
-        journal.append({"type": "end"})
-        journal.save_result({"frames_sent": 20})
-        decoded = []
-        decode = durability._decode_body
-
-        def counting(body):
-            record = decode(body)
-            decoded.append(record["type"])
-            return record
-
-        monkeypatch.setattr(durability, "_decode_body", counting)
-        reopened = CampaignJournal(tmp_path)
-        assert decoded == ["start", "end", "checkpoint"]
-        assert reopened.generation == 20
-        assert reopened.load_checkpoint() == {"frames_sent": 20}
-        assert reopened.load_result() == {"frames_sent": 20}
-        assert decoded == ["start", "end", "checkpoint", "result"]
-
-    def test_an_event_that_quotes_a_checkpoint_type_is_an_event(
-            self, tmp_path):
-        # Each event's line holds the text of a checkpoint record's
-        # type (nested, after a quoted comma, in a key), but not as
-        # the last key of its own object.
-        events = [{"type": "finding", "finding": {"type": "checkpoint"}},
-                  {"type": "end", "zone": {"type": "checkpoint"}},
-                  {"type": "end", "note": ',"type":"checkpoint"}'},
-                  {"type": "end", 'x,"type': "checkpoint"}]
-        journal = CampaignJournal(tmp_path)
-        journal.save_checkpoint({"frames_sent": 1})
-        for event in events:
-            journal.append(event)
-        reopened = CampaignJournal(tmp_path)
-        assert reopened.records == events
-        assert reopened.load_checkpoint() == {"frames_sent": 1}
-        assert reopened.generation == 1
 
     def test_checkpoint_generation_and_crc(self, tmp_path):
         journal = CampaignJournal(tmp_path)

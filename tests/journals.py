@@ -9,9 +9,8 @@ later findings, no ``end`` and no ``result`` record.
 from itertools import accumulate
 from pathlib import Path
 
-from repro.fuzz.durability import (DirectoryStore, WriteAheadJournal,
-                                   encode_record, parse_records,
-                                   scan_records)
+from repro.fuzz.durability import (DirectoryStore, encode_record,
+                                   parse_records, scan_records)
 from repro.service.queue import result_fingerprint
 from repro.sim.random import rng_state_from_json
 
@@ -45,26 +44,6 @@ def full_scan(store, types=None) -> tuple[list[dict], list[str]]:
         records = [record for record in records
                    if record.get("type") in types]
     return records, warnings
-
-
-def full_open(store) -> dict:
-    """What opening a :class:`~repro.fuzz.durability.CampaignJournal`
-    on ``store`` must find, from a recovery that JSON-decodes every
-    record: the events, the latest checkpoint and result records, and
-    the recovery warnings.  Recovery repairs ``store`` as an open does."""
-    wal = WriteAheadJournal(store)
-    latest = {}
-    events = []
-    for record in wal.recovered_records:
-        if record.get("type") in ("checkpoint", "result"):
-            latest[record["type"]] = record
-        else:
-            events.append(record)
-    return {"records": events,
-            "checkpoint": latest.get("checkpoint", {}).get("state"),
-            "result": latest.get("result", {}).get("result"),
-            "generation": latest.get("checkpoint", {}).get("generation", 0),
-            "warnings": wal.recovery_warnings}
 
 
 def full_read_result(store) -> tuple[dict | None, list[str]]:
